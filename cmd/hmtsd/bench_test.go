@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -14,6 +15,7 @@ import (
 // Ingestion throughput of the two wire encodings, measured per element
 // through a live daemon: the line protocol pays parsing and per-line
 // dispatch, the framed batch protocol amortizes both over 512 elements.
+// BenchmarkResultEgress adds the way back: one RESULT line per element.
 // `make bench` records these next to the scheduler numbers.
 
 // benchSession starts an in-process daemon, dials it, and runs the setup
@@ -126,6 +128,53 @@ func BenchmarkIngestFramed(b *testing.B) {
 		for n := 0; n < total; n++ {
 			if err := awaitOK(r); err != nil {
 				errc <- err
+				return
+			}
+		}
+		errc <- nil
+	}()
+	w := bufio.NewWriterSize(conn, 1<<16)
+	b.ResetTimer()
+	for i := 0; i < frames; i++ {
+		w.Write(full)
+	}
+	if rem > 0 {
+		w.Write(ingestFrame(rem))
+	}
+	w.Flush()
+	if err := <-errc; err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkResultEgress is the full daemon round trip per element: 512-
+// element PUSHB frames in, through SELECT * FROM ext, and one RESULT line
+// per element back out, each read by the client. It prices the egress
+// path — encoding, the session buffer and the writer's socket writes — on
+// top of BenchmarkIngestFramed's ingest.
+func BenchmarkResultEgress(b *testing.B) {
+	const frameN = 512
+	conn, r := benchSession(b,
+		"SOURCE ext EXTERNAL POLICY block BUFFER 65536",
+		"QUERY SELECT * FROM ext",
+		"START gts")
+	full := ingestFrame(frameN)
+	frames, rem := b.N/frameN, b.N%frameN
+	// Read concurrently: the daemon blocks its pushes once the client
+	// stops draining results.
+	errc := make(chan error, 1)
+	go func() {
+		for n := 0; n < b.N; {
+			line, err := r.ReadSlice('\n')
+			if err != nil {
+				errc <- err
+				return
+			}
+			switch {
+			case bytes.HasPrefix(line, []byte("RESULT ")):
+				n++
+			case bytes.HasPrefix(line, []byte("ERR")):
+				errc <- fmt.Errorf("server: %s", bytes.TrimSpace(line))
 				return
 			}
 		}

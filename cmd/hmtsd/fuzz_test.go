@@ -1,14 +1,16 @@
 // Fuzz coverage for the hmtsd wire protocol: the three places raw client
-// bytes meet parsing code. The invariants are the session's safety
-// properties — no panic on any input, and every allocation bounded by a
-// protocol constant, so a hostile or desynced client can at worst get its
-// own session aborted.
+// bytes meet parsing code, plus the result encoder. The parsing invariants
+// are the session's safety properties — no panic on any input, and every
+// allocation bounded by a protocol constant, so a hostile or desynced
+// client can at worst get its own session aborted. The encoder's
+// invariant is byte-identity with the format the protocol documents.
 package main
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
 	"strings"
@@ -111,6 +113,31 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 		els := make([]hmts.Element, n)
 		decodeFrame(body[:n*frameRecordSize], els)
+	})
+}
+
+// FuzzResultLine pins the hand-rolled RESULT encoder to the protocol's
+// documented format: for any id, ts, key and val its bytes equal
+// fmt.Sprintf("RESULT %d %d %d %g\n", ...), and it appends rather than
+// overwrites.
+func FuzzResultLine(f *testing.F) {
+	f.Add(0, int64(0), int64(0), 0.0)
+	f.Add(7, int64(1_000_000), int64(-3), 1.5)
+	f.Add(1, int64(math.MinInt64), int64(math.MaxInt64), math.NaN())
+	f.Add(2, int64(math.MaxInt64), int64(math.MinInt64), math.Inf(1))
+	f.Add(3, int64(-1), int64(1), math.Inf(-1))
+	f.Add(4, int64(5), int64(6), math.Copysign(0, -1))
+	f.Add(5, int64(5), int64(6), 1e21)
+	f.Add(6, int64(5), int64(6), 1e-7)
+	f.Add(8, int64(5), int64(6), math.SmallestNonzeroFloat64)
+	f.Add(math.MaxInt, int64(5), int64(6), math.MaxFloat64)
+	f.Add(math.MinInt, int64(5), int64(6), 123456789.0)
+	f.Fuzz(func(t *testing.T, id int, ts, key int64, val float64) {
+		want := fmt.Sprintf("RESULT %d %d %d %g\n", id, ts, key, val)
+		got := appendResult([]byte("x"), id, hmts.Element{TS: ts, Key: key, Val: val})
+		if string(got) != "x"+want {
+			t.Fatalf("appendResult = %q, want %q", got[1:], want)
+		}
 	})
 }
 

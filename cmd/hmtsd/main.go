@@ -35,6 +35,14 @@
 //
 // Results: RESULT <id> <ts> <key> <val>, then DONE <id>.
 //
+// Every line a session sends — replies, INFO, RESULT, DONE — goes through
+// one ordered, bounded buffer drained by a single writer goroutine. There
+// is no flush timer: a result is written as soon as the writer is free,
+// and results that arrive during a write ride together in the next one. A
+// client that stops reading is never dropped; once its buffer is full,
+// its own queries (and, under POLICY block, its pushes) wait for it.
+// Other sessions are unaffected.
+//
 // EXTERNAL sources are push-driven: the daemon only delivers what PUSH /
 // PUSHB feed in. A zero <ts> is stamped with the arrival time. BOUND caps
 // the decoupling queues so ingress backpressure reaches the client (via
@@ -72,7 +80,6 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof/* on DefaultServeMux; served only when -pprof is set
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	hmts "github.com/dsms/hmts"
@@ -110,16 +117,13 @@ func main() {
 type session struct {
 	conn      net.Conn
 	r         *bufio.Reader
-	mu        sync.Mutex // guards w
-	w         *bufio.Writer
+	out       *egress // every line to the client, in order
 	eng       *hmts.Engine
 	sources   map[string]*hmts.Stream
 	externals map[string]*hmts.ExternalSource
 	started   bool
 	queries   int
 	qnames    map[int]string // query id -> engine query name, for QUERY DROP
-	flushReq  chan struct{}
-	closed    chan struct{}
 
 	// Reusable PUSHB scratch, so a sustained batch stream does not allocate
 	// per frame.
@@ -131,50 +135,11 @@ func newSession(conn net.Conn) *session {
 	return &session{
 		conn:      conn,
 		r:         bufio.NewReaderSize(conn, 64*1024),
-		w:         bufio.NewWriterSize(conn, 64*1024),
+		out:       newEgress(conn),
 		eng:       hmts.New(),
 		sources:   make(map[string]*hmts.Stream),
 		externals: make(map[string]*hmts.ExternalSource),
 		qnames:    make(map[int]string),
-		flushReq:  make(chan struct{}, 1),
-		closed:    make(chan struct{}),
-	}
-}
-
-// send writes one line and flushes immediately — for command responses and
-// end-of-stream markers the client is actively waiting on.
-func (s *session) send(format string, args ...any) {
-	s.mu.Lock()
-	fmt.Fprintf(s.w, format+"\n", args...)
-	s.w.Flush()
-	s.mu.Unlock()
-}
-
-// sendAsync writes one line into the buffer; the background flusher pushes
-// it out within a few milliseconds. Result streams use this so high result
-// rates do not pay a syscall per element.
-func (s *session) sendAsync(format string, args ...any) {
-	s.mu.Lock()
-	fmt.Fprintf(s.w, format+"\n", args...)
-	s.mu.Unlock()
-	select {
-	case s.flushReq <- struct{}{}:
-	default:
-	}
-}
-
-// flusher drains buffered result lines shortly after they are written.
-func (s *session) flusher() {
-	for {
-		select {
-		case <-s.closed:
-			return
-		case <-s.flushReq:
-			time.Sleep(2 * time.Millisecond) // let a batch accumulate
-			s.mu.Lock()
-			s.w.Flush()
-			s.mu.Unlock()
-		}
 	}
 }
 
@@ -208,30 +173,34 @@ func readLine(r *bufio.Reader) (string, error) {
 	}
 }
 
+// lingerTimeout bounds how long a closing session tries to deliver the
+// lines it has already queued, such as the reply to QUIT.
+const lingerTimeout = time.Second
+
 func (s *session) serve() {
-	go s.flusher()
+	go s.out.run()
 	defer func() {
-		close(s.closed)
+		// Teardown never waits on the peer. Closing the egress releases
+		// producers parked on a full buffer; the writer gets a bounded
+		// grace for what is already queued; the conn is closed before the
+		// engine stops, so no source or executor goroutine can stay
+		// parked behind a client that is gone.
+		s.out.close()
+		s.conn.SetWriteDeadline(time.Now().Add(lingerTimeout))
+		<-s.out.done
+		s.conn.Close()
 		if s.started {
 			s.eng.Stop()
 		}
 		for _, ext := range s.externals {
 			ext.Close()
 		}
-		s.conn.Close()
 	}()
-	s.send("OK hmtsd ready")
+	s.out.printf("OK hmtsd ready")
 	for {
 		line, err := readLine(s.r)
 		if err != nil {
-			// A client vanishing mid-session is normal; anything else —
-			// an oversized line, a truncated frame — must not end the
-			// session silently: tell the client (the ERR may still be
-			// deliverable) and the operator log why.
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-				s.send("ERR session aborted: %v", err)
-				log.Printf("hmtsd: session %s aborted: %v", s.conn.RemoteAddr(), err)
-			}
+			s.abort(err)
 			return
 		}
 		line = strings.TrimSpace(line)
@@ -242,7 +211,7 @@ func (s *session) serve() {
 		rest := strings.TrimSpace(line[len(cmd):])
 		switch cmd {
 		case "QUIT":
-			s.send("OK bye")
+			s.out.printf("OK bye")
 			return
 		case "SOURCE":
 			s.cmdSource(rest)
@@ -263,39 +232,51 @@ func (s *session) serve() {
 				// The frame body could not be read: the byte stream is no
 				// longer in sync with the line protocol, so the session
 				// cannot continue.
-				s.send("ERR session aborted: %v", err)
-				log.Printf("hmtsd: session %s aborted: %v", s.conn.RemoteAddr(), err)
+				s.abort(err)
 				return
 			}
 		case "CLOSE":
 			s.cmdClose(rest)
 		case "WAIT":
 			if !s.started {
-				s.send("ERR not started")
+				s.out.printf("ERR not started")
 				continue
 			}
 			s.eng.Wait()
-			s.send("OK finished")
+			s.out.printf("OK finished")
 		default:
-			s.send("ERR unknown command %q", cmd)
+			s.out.printf("ERR unknown command %q", cmd)
 		}
 	}
+}
+
+// abort reports why reading the client's byte stream failed. A client
+// vanishing mid-session, or a conn the writer closed after a failed
+// write, is normal; anything else — an oversized line, a truncated frame —
+// must not end the session silently: tell the client (the ERR may still
+// be deliverable) and the operator log why.
+func (s *session) abort(err error) {
+	if err == io.EOF || errors.Is(err, net.ErrClosed) {
+		return
+	}
+	s.out.printf("ERR session aborted: %v", err)
+	log.Printf("hmtsd: session %s aborted: %v", s.conn.RemoteAddr(), err)
 }
 
 // cmdSource parses: <name> COUNT <n> RATE <hz> [KEYS lo hi] [SEED s] [STAMPED]
 func (s *session) cmdSource(rest string) {
 	if s.started {
-		s.send("ERR engine already started")
+		s.out.printf("ERR engine already started")
 		return
 	}
 	f := strings.Fields(rest)
 	if len(f) < 1 {
-		s.send("ERR SOURCE needs a name")
+		s.out.printf("ERR SOURCE needs a name")
 		return
 	}
 	name := strings.ToLower(f[0])
 	if _, dup := s.sources[name]; dup {
-		s.send("ERR source %q already exists", name)
+		s.out.printf("ERR source %q already exists", name)
 		return
 	}
 	if len(f) > 1 && strings.ToUpper(f[1]) == "EXTERNAL" {
@@ -333,12 +314,12 @@ func (s *session) cmdSource(rest string) {
 			err = fmt.Errorf("unknown option %q", f[i])
 		}
 		if err != nil {
-			s.send("ERR %v", err)
+			s.out.printf("ERR %v", err)
 			return
 		}
 	}
 	if count <= 0 {
-		s.send("ERR SOURCE needs COUNT > 0")
+		s.out.printf("ERR SOURCE needs COUNT > 0")
 		return
 	}
 	gen := hmts.UniformKeys(keyLo, keyHi, seed)
@@ -349,7 +330,7 @@ func (s *session) cmdSource(rest string) {
 		spec = hmts.Generate(count, rate, gen)
 	}
 	s.sources[name] = s.eng.Source(name, spec)
-	s.send("OK source %s", name)
+	s.out.printf("OK source %s", name)
 }
 
 func arg(f []string, i int) string {
@@ -384,14 +365,14 @@ func (s *session) cmdSourceExternal(name string, f []string) {
 			err = fmt.Errorf("unknown option %q", f[i])
 		}
 		if err != nil {
-			s.send("ERR %v", err)
+			s.out.printf("ERR %v", err)
 			return
 		}
 	}
 	ext := hmts.External(name, cfg)
 	s.externals[name] = ext
 	s.sources[name] = s.eng.Source(name, ext.Spec())
-	s.send("OK source %s external policy %s", name, ext.Stats().Policy)
+	s.out.printf("OK source %s external policy %s", name, ext.Stats().Policy)
 }
 
 // parsePush parses the PUSH argument list: <name> <ts> <key> <val>. The
@@ -418,12 +399,12 @@ func parsePush(rest string) (name string, e hmts.Element, err error) {
 func (s *session) cmdPush(rest string) {
 	name, e, err := parsePush(rest)
 	if err != nil {
-		s.send("ERR %v", err)
+		s.out.printf("ERR %v", err)
 		return
 	}
 	ext, ok := s.externals[name]
 	if !ok {
-		s.send("ERR no external source %q", name)
+		s.out.printf("ERR no external source %q", name)
 		return
 	}
 	ext.Push(e)
@@ -480,12 +461,12 @@ func (s *session) cmdPushBatch(rest string) error {
 	}
 	buf := s.frameBuf[:need]
 	if _, err := io.ReadFull(s.r, buf); err != nil {
-		return fmt.Errorf("PUSHB: short frame: %v", err)
+		return fmt.Errorf("PUSHB: short frame: %w", err)
 	}
 	ext, ok := s.externals[name]
 	if !ok {
 		// The frame was consumed, so the stream stays in sync.
-		s.send("ERR no external source %q", name)
+		s.out.printf("ERR no external source %q", name)
 		return nil
 	}
 	if cap(s.frameEls) < count {
@@ -494,23 +475,23 @@ func (s *session) cmdPushBatch(rest string) error {
 	els := s.frameEls[:count]
 	decodeFrame(buf, els)
 	accepted := ext.PushBatch(els)
-	s.send("OK %d %d", accepted, count-accepted)
+	s.out.printf("OK %d %d", accepted, count-accepted)
 	return nil
 }
 
 func (s *session) cmdClose(rest string) {
 	f := strings.Fields(rest)
 	if len(f) != 1 {
-		s.send("ERR CLOSE needs a source name")
+		s.out.printf("ERR CLOSE needs a source name")
 		return
 	}
 	ext, ok := s.externals[strings.ToLower(f[0])]
 	if !ok {
-		s.send("ERR no external source %q", f[0])
+		s.out.printf("ERR no external source %q", f[0])
 		return
 	}
 	ext.Close()
-	s.send("OK closed %s", f[0])
+	s.out.printf("OK closed %s", f[0])
 }
 
 func (s *session) cmdQuery(rest string) {
@@ -528,7 +509,7 @@ func (s *session) cmdQuery(rest string) {
 	// Legacy QUERY keeps its pre-start-only contract but registers through
 	// the same multi-query layer, so identical queries share a plan.
 	if s.started {
-		s.send("ERR engine already started (use QUERY ADD on a running engine)")
+		s.out.printf("ERR engine already started (use QUERY ADD on a running engine)")
 		return
 	}
 	s.cmdQueryAdd(rest)
@@ -539,21 +520,21 @@ func (s *session) cmdQuery(rest string) {
 func (s *session) cmdQueryAdd(sel string) {
 	q, err := ql.Parse(sel)
 	if err != nil {
-		s.send("ERR %v", err)
+		s.out.printf("ERR %v", err)
 		return
 	}
 	id := s.queries
 	name := fmt.Sprintf("q%d", id)
-	err = s.eng.AddQuery(name, &resultSink{s: s, id: id}, func() (*hmts.Stream, error) {
+	err = s.eng.AddQuery(name, &resultSink{out: s.out, id: id}, func() (*hmts.Stream, error) {
 		return ql.Plan(s.eng, s.sources, q)
 	})
 	if err != nil {
-		s.send("ERR %v", err)
+		s.out.printf("ERR %v", err)
 		return
 	}
 	s.queries++
 	s.qnames[id] = name
-	s.send("OK %d", id)
+	s.out.printf("OK %d", id)
 }
 
 // cmdQueryDrop removes a standing query by the id QUERY/QUERY ADD
@@ -561,30 +542,30 @@ func (s *session) cmdQueryAdd(sel string) {
 // flushed, then its DONE marker is sent.
 func (s *session) cmdQueryDrop(f []string) {
 	if len(f) != 1 {
-		s.send("ERR QUERY DROP needs a query id")
+		s.out.printf("ERR QUERY DROP needs a query id")
 		return
 	}
 	id, err := strconv.Atoi(f[0])
 	name, ok := s.qnames[id]
 	if err != nil || !ok {
-		s.send("ERR no query %q", f[0])
+		s.out.printf("ERR no query %q", f[0])
 		return
 	}
 	if err := s.eng.DropQuery(name); err != nil {
-		s.send("ERR %v", err)
+		s.out.printf("ERR %v", err)
 		return
 	}
 	delete(s.qnames, id)
-	s.send("OK dropped %d", id)
+	s.out.printf("OK dropped %d", id)
 }
 
 func (s *session) cmdStart(rest string) {
 	if s.started {
-		s.send("ERR engine already started")
+		s.out.printf("ERR engine already started")
 		return
 	}
 	if s.queries == 0 {
-		s.send("ERR no queries registered")
+		s.out.printf("ERR no queries registered")
 		return
 	}
 	// Pull out an optional BOUND <n> pair before mode/strategy parsing.
@@ -596,7 +577,7 @@ func (s *session) cmdStart(rest string) {
 		}
 		n, err := strconv.Atoi(arg(f, i+1))
 		if err != nil || n < 1 {
-			s.send("ERR BOUND needs a positive queue bound")
+			s.out.printf("ERR BOUND needs a positive queue bound")
 			return
 		}
 		bound = n
@@ -605,55 +586,53 @@ func (s *session) cmdStart(rest string) {
 	}
 	mode, strategy, err := parseMode(strings.Join(f, " "))
 	if err != nil {
-		s.send("ERR %v", err)
+		s.out.printf("ERR %v", err)
 		return
 	}
 	if err := s.eng.Run(hmts.RunConfig{Mode: mode, Strategy: strategy, QueueBound: bound}); err != nil {
-		s.send("ERR %v", err)
+		s.out.printf("ERR %v", err)
 		return
 	}
 	s.started = true
-	s.send("OK running %v", mode)
+	s.out.printf("OK running %v", mode)
 }
 
 func (s *session) cmdMode(rest string) {
 	if !s.started {
-		s.send("ERR not started")
+		s.out.printf("ERR not started")
 		return
 	}
 	mode, strategy, err := parseMode(rest)
 	if err != nil {
-		s.send("ERR %v", err)
+		s.out.printf("ERR %v", err)
 		return
 	}
 	if err := s.eng.SwitchMode(mode, strategy); err != nil {
-		s.send("ERR %v", err)
+		s.out.printf("ERR %v", err)
 		return
 	}
-	s.send("OK mode %v", mode)
+	s.out.printf("OK mode %v", mode)
 }
 
 func (s *session) cmdRebalance() {
 	if !s.started {
-		s.send("ERR not started")
+		s.out.printf("ERR not started")
 		return
 	}
 	if err := s.eng.Rebalance(); err != nil {
-		s.send("ERR %v", err)
+		s.out.printf("ERR %v", err)
 		return
 	}
-	s.send("OK rebalanced")
+	s.out.printf("OK rebalanced")
 }
 
 func (s *session) cmdMetrics() {
 	m := s.eng.Metrics()
-	s.mu.Lock()
+	var b []byte
 	for _, line := range strings.Split(strings.TrimRight(m.String(), "\n"), "\n") {
-		fmt.Fprintf(s.w, "INFO %s\n", line)
+		b = append(append(append(b, "INFO "...), line...), '\n')
 	}
-	fmt.Fprintf(s.w, "OK metrics\n")
-	s.w.Flush()
-	s.mu.Unlock()
+	s.out.put(append(b, "OK metrics\n"...))
 }
 
 func parseMode(rest string) (hmts.Mode, string, error) {
@@ -680,20 +659,4 @@ func parseMode(rest string) (hmts.Mode, string, error) {
 		strategy = f[1]
 	}
 	return mode, strategy, nil
-}
-
-// resultSink streams query results to the client connection.
-type resultSink struct {
-	s  *session
-	id int
-}
-
-// Process implements hmts.Sink.
-func (r *resultSink) Process(_ int, e hmts.Element) {
-	r.s.sendAsync("RESULT %d %d %d %g", r.id, e.TS, e.Key, e.Val)
-}
-
-// Done implements hmts.Sink.
-func (r *resultSink) Done(int) {
-	r.s.send("DONE %d", r.id)
 }

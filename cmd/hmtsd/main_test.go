@@ -14,7 +14,7 @@ import (
 // startServer runs the accept loop on an ephemeral port and returns the
 // address. Every server test doubles as a goroutine-leak check: after the
 // listener and client connections close, each session's engine, external
-// sources and flusher must have stopped.
+// sources and egress writer must have stopped.
 func startServer(t *testing.T) string {
 	t.Helper()
 	testutil.VerifyNoLeaks(t)

@@ -200,12 +200,18 @@ func (e *Engine) SwitchMode(mode Mode, strategy string) error {
 	}
 	newPlan, _ := e.plan(mode)
 	cur := e.cfg.Mode
-	e.cfg.Mode = mode
 	groupSwitch := (cur == ModeGTS || cur == ModeOTS) && (mode == ModeGTS || mode == ModeOTS)
+	var err error
 	if groupSwitch {
-		return e.d.SwitchGroups(sched.Plan{SingleGroup: mode == ModeGTS}, strategy)
+		err = e.d.SwitchGroups(sched.Plan{SingleGroup: mode == ModeGTS}, strategy)
+	} else {
+		err = e.d.Reconfigure(newPlan, strategy)
 	}
-	return e.d.Reconfigure(newPlan, strategy)
+	if err != nil {
+		return err
+	}
+	e.cfg.Mode = mode
+	return nil
 }
 
 // Rebalance re-partitions the running graph using the operators' measured

@@ -173,3 +173,36 @@ func TestExplain(t *testing.T) {
 	eng.Wait()
 	sink.Wait()
 }
+
+// TestMutationsAfterFailStopRejected: once a panicking operator has
+// fail-stopped the engine, every live mutation is refused with an error
+// instead of halting and restarting executors on the stopped deployment.
+func TestMutationsAfterFailStopRejected(t *testing.T) {
+	eng := hmts.New()
+	src := eng.Source("src", hmts.GenerateStamped(10_000, 1e6, hmts.SeqKeys()))
+	src.
+		Where("bomb", func(e hmts.Element) bool {
+			if e.Key == 500 {
+				panic("operator bug")
+			}
+			return true
+		}).
+		Aggregate("agg", hmts.Sum, time.Hour, func(e hmts.Element) int64 { return e.Key % 8 }).
+		Shard(2).
+		Discard("out")
+	eng.MustRun(hmts.RunConfig{Mode: hmts.ModeOTS})
+	eng.Wait()
+	if err := eng.Err(); err == nil || !strings.Contains(err.Error(), "operator bug") {
+		t.Fatalf("Err() = %v, want the contained panic", err)
+	}
+	for name, mutate := range map[string]func() error{
+		"Reshard":          func() error { return eng.Reshard("agg", 3) },
+		"SwitchMode(gts)":  func() error { return eng.SwitchMode(hmts.ModeGTS, "") },
+		"SwitchMode(hmts)": func() error { return eng.SwitchMode(hmts.ModeHMTS, "") },
+		"Rebalance":        eng.Rebalance,
+	} {
+		if err := mutate(); err == nil {
+			t.Errorf("%s on a fail-stopped engine returned nil", name)
+		}
+	}
+}

@@ -413,6 +413,17 @@ func (d *Deployment) fail(err error) {
 	}
 }
 
+// checkLive refuses a live mutation once the deployment has stopped:
+// halting and restarting executors after Stop would resurrect them. A
+// fail-stop records its error before its asynchronous Stop runs, so a
+// recorded error counts as stopped too. Callers hold d.admin.
+func (d *Deployment) checkLive(what string) error {
+	if d.stopped.Load() || d.Err() != nil {
+		return fmt.Errorf("sched: %s on a stopped deployment", what)
+	}
+	return nil
+}
+
 // Err returns the first operator failure observed, or nil.
 func (d *Deployment) Err() error {
 	d.errMu.Lock()

@@ -98,8 +98,9 @@ func TestNoErrOnCleanRun(t *testing.T) {
 }
 
 func TestReconfigureAfterFailRejected(t *testing.T) {
-	// Not strictly rejected, but the world lock must not be leaked by the
-	// panic: Reconfigure after a failure must not deadlock.
+	// The world lock must not be leaked by the panic (Reconfigure after a
+	// failure must not deadlock), and the stopped deployment must refuse
+	// the mutation rather than restart its executors.
 	g := bombGraph(10_000)
 	d, err := Build(g, PureDI(g), Options{})
 	if err != nil {
@@ -113,7 +114,10 @@ func TestReconfigureAfterFailRejected(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- d.Reconfigure(GTS(g), "") }()
 	select {
-	case <-done:
+	case err := <-done:
+		if err == nil {
+			t.Fatal("Reconfigure on a fail-stopped deployment returned nil")
+		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Reconfigure deadlocked after a contained panic (leaked lock?)")
 	}

@@ -22,6 +22,9 @@ func (d *Deployment) SwitchGroups(plan Plan, strategy string) error {
 	}
 	d.admin.Lock()
 	defer d.admin.Unlock()
+	if err := d.checkLive("SwitchGroups"); err != nil {
+		return err
+	}
 	for _, x := range d.execs {
 		x.halt()
 	}
@@ -140,6 +143,9 @@ func (d *Deployment) Reconfigure(plan Plan, strategy string) error {
 	}
 	d.admin.Lock()
 	defer d.admin.Unlock()
+	if err := d.checkLive("Reconfigure"); err != nil {
+		return err
+	}
 	for _, x := range d.execs {
 		x.halt()
 	}

@@ -48,6 +48,9 @@ func (d *Deployment) Reshard(gr *graph.ShardGroup, n int) error {
 	}
 	d.admin.Lock()
 	defer d.admin.Unlock()
+	if err := d.checkLive("Reshard"); err != nil {
+		return err
+	}
 	if len(gr.Replicas) == n {
 		return nil
 	}

@@ -25,8 +25,8 @@ import (
 func (d *Deployment) Splice(fn func(sp *Splicer) error) error {
 	d.admin.Lock()
 	defer d.admin.Unlock()
-	if d.stopped.Load() {
-		return fmt.Errorf("sched: splice on a stopped deployment")
+	if err := d.checkLive("splice"); err != nil {
+		return err
 	}
 	for _, x := range d.execs {
 		x.halt()

@@ -12,7 +12,7 @@ import (
 // slack of the baseline by the deadline. Call it before starting the
 // machinery under test, so the registered cleanup runs after the test's
 // own teardown (t.Cleanup is LIFO) and every source thread, executor,
-// session and flusher has had its stop signal.
+// session and egress writer has had its stop signal.
 //
 // A small slack absorbs runtime and test-harness helper goroutines; the
 // leaks this guards against are the dozens of engine goroutines a missed
