@@ -29,9 +29,11 @@ test:
 # the data-race detector on their packages in the gate. internal/op is
 # included for the batch/scalar equivalence harness, which exercises the
 # vectorized operator paths end to end; cmd/hmtsd for the session's
-# egress writer, which every producer of a session shares.
+# egress writer, which every producer of a session shares; the root
+# package for the engine-level live mutations (SwitchMode, Rebalance,
+# Reshard, AddQuery, DropQuery) against concurrent Metrics readers.
 race:
-	$(GO) test -race ./internal/queue ./internal/sched ./internal/ingest ./internal/op ./adapt ./cmd/hmtsd
+	$(GO) test -race . ./internal/queue ./internal/sched ./internal/ingest ./internal/op ./adapt ./cmd/hmtsd
 
 # The bounded-queue deadlock regression gate: cooperative blocking must
 # survive a single OS thread, where a parked producer that fails to yield

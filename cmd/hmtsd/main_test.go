@@ -274,6 +274,52 @@ func TestServerQueryAddDropLive(t *testing.T) {
 	c.expect("OK bye")
 }
 
+// TestServerQueryAddUnknownSourceLive: a hostile client line on a running
+// engine — QUERY ADD over a source that does not exist, so the plan fails
+// inside the live AddQuery splice — gets an ERR instead of killing the
+// daemon, the session goes on, and the standing query still delivers
+// every pushed result. startServer's leak check covers the failed splice.
+func TestServerQueryAddUnknownSourceLive(t *testing.T) {
+	addr := startServer(t)
+	c := dial(t, addr)
+	c.sendLine("SOURCE ext EXTERNAL POLICY block BUFFER 256")
+	c.expect("OK source ext")
+	c.sendLine("QUERY SELECT * FROM ext WHERE key < 50")
+	c.expect("OK 0")
+	c.sendLine("START gts BOUND 256")
+	c.expect("OK running")
+	push := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			c.sendLine(fmt.Sprintf("PUSH ext %d %d %d", (i+1)*1000, i%100, i))
+		}
+	}
+	push(0, 1000)
+	c.sendLine("QUERY ADD SELECT * FROM nosuch")
+	for {
+		line := c.readLine()
+		if strings.HasPrefix(line, "OK") {
+			t.Fatalf("QUERY ADD over an unknown source succeeded: %s", line)
+		}
+		if strings.HasPrefix(line, "ERR") {
+			if want := `ERR ql: unknown source "nosuch"`; line != want {
+				t.Fatalf("got %q, want %q", line, want)
+			}
+			break
+		}
+	}
+	push(1000, 2000)
+	c.sendLine("CLOSE ext")
+	c.expect("OK closed ext")
+	c.sendLine("WAIT")
+	c.waitDone("0")
+	c.expect("OK finished")
+	if got := c.results["0"]; got != 1000 {
+		t.Fatalf("standing query got %d results, want 1000", got)
+	}
+	c.sendLine("QUIT")
+	c.expect("OK bye")
+}
+
 func TestServerConcurrentClients(t *testing.T) {
 	addr := startServer(t)
 	const clients = 4

@@ -88,9 +88,10 @@ type Engine struct {
 	d       *sched.Deployment
 	cfg     RunConfig
 	running bool
-	// mu serializes structural mutations of a live graph (Reshard,
-	// AddQuery, DropQuery) against snapshot readers (Metrics), which walk
-	// the node table.
+	// mu serializes live mutations (SwitchMode, Rebalance, Reshard,
+	// AddQuery, DropQuery) against each other and against snapshot
+	// readers (Metrics), which walk the node table and read measured
+	// stats and the mode.
 	mu sync.RWMutex
 
 	// Multi-query registration state (see query.go). queries maps a
@@ -191,23 +192,17 @@ func (e *Engine) Err() error {
 }
 
 // SwitchMode changes the threading architecture of a running engine. A
-// switch between GTS and OTS only re-groups the executors over the
-// existing queues (the paper's instant switch); any other transition also
-// re-places queues, draining those that are removed.
+// switch between GTS and OTS keeps the cut and only re-groups the
+// executors over the existing queues (the paper's instant switch); any
+// other transition also re-places queues, draining those that are removed.
 func (e *Engine) SwitchMode(mode Mode, strategy string) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.d == nil {
 		return fmt.Errorf("hmts: engine not running")
 	}
 	newPlan, _ := e.plan(mode)
-	cur := e.cfg.Mode
-	groupSwitch := (cur == ModeGTS || cur == ModeOTS) && (mode == ModeGTS || mode == ModeOTS)
-	var err error
-	if groupSwitch {
-		err = e.d.SwitchGroups(sched.Plan{SingleGroup: mode == ModeGTS}, strategy)
-	} else {
-		err = e.d.Reconfigure(newPlan, strategy)
-	}
-	if err != nil {
+	if err := e.d.Reconfigure(newPlan, strategy); err != nil {
 		return err
 	}
 	e.cfg.Mode = mode
@@ -219,6 +214,8 @@ func (e *Engine) SwitchMode(mode Mode, strategy string) error {
 // the paper lists as future work. Queues are inserted or removed (after
 // draining) as the stall-avoiding heuristic dictates.
 func (e *Engine) Rebalance() error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.d == nil {
 		return fmt.Errorf("hmts: engine not running")
 	}

@@ -57,9 +57,9 @@ import (
 
 // goid returns the calling goroutine's id. It is used only on slow paths
 // (parking on a full queue) to discriminate which thread is pushing
-// through a partition: the partition's executor, a fused source, or the
-// Reconfigure splice. The textual parse is the only portable way to get
-// the id; at ~1µs it is noise next to an actual park.
+// through a partition: the partition's executor, a fused source, or a
+// live mutation. The textual parse is the only portable way to get the
+// id; at ~1µs it is noise next to an actual park.
 func goid() int64 {
 	var buf [32]byte
 	n := runtime.Stack(buf[:], false)
@@ -140,7 +140,7 @@ type pushHook struct {
 func (h *pushHook) Yield(q *queue.Queue) (bool, <-chan struct{}) {
 	g := goid()
 	if h.d.spliceGid.Load() == g {
-		// The Reconfigure splice is draining a removed queue on the admin
+		// A live mutation is draining a retired queue on the admin
 		// goroutine while every executor is halted; nobody can free space,
 		// so the push must overshoot rather than park.
 		return false, nil

@@ -16,20 +16,22 @@ import (
 // Deployment is a running realization of a query graph under a plan: the
 // queues created on cut edges, the DI wiring between them, the autonomous
 // source goroutines and the level-2/level-3 executors. It supports runtime
-// adaptation: regrouping executors (e.g. switching OTS ↔ GTS, paper
-// §4.2.2) and re-cutting the graph (inserting and removing queues, §5.1.3).
+// adaptation through one live-mutation primitive (mutate): regrouping
+// executors (e.g. switching OTS ↔ GTS, paper §4.2.2), re-cutting the graph
+// (inserting and removing queues, §5.1.3), splicing queries in and out
+// and resizing shard regions.
 type Deployment struct {
 	g    *graph.Graph
 	opts Options
 	ts   *TS
 
 	// world serializes structural changes against data flow: sources and
-	// executors hold it for reading around every push/drain; Reconfigure
-	// holds it for writing.
+	// executors hold it for reading around every push/drain; mutate holds
+	// it for writing.
 	world sync.RWMutex
 
-	// admin serializes management operations (Stop, SwitchGroups,
-	// Reconfigure, accessor snapshots) against each other — a fail-stop
+	// admin serializes management operations (Stop, live mutations,
+	// accessor snapshots) against each other — a fail-stop
 	// triggered by an operator panic runs Stop concurrently with
 	// whatever the caller is doing.
 	admin   sync.Mutex
@@ -47,12 +49,11 @@ type Deployment struct {
 	queues   map[graph.EdgeKey]*queue.Queue
 	units    map[int][]*Unit // VO index -> entry units
 	groupOf  []int           // VO index -> executor group
-	nGroups  int
 	execs    []*Exec
 	execOf   map[int]*Exec       // executor group -> executor
 	adapters map[int]*srcAdapter // source node ID -> adapter
 
-	// spliceGid is the goroutine id of a Reconfigure splice in progress
+	// spliceGid is the goroutine id of a live mutation in progress
 	// (0 otherwise); the wait hooks let that goroutine push past queue
 	// bounds instead of parking, since every executor is halted during
 	// the splice and nothing could free space.
@@ -91,12 +92,18 @@ type srcTarget struct {
 }
 
 // srcAdapter is the Sink handed to a source's Run; it fans elements out to
-// the source's resolved targets under the world read-lock so Reconfigure
-// can rewire safely.
+// the source's resolved targets under the world read-lock so a live
+// mutation can rewire safely.
 type srcAdapter struct {
 	d        *Deployment
 	targets  []srcTarget
 	finished atomic.Bool
+	// ended holds the edges the source's Done has gone (or is going)
+	// down (written under the world read lock, read by mutations under
+	// the write lock). A source can finish while parked on a gate
+	// mid-fan-out; a mutation that re-places one of its edges then needs
+	// to know whether that edge's Done is behind it or still to come.
+	ended map[graph.EdgeKey]bool
 }
 
 // lockTarget returns the snapshot's i'th target with its VO gate (if any)
@@ -221,6 +228,7 @@ func (a *srcAdapter) doneTo(ts []srcTarget, gen uint64, i int) {
 	if t.gate != nil {
 		defer t.gate.Unlock()
 	}
+	a.ended[t.key] = true // before delivery, which may park and yield
 	t.sink.Done(t.port)
 }
 
@@ -230,24 +238,9 @@ func Build(g *graph.Graph, plan Plan, opts Options) (*Deployment, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	cut := plan.Cut
-	if cut == nil {
-		cut = make(map[graph.EdgeKey]bool)
-	}
-	// Shard-region internal edges must always be cut, whatever the plan
-	// says: fusing split→replica or replica→merge edges into one VO would
-	// run the replicas serially and defeat the data parallelism.
-	for k := range g.MustCut() {
-		cut[k] = true
-	}
-	for k := range cut {
-		if !cut[k] {
-			continue
-		}
-		to := g.Node(k.To)
-		if to.Kind == graph.KindSink {
-			return nil, fmt.Errorf("sched: cut edge %v targets a sink; sink edges always use DI", k)
-		}
+	cut, err := normalizeCut(g, plan.Cut)
+	if err != nil {
+		return nil, err
 	}
 	d := &Deployment{
 		g:        g,
@@ -275,50 +268,84 @@ func Build(g *graph.Graph, plan Plan, opts Options) (*Deployment, error) {
 	return d, nil
 }
 
-// analyze computes VOs, executor groups and gates from the current cut.
-func (d *Deployment) analyze(groups [][]int, single bool) error {
-	d.single = single
-	d.comps = d.g.Components(d.cut)
-	d.voOf = make(map[int]int)
-	for vi, comp := range d.comps {
-		for _, id := range comp {
-			d.voOf[id] = vi
+// normalizeCut copies a plan's cut, adds the edges every plan must cut
+// and rejects a cut edge into a sink.
+func normalizeCut(g *graph.Graph, planCut map[graph.EdgeKey]bool) (map[graph.EdgeKey]bool, error) {
+	cut := make(map[graph.EdgeKey]bool, len(planCut))
+	for k, v := range planCut {
+		if v {
+			cut[k] = true
 		}
 	}
-	// Executor groups.
-	d.groupOf = make([]int, len(d.comps))
-	for i := range d.groupOf {
-		d.groupOf[i] = -1
+	// Shard-region internal edges must always be cut, whatever the plan
+	// says: fusing split→replica or replica→merge edges into one VO would
+	// run the replicas serially and defeat the data parallelism.
+	for k := range g.MustCut() {
+		cut[k] = true
+	}
+	for k := range cut {
+		if g.Node(k.To).Kind == graph.KindSink {
+			return nil, fmt.Errorf("sched: cut edge %v targets a sink; sink edges always use DI", k)
+		}
+	}
+	return cut, nil
+}
+
+// layout derives the virtual operators of a cut (the components of the
+// uncut edges), the VO index of every non-sink node and each VO's
+// executor group. It is pure: Reconfigure validates a plan with it before
+// touching anything.
+func layout(g *graph.Graph, cut map[graph.EdgeKey]bool, groups [][]int, single bool) (comps [][]int, voOf map[int]int, groupOf []int, err error) {
+	comps = g.Components(cut)
+	voOf = make(map[int]int)
+	for vi, comp := range comps {
+		for _, id := range comp {
+			voOf[id] = vi
+		}
+	}
+	groupOf = make([]int, len(comps))
+	for i := range groupOf {
+		groupOf[i] = -1
 	}
 	next := 0
 	switch {
 	case single:
-		for i := range d.groupOf {
-			d.groupOf[i] = 0
+		for i := range groupOf {
+			groupOf[i] = 0
 		}
 		next = 1
 	case groups != nil:
 		for gi, ids := range groups {
 			for _, id := range ids {
-				vi, ok := d.voOf[id]
+				vi, ok := voOf[id]
 				if !ok {
-					return fmt.Errorf("sched: grouped node %d is a sink or unknown", id)
+					return nil, nil, nil, fmt.Errorf("sched: grouped node %d is a sink or unknown", id)
 				}
-				if d.groupOf[vi] != -1 && d.groupOf[vi] != gi {
-					return fmt.Errorf("sched: VO of node %d split across groups %d and %d", id, d.groupOf[vi], gi)
+				if groupOf[vi] != -1 && groupOf[vi] != gi {
+					return nil, nil, nil, fmt.Errorf("sched: VO of node %d split across groups %d and %d", id, groupOf[vi], gi)
 				}
-				d.groupOf[vi] = gi
+				groupOf[vi] = gi
 			}
 		}
 		next = len(groups)
 	}
-	for i := range d.groupOf {
-		if d.groupOf[i] == -1 {
-			d.groupOf[i] = next
+	for i := range groupOf {
+		if groupOf[i] == -1 {
+			groupOf[i] = next
 			next++
 		}
 	}
-	d.nGroups = next
+	return comps, voOf, groupOf, nil
+}
+
+// analyze computes VOs, executor groups and gates from the current cut.
+// On error the previous layout is left in place.
+func (d *Deployment) analyze(groups [][]int, single bool) error {
+	comps, voOf, groupOf, err := layout(d.g, d.cut, groups, single)
+	if err != nil {
+		return err
+	}
+	d.single, d.comps, d.voOf, d.groupOf = single, comps, voOf, groupOf
 
 	// Gates: a VO needs entry serialization when it can have more than
 	// one driver — several fused sources, or a fused source plus an
@@ -352,7 +379,7 @@ func (d *Deployment) wire() {
 	steep, pos := chainMeta(d.g)
 	d.units = make(map[int][]*Unit)
 	for _, n := range d.g.Sources() {
-		d.adapters[n.ID] = &srcAdapter{d: d}
+		d.adapters[n.ID] = &srcAdapter{d: d, ended: make(map[graph.EdgeKey]bool)}
 	}
 	for _, e := range d.g.Edges() {
 		from, to := d.g.Node(e.From), d.g.Node(e.To)
@@ -414,7 +441,7 @@ func (d *Deployment) fail(err error) {
 }
 
 // checkLive refuses a live mutation once the deployment has stopped:
-// halting and restarting executors after Stop would resurrect them. A
+// replacing the executors after Stop would resurrect the deployment. A
 // fail-stop records its error before its asynchronous Stop runs, so a
 // recorded error counts as stopped too. Callers hold d.admin.
 func (d *Deployment) checkLive(what string) error {
@@ -461,7 +488,7 @@ func (d *Deployment) buildExecs() {
 // queue, bound to the queue's producing side: the executor of the group
 // that drains the producing partition when there is one, otherwise the
 // source goroutines pushing directly (see coop.go). Re-run after every
-// buildExecs — group assignments move under SwitchGroups/Reconfigure. A
+// buildExecs — group assignments move under every live mutation. A
 // producer already parked keeps the hook it yielded through (the queue
 // snapshots it per park); old executors stay valid resume targets.
 func (d *Deployment) wireHooks() {

@@ -163,17 +163,6 @@ func TestDeploymentAccessors(t *testing.T) {
 	}
 }
 
-func TestSwitchGroupsRejectsCutChange(t *testing.T) {
-	g, _ := chainGraph(10)
-	d, err := Build(g, GTS(g), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.SwitchGroups(Plan{Cut: placement.CutAll(g)}, ""); err == nil {
-		t.Fatal("SwitchGroups with a cut must be rejected")
-	}
-}
-
 func TestReconfigureAcceptsBoundedQueues(t *testing.T) {
 	// Cooperative blocking (coop.go) lifted the old "Reconfigure requires
 	// unbounded queues" refusal; re-cutting a bounded deployment — here

@@ -139,7 +139,10 @@ func TestStrategiesSameResults(t *testing.T) {
 	}
 }
 
-func TestSwitchGroupsMidRun(t *testing.T) {
+// TestReconfigureRegroupMidRun flips OTS -> GTS -> OTS while elements are
+// flowing: the cut is unchanged, so each Reconfigure only regroups the
+// executors over the same queues (the instant switch).
+func TestReconfigureRegroupMidRun(t *testing.T) {
 	const n = 200000
 	g, sink := chainGraph(n)
 	d, err := Build(g, OTS(g), Options{})
@@ -147,11 +150,19 @@ func TestSwitchGroupsMidRun(t *testing.T) {
 		t.Fatalf("Build: %v", err)
 	}
 	d.Start()
-	// Flip OTS -> GTS -> OTS while elements are flowing.
-	if err := d.SwitchGroups(Plan{SingleGroup: true}, "chain"); err != nil {
+	queues := d.Queues()
+	if err := d.Reconfigure(GTS(g), "chain"); err != nil {
 		t.Fatalf("switch to GTS: %v", err)
 	}
-	if err := d.SwitchGroups(Plan{}, "fifo"); err != nil {
+	if len(d.Execs()) != 1 || len(d.Queues()) != len(queues) {
+		t.Fatalf("GTS regroup: %d executors over %d queues, want 1 over %d", len(d.Execs()), len(d.Queues()), len(queues))
+	}
+	for i, q := range d.Queues() {
+		if q != queues[i] {
+			t.Fatalf("regroup replaced queue %s", q.Name())
+		}
+	}
+	if err := d.Reconfigure(OTS(g), "fifo"); err != nil {
 		t.Fatalf("switch to OTS: %v", err)
 	}
 	d.Wait()

@@ -76,10 +76,10 @@ type Options struct {
 	TS *TSConfig
 	// QueueBound bounds every decoupling queue (0 = unbounded). Bounded
 	// queues provide backpressure and cooperate with the scheduler
-	// (see coop.go), so they are safe with a TS, with Reconfigure and
-	// with SwitchGroups. The bound is strict for cross-executor
-	// producers; same-executor edges overshoot it instead of
-	// self-deadlocking.
+	// (see coop.go), so they are safe with a TS and with every live
+	// mutation (Reconfigure, Splice, Reshard). The bound is strict for
+	// cross-executor producers; same-executor edges overshoot it instead
+	// of self-deadlocking.
 	QueueBound int
 	// Priority sets the base priority per executor group index (higher
 	// runs first at the TS).

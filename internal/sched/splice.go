@@ -9,23 +9,28 @@ import (
 	"github.com/dsms/hmts/internal/stream"
 )
 
-// Splice runs a structural graph mutation against the live deployment
-// under the full splice discipline (the same one Reconfigure and Reshard
-// use): executors are halted, the world write lock is taken so sources
-// pause at their next element, and the splice goroutine is registered
-// with the cooperative-blocking hooks so its own drains may push past
-// queue bounds (nothing else could free space while everything is
-// halted). The callback mutates the graph and wires/retires edges through
-// the Splicer; afterwards the VO structure, source targets, units and
-// executors are rebuilt from the updated graph and processing resumes.
+// mutate is the one live-mutation primitive: Splice, Reconfigure and
+// Reshard are thin callers of it. It halts every executor, takes the world
+// write lock so sources pause at their next element, and registers the
+// calling goroutine with the cooperative-blocking hooks so its own drains
+// may push past queue bounds (nothing else could free space while
+// everything is halted). fn then changes the structure through the
+// Splicer; afterwards VOs, groups and gates are re-derived (grouped by
+// groups, keeping the deployment's single-group discipline), source
+// targets rewired, units rebuilt around the queues and a fresh executor
+// set started.
 //
-// The engine's multi-query layer uses this to add and drop standing
-// queries on a running deployment — no restart, and removed suffixes are
-// drained into their sinks rather than dropped.
-func (d *Deployment) Splice(fn func(sp *Splicer) error) error {
+// The failure contract: fn validates before it touches anything, so an
+// error it returns leaves the cut, VOs and queues as they were (a callback
+// that fails after changing structure is not rolled back). On every exit
+// the structure is re-derived under the default grouping if fn or the
+// requested grouping failed, and the fresh executors are started either
+// way; a halted executor is never restarted, and processing never stays
+// wedged.
+func (d *Deployment) mutate(what string, groups [][]int, fn func(*Splicer) error) error {
 	d.admin.Lock()
 	defer d.admin.Unlock()
-	if err := d.checkLive("splice"); err != nil {
+	if err := d.checkLive(what); err != nil {
 		return err
 	}
 	for _, x := range d.execs {
@@ -33,25 +38,38 @@ func (d *Deployment) Splice(fn func(sp *Splicer) error) error {
 	}
 	d.world.Lock()
 	d.spliceGid.Store(goid())
-	defer func() {
-		d.spliceGid.Store(0)
-		d.world.Unlock()
-		if d.started {
-			for _, x := range d.execs {
-				x.start()
-			}
-		}
-	}()
-	if err := fn(&Splicer{d: d}); err != nil {
-		return err
+	err := fn(&Splicer{d: d})
+	if err == nil {
+		err = d.analyze(groups, d.single)
 	}
-	if err := d.analyze(nil, d.single); err != nil {
-		return err
+	if err != nil {
+		// The default grouping fits any structure, so this cannot fail.
+		_ = d.analyze(nil, d.single)
 	}
 	d.rewireTargets()
 	d.refreshUnits()
 	d.buildExecs()
-	return nil
+	d.spliceGid.Store(0)
+	d.world.Unlock()
+	if d.started {
+		for _, x := range d.execs {
+			x.start()
+		}
+	}
+	return err
+}
+
+// Splice runs a structural graph mutation against the live deployment
+// under the live-mutation discipline (see mutate). The callback mutates
+// the graph and wires/retires edges through the Splicer; afterwards the
+// VO structure, source targets, units and executors are rebuilt from the
+// updated graph and processing resumes — also when the callback fails.
+//
+// The engine's multi-query layer uses this to add and drop standing
+// queries on a running deployment — no restart, and removed suffixes are
+// drained into their sinks rather than dropped.
+func (d *Deployment) Splice(fn func(sp *Splicer) error) error {
+	return d.mutate("splice", nil, fn)
 }
 
 // Splicer is the edge-level wiring interface a Splice callback uses after
@@ -60,6 +78,10 @@ func (d *Deployment) Splice(fn func(sp *Splicer) error) error {
 // the deployment's queues and subscriptions consistent with it.
 type Splicer struct {
 	d *Deployment
+	// retired maps each edge retired in this mutation to whether its
+	// producer's end-of-stream had already gone down it, so re-adding the
+	// edge (a Reconfigure flip) delivers that Done exactly once.
+	retired map[graph.EdgeKey]bool
 }
 
 // HasCut reports whether the edge currently carries a decoupling queue —
@@ -73,54 +95,82 @@ func (sp *Splicer) HasCut(k graph.EdgeKey) bool { return sp.d.cut[k] }
 // finished source), end-of-stream is propagated immediately so the new
 // suffix still terminates. Edges out of a shard split are wired through
 // the split's routing table, exactly as the initial wire() does.
+//
+// An edge retired earlier in the same mutation is re-placed instead, and
+// its downstream port hears end-of-stream exactly once: if the Done had
+// already gone down the edge, a new queue is born closed; if not, the
+// producer still owes it and delivers it through the new placement.
 func (sp *Splicer) AddEdge(e graph.Edge, cut bool) {
 	d := sp.d
+	k := e.Key()
 	from, to := d.g.Node(e.From), d.g.Node(e.To)
+	sent, replaced := sp.retired[k]
 	var target op.Sink
 	var tport int
 	if cut {
 		q := queue.New(fmt.Sprintf("q(%s->%s)", from.Name, to.Name), d.opts.QueueBound)
+		if sent {
+			q.Done(0)
+			q.Drain(1) // no subscriber yet: closes without a second Done
+		}
 		q.Subscribe(to.Op, e.ToPort)
-		d.queues[e.Key()] = q
-		d.cut[e.Key()] = true
+		d.queues[k] = q
+		d.cut[k] = true
 		target, tport = q, 0
 	} else {
 		target, tport = downstreamSink(to), e.ToPort
 	}
-	closed := false
+	var finished bool
 	switch from.Kind {
 	case graph.KindSource:
 		// The adapter's targets are rebuilt wholesale by rewireTargets at
-		// the end of the splice; only completion needs propagating here.
-		closed = d.adapters[from.ID].finished.Load()
+		// the end of the mutation; only completion needs propagating here.
+		finished = d.adapters[from.ID].finished.Load()
 	default:
 		if sh, ok := d.g.SplitEdgeShard(e); ok {
 			from.Op.(*op.Split).SubscribeShard(sh, e.ToPort, target, tport)
 		} else {
 			from.Op.Subscribe(target, tport)
 		}
-		if c, ok := from.Op.(interface{ Closed() bool }); ok {
-			closed = c.Closed()
-		}
+		finished = opClosed(from)
 	}
-	if closed {
+	if finished && !replaced {
 		// The producer's Done already fired on its old edges; the new edge
 		// would wait forever, so deliver end-of-stream now.
+		if a := d.adapters[from.ID]; a != nil {
+			a.ended[k] = true
+		}
 		target.Done(tport)
 	}
 }
 
 // RemoveEdge retires one graph edge from the live deployment and
-// disconnects it. A queue on the edge is first drained to completion —
-// its elements are delivered downstream, not dropped — then poisoned so a
-// producer parked on it wakes. fromDying marks edges whose producer node
-// is itself being pruned: its subscriptions die with it, so only the
-// graph edge and queue are retired (unsubscribing a shard split's routed
-// edges individually is neither needed nor supported).
+// disconnects it (see retire).
 func (sp *Splicer) RemoveEdge(e graph.Edge, fromDying bool) {
+	sp.retire(e, fromDying)
+	sp.d.g.Disconnect(e)
+}
+
+// retire takes one edge out of the live deployment without touching the
+// graph. A queue on the edge is first drained to completion — its
+// elements, and a pending end-of-stream, are delivered downstream, not
+// dropped — then poisoned so a producer parked on it wakes. fromDying
+// marks edges whose producer node is itself being pruned or rebuilt: its
+// subscriptions die with it, so only the queue is retired (unsubscribing
+// a shard split's routed edges individually is neither needed nor
+// supported).
+func (sp *Splicer) retire(e graph.Edge, fromDying bool) {
 	d := sp.d
 	k := e.Key()
 	from, to := d.g.Node(e.From), d.g.Node(e.To)
+	if sp.retired == nil {
+		sp.retired = make(map[graph.EdgeKey]bool)
+	}
+	if from.Kind == graph.KindSource {
+		sp.retired[k] = d.adapters[from.ID].ended[k]
+	} else {
+		sp.retired[k] = opClosed(from)
+	}
 	if q := d.queues[k]; q != nil {
 		scratch := make([]stream.Element, 1024)
 		for q.Len() > 0 {
@@ -141,7 +191,13 @@ func (sp *Splicer) RemoveEdge(e graph.Edge, fromDying bool) {
 	} else if from.Kind != graph.KindSource && !fromDying {
 		from.Op.Unsubscribe(downstreamSink(to), e.ToPort)
 	}
-	d.g.Disconnect(e)
+}
+
+// opClosed reports whether an operator node has closed, i.e. sent its
+// end-of-stream down every out-edge.
+func opClosed(n *graph.Node) bool {
+	c, ok := n.Op.(interface{ Closed() bool })
+	return ok && c.Closed()
 }
 
 // FlushNode gives a node being pruned a chance to surface internally
