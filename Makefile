@@ -24,16 +24,13 @@ build:
 test:
 	$(GO) test ./...
 
-# The batched transfer path is lock-heavy and concurrent, and the ingress
-# buffer and adaptive controller are exercised from many goroutines; keep
-# the data-race detector on their packages in the gate. internal/op is
-# included for the batch/scalar equivalence harness, which exercises the
-# vectorized operator paths end to end; cmd/hmtsd for the session's
-# egress writer, which every producer of a session shares; the root
-# package for the engine-level live mutations (SwitchMode, Rebalance,
-# Reshard, AddQuery, DropQuery) against concurrent Metrics readers.
+# The whole module under the data-race detector: the batched queues,
+# ingress buffer, executors, adaptive controller, hmtsd sessions and the
+# engine-level live mutations (SwitchMode, Rebalance, Reshard, AddQuery,
+# DropQuery) all run concurrently with Metrics readers, and no package is
+# too slow to leave out.
 race:
-	$(GO) test -race . ./internal/queue ./internal/sched ./internal/ingest ./internal/op ./adapt ./cmd/hmtsd
+	$(GO) test -race ./...
 
 # The bounded-queue deadlock regression gate: cooperative blocking must
 # survive a single OS thread, where a parked producer that fails to yield
@@ -125,12 +122,13 @@ benchdiff:
 	$(GO) run ./cmd/benchdiff $(BENCHDIFF_FLAGS) BENCH_multi.json .bench/multi.json
 	$(GO) run ./cmd/benchdiff $(BENCHDIFF_FLAGS) BENCH_adapt.json .bench/adapt.json
 
-# Short fuzz pass over the hmtsd line protocol, its result encoder and
-# the order-restoring shard merge; the corpora keep growing under
-# testdata/fuzz as failures are found.
+# Short fuzz pass over the hmtsd line protocol, its result encoder, the
+# order-restoring shard merge and the windowed aggregate; the corpora keep
+# growing under testdata/fuzz as failures are found.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadLine -fuzztime 10s ./cmd/hmtsd
 	$(GO) test -run '^$$' -fuzz FuzzPushParse -fuzztime 10s ./cmd/hmtsd
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime 10s ./cmd/hmtsd
 	$(GO) test -run '^$$' -fuzz FuzzResultLine -fuzztime 10s ./cmd/hmtsd
 	$(GO) test -run '^$$' -fuzz FuzzShardMerge -fuzztime 10s ./internal/op
+	$(GO) test -run '^$$' -fuzz FuzzWindowAgg -fuzztime 10s ./internal/op

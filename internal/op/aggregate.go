@@ -2,6 +2,7 @@ package op
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"github.com/dsms/hmts/internal/stream"
@@ -39,16 +40,17 @@ func (k AggKind) String() string {
 // aggState is the incremental state of one group's aggregate.
 type aggState struct {
 	key   int64
-	win   fifo
+	win   fifo[stream.Element]
 	count int64
-	sum   float64
+	// sum totals the finite values only; nan, posInf and negInf count the
+	// non-finite ones, so SUM/AVG recover once a NaN or ±Inf leaves the
+	// window (a running sum cannot subtract one back out).
+	sum                 float64
+	nan, posInf, negInf int64
 	// deque holds a monotonic sequence of candidate values for min/max;
 	// front is the current extremum. Standard sliding-window-extremum
-	// structure: amortized O(1) per element.
-	deque f64deque
-	// hpos is the group's index in the expiry heap, -1 while its window is
-	// empty (empty groups are not heap members).
-	hpos int
+	// structure: amortized O(1) per element. NaN never enters it.
+	deque fifo[float64]
 }
 
 // WindowAgg computes a sliding-window aggregate, optionally grouped, and
@@ -65,11 +67,13 @@ type WindowAgg struct {
 	rows   int   // count window size; 0 for time windows
 	group  func(stream.Element) int64
 	groups map[int64]*aggState
-	// expq is a min-heap of the non-empty groups on their oldest element's
-	// timestamp. Time-window expiry consults only the heap top, so an
-	// arrival costs O(1) when nothing is due and O(log G) amortized per
-	// expired element — not a scan of every group per element.
-	expq []*aggState
+	// ring holds each time-window element's group in arrival order, one
+	// entry per held element. Event time is nondecreasing, so the head is
+	// always the oldest element across all groups and the front of its own
+	// group's window: expiry pops the head while it is due — O(1) per
+	// arrival plus O(1) per expired element, whatever the group count.
+	// ROWS windows evict per group and leave it empty.
+	ring fifo[*aggState]
 	// held counts elements across group windows incrementally (add/remove
 	// are the only mutation points); heldPub publishes it at processing
 	// boundaries so RetainedRows can be read while an executor runs —
@@ -123,121 +127,61 @@ func (a *WindowAgg) WindowLen() int {
 	return n
 }
 
-// heapUp restores the heap property from i toward the root.
-func (a *WindowAgg) heapUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if a.expq[p].win.front().TS <= a.expq[i].win.front().TS {
-			return
-		}
-		a.heapSwap(i, p)
-		i = p
+// tally counts v into (d = 1) or out of (d = -1) the group's count, its
+// finite sum or its non-finite counts.
+func (g *aggState) tally(v float64, d int64) {
+	g.count += d
+	switch {
+	case v-v == 0: // finite
+		g.sum += float64(d) * v
+	case v != v:
+		g.nan += d
+	case v > 0:
+		g.posInf += d
+	default:
+		g.negInf += d
 	}
-}
-
-// heapDown restores the heap property from i toward the leaves.
-func (a *WindowAgg) heapDown(i int) {
-	n := len(a.expq)
-	for {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < n && a.expq[l].win.front().TS < a.expq[least].win.front().TS {
-			least = l
-		}
-		if r < n && a.expq[r].win.front().TS < a.expq[least].win.front().TS {
-			least = r
-		}
-		if least == i {
-			return
-		}
-		a.heapSwap(i, least)
-		i = least
-	}
-}
-
-func (a *WindowAgg) heapSwap(i, j int) {
-	a.expq[i], a.expq[j] = a.expq[j], a.expq[i]
-	a.expq[i].hpos = i
-	a.expq[j].hpos = j
-}
-
-// heapPush enters a newly non-empty group into the expiry heap.
-func (a *WindowAgg) heapPush(g *aggState) {
-	g.hpos = len(a.expq)
-	a.expq = append(a.expq, g)
-	a.heapUp(g.hpos)
-}
-
-// heapRemove takes a now-empty group out of the expiry heap.
-func (a *WindowAgg) heapRemove(g *aggState) {
-	i := g.hpos
-	last := len(a.expq) - 1
-	a.expq[i] = a.expq[last]
-	a.expq[i].hpos = i
-	a.expq[last] = nil // release the pointer for GC
-	a.expq = a.expq[:last]
-	if i < last {
-		a.heapDown(i)
-		a.heapUp(i)
-	}
-	g.hpos = -1
 }
 
 func (a *WindowAgg) add(g *aggState, e stream.Element) {
-	wasEmpty := g.win.empty()
 	g.win.push(e)
 	a.held++
-	g.count++
-	g.sum += e.Val
-	switch a.kind {
-	case AggMin:
+	g.tally(e.Val, 1)
+	switch {
+	case e.Val != e.Val: // NaN is not comparable: MIN/MAX ignore it
+	case a.kind == AggMin:
 		for !g.deque.empty() && g.deque.back() > e.Val {
 			g.deque.popBack()
 		}
-		g.deque.pushBack(e.Val)
-	case AggMax:
+		g.deque.push(e.Val)
+	case a.kind == AggMax:
 		for !g.deque.empty() && g.deque.back() < e.Val {
 			g.deque.popBack()
 		}
-		g.deque.pushBack(e.Val)
-	}
-	if wasEmpty {
-		a.heapPush(g)
+		g.deque.push(e.Val)
 	}
 }
 
+// remove evicts g's oldest element. It leaves the expiry ring alone: expire
+// has already popped the element's ring entry, and ROWS windows have none.
 func (a *WindowAgg) remove(g *aggState) {
 	e := g.win.pop()
 	a.held--
-	g.count--
-	g.sum -= e.Val
+	g.tally(e.Val, -1)
 	if (a.kind == AggMin || a.kind == AggMax) && !g.deque.empty() && g.deque.front() == e.Val {
-		g.deque.popFront()
-	}
-	// The group's oldest element changed: re-seat it in the expiry heap.
-	// Event time is nondecreasing within a window, so the new front can
-	// only be later — a sift toward the leaves suffices.
-	if g.win.empty() {
-		a.heapRemove(g)
-	} else {
-		a.heapDown(g.hpos)
+		g.deque.pop()
 	}
 }
 
 // expire removes every window element with TS <= deadline across all
-// groups, consulting only groups whose oldest element is due via the
-// expiry heap. Groups left empty are dropped, except keep — the group
-// about to receive the arriving element — so whole-stream windows stay
-// consistent even for groups that receive no new elements for a while.
+// groups by popping the arrival-order ring. Groups left empty are dropped,
+// except keep — the group about to receive the arriving element — so
+// whole-stream windows stay consistent even for groups that receive no new
+// elements for a while.
 func (a *WindowAgg) expire(deadline int64, keep *aggState) {
-	for len(a.expq) > 0 {
-		g := a.expq[0]
-		if g.win.front().TS > deadline {
-			return
-		}
-		for !g.win.empty() && g.win.front().TS <= deadline {
-			a.remove(g)
-		}
+	for !a.ring.empty() && a.ring.front().win.front().TS <= deadline {
+		g := a.ring.pop()
+		a.remove(g)
 		if g.win.empty() && g != keep {
 			delete(a.groups, g.key)
 		}
@@ -249,19 +193,36 @@ func (a *WindowAgg) result(g *aggState) float64 {
 	case AggCount:
 		return float64(g.count)
 	case AggSum:
-		return g.sum
+		return g.total()
 	case AggAvg:
 		if g.count == 0 {
 			return 0
 		}
-		return g.sum / float64(g.count)
+		return g.total() / float64(g.count)
 	case AggMin, AggMax:
 		if g.deque.empty() {
+			if g.count > 0 { // every value in the window is NaN
+				return math.NaN()
+			}
 			return 0
 		}
 		return g.deque.front()
 	}
 	panic("op: unknown aggregate kind")
+}
+
+// total is the IEEE sum of the window's values: NaN if it holds a NaN or
+// both infinities, the infinity if it holds one, else the finite sum.
+func (g *aggState) total() float64 {
+	switch {
+	case g.nan > 0 || g.posInf > 0 && g.negInf > 0:
+		return math.NaN()
+	case g.posInf > 0:
+		return math.Inf(1)
+	case g.negInf > 0:
+		return math.Inf(-1)
+	}
+	return g.sum
 }
 
 // step applies one element to the aggregate state and returns the updated
@@ -271,7 +232,7 @@ func (a *WindowAgg) step(e stream.Element) stream.Element {
 	key := a.group(e)
 	g := a.groups[key]
 	if g == nil {
-		g = &aggState{key: key, hpos: -1}
+		g = &aggState{key: key}
 		a.groups[key] = g
 	}
 	if a.rows > 0 {
@@ -283,6 +244,7 @@ func (a *WindowAgg) step(e stream.Element) stream.Element {
 	} else {
 		a.expire(e.TS-a.window, g)
 		a.add(g, e)
+		a.ring.push(g)
 	}
 	return stream.Element{TS: e.TS, Key: key, Val: a.result(g), Seq: e.Seq}
 }
@@ -320,7 +282,7 @@ func (a *WindowAgg) Process(_ int, e stream.Element) {
 
 // ProcessBatch implements BatchSink. Expiry stays per element — the
 // emitted aggregate value at each element's event time depends on it — but
-// the heap makes it O(1) when nothing is due, and metering and downstream
+// the ring makes it O(1) when nothing is due, and metering and downstream
 // dispatch are hoisted out of the loop: one stats update and one fan-out
 // per batch.
 func (a *WindowAgg) ProcessBatch(_ int, es []stream.Element) {

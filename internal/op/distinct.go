@@ -13,7 +13,7 @@ type Distinct struct {
 	Base
 	window  int64
 	seen    map[int64]int64 // key -> last forwarded TS
-	order   fifo
+	order   fifo[stream.Element]
 	heldPub atomic.Int64 // published order.len() for race-free RetainedRows
 }
 

@@ -49,7 +49,7 @@ type SHJ struct {
 
 type hashSide struct {
 	table map[int64][]stream.Element
-	order fifo
+	order fifo[stream.Element]
 }
 
 // NewSHJ returns a symmetric hash join with the given window length in
@@ -205,7 +205,7 @@ type SNJ struct {
 	window int64
 	pred   func(l, r stream.Element) bool
 	merge  MergeFunc
-	wins   [2]fifo
+	wins   [2]fifo[stream.Element]
 }
 
 // NewSNJ returns a symmetric nested-loops join. A nil pred matches on key

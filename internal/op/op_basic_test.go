@@ -335,7 +335,7 @@ func TestNullSink(t *testing.T) {
 }
 
 func TestFifoHelper(t *testing.T) {
-	var f fifo
+	var f fifo[stream.Element]
 	if !f.empty() || f.len() != 0 {
 		t.Fatal("fresh fifo not empty")
 	}

@@ -79,12 +79,12 @@ func TestWindowAggExpiryReleasesAux(t *testing.T) {
 // sliding min/max window that pushes and pops forever must keep the deque's
 // backing array proportional to the live window, not to the stream length.
 func TestF64DequeBoundedCapacity(t *testing.T) {
-	var d f64deque
+	var d fifo[float64]
 	const live = 64
 	for i := 0; i < 200_000; i++ {
-		d.pushBack(float64(i))
+		d.push(float64(i))
 		if d.len() > live {
-			d.popFront()
+			d.pop()
 		}
 	}
 	if d.len() != live {
@@ -101,7 +101,7 @@ func TestF64DequeBoundedCapacity(t *testing.T) {
 // TestFifoBoundedCapacity pins the same discipline for the element fifo
 // that joins and aggregates use for window order.
 func TestFifoBoundedCapacity(t *testing.T) {
-	var f fifo
+	var f fifo[stream.Element]
 	const live = 64
 	for i := 0; i < 200_000; i++ {
 		f.push(stream.Element{TS: int64(i)})

@@ -310,7 +310,7 @@ type mergeInput struct {
 type Merge struct {
 	Base
 	n        int
-	bufs     []fifo
+	bufs     []fifo[stream.Element]
 	recv     []uint64
 	lastRecv []uint64
 	ups      []mergeInput
@@ -334,7 +334,7 @@ func NewMerge(name string, n int) *Merge {
 // sizeTo (re)allocates the per-port structures for n inputs.
 func (m *Merge) sizeTo(n int) {
 	m.n = n
-	m.bufs = make([]fifo, n)
+	m.bufs = make([]fifo[stream.Element], n)
 	m.recv = make([]uint64, n)
 	m.lastRecv = make([]uint64, n)
 	m.ups = make([]mergeInput, n)

@@ -18,7 +18,7 @@ type TopK struct {
 	k       int
 	window  int64
 	counts  map[int64]int64
-	order   fifo
+	order   fifo[stream.Element]
 	inTop   map[int64]bool
 	spare   map[int64]bool // cleared and swapped with inTop each step
 	cand    []int64        // reused candidate buffer for top-k selection

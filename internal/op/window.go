@@ -1,80 +1,55 @@
 package op
 
-import "github.com/dsms/hmts/internal/stream"
-
-// fifo is a slice-backed queue of elements with amortized O(1) pop. Joins
-// and windowed aggregates use it to hold window contents in arrival order,
-// which is also expiry order because event time is nondecreasing per input.
-type fifo struct {
-	buf  []stream.Element
+// fifo is a slice-backed queue with amortized O(1) pop. Joins, windowed
+// aggregates, Distinct and TopK use it to hold window contents in arrival
+// order, which is also expiry order because event time is nondecreasing per
+// input; WindowAgg also keeps its arrival-order expiry ring of groups and
+// its monotonic min/max deque (which pops from the back too) in one.
+type fifo[T any] struct {
+	buf  []T
 	head int
 }
 
-func (f *fifo) push(e stream.Element) { f.buf = append(f.buf, e) }
+func (f *fifo[T]) push(v T) { f.buf = append(f.buf, v) }
 
-func (f *fifo) len() int { return len(f.buf) - f.head }
+func (f *fifo[T]) len() int { return len(f.buf) - f.head }
 
-func (f *fifo) empty() bool { return f.head >= len(f.buf) }
+func (f *fifo[T]) empty() bool { return f.head >= len(f.buf) }
 
-// front returns the oldest element; it panics on an empty fifo.
-func (f *fifo) front() stream.Element { return f.buf[f.head] }
+// front returns the oldest value; it panics on an empty fifo.
+func (f *fifo[T]) front() T { return f.buf[f.head] }
 
-// pop removes and returns the oldest element, compacting the backing slice
+// back returns the newest value; it panics on an empty fifo.
+func (f *fifo[T]) back() T { return f.buf[len(f.buf)-1] }
+
+// popBack drops the newest value.
+func (f *fifo[T]) popBack() {
+	var zero T
+	f.buf[len(f.buf)-1] = zero
+	f.buf = f.buf[:len(f.buf)-1]
+}
+
+// pop removes and returns the oldest value, compacting the backing slice
 // once half of it is dead so memory stays proportional to the live window.
 // Compacting even at tiny sizes keeps a steady-state window appending
 // within one stable capacity instead of growing the slice forever, so the
 // hot path allocates nothing once warmed up (amortized O(1) copies).
-func (f *fifo) pop() stream.Element {
-	e := f.buf[f.head]
-	f.buf[f.head] = stream.Element{} // release Aux for GC
+func (f *fifo[T]) pop() T {
+	var zero T
+	v := f.buf[f.head]
+	f.buf[f.head] = zero // release pointers (Aux, groups) for GC
 	f.head++
 	if f.head > len(f.buf)/2 {
 		n := copy(f.buf, f.buf[f.head:])
 		f.buf = f.buf[:n]
 		f.head = 0
 	}
-	return e
+	return v
 }
 
-// each calls fn on every live element, oldest first.
-func (f *fifo) each(fn func(stream.Element)) {
-	for _, e := range f.buf[f.head:] {
-		fn(e)
-	}
-}
-
-// f64deque is a slice-backed double-ended queue of float64 with the same
-// head-index-and-compact discipline as fifo, so popping from the front
-// never strands a growing dead prefix in the backing array (the slice-head
-// leak a bare `d = d[1:]` re-slice would cause).
-type f64deque struct {
-	buf  []float64
-	head int
-}
-
-func (d *f64deque) len() int { return len(d.buf) - d.head }
-
-func (d *f64deque) empty() bool { return d.head >= len(d.buf) }
-
-// front returns the oldest value; it panics on an empty deque.
-func (d *f64deque) front() float64 { return d.buf[d.head] }
-
-// back returns the newest value; it panics on an empty deque.
-func (d *f64deque) back() float64 { return d.buf[len(d.buf)-1] }
-
-func (d *f64deque) pushBack(v float64) { d.buf = append(d.buf, v) }
-
-func (d *f64deque) popBack() { d.buf = d.buf[:len(d.buf)-1] }
-
-// popFront drops the oldest value, compacting once half the backing slice
-// is dead so memory stays proportional to the live window; as in
-// fifo.pop, compacting at tiny sizes too keeps steady-state appends
-// within one stable capacity (no per-element growth allocations).
-func (d *f64deque) popFront() {
-	d.head++
-	if d.head > len(d.buf)/2 {
-		n := copy(d.buf, d.buf[d.head:])
-		d.buf = d.buf[:n]
-		d.head = 0
+// each calls fn on every live value, oldest first.
+func (f *fifo[T]) each(fn func(T)) {
+	for _, v := range f.buf[f.head:] {
+		fn(v)
 	}
 }
