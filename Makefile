@@ -123,8 +123,9 @@ benchdiff:
 	$(GO) run ./cmd/benchdiff $(BENCHDIFF_FLAGS) BENCH_adapt.json .bench/adapt.json
 
 # Short fuzz pass over the hmtsd line protocol, its result encoder, the
-# order-restoring shard merge and the windowed aggregate; the corpora keep
-# growing under testdata/fuzz as failures are found.
+# order-restoring shard merge, the windowed aggregate and the batch-size
+# invariance of every operator; the corpora keep growing under
+# testdata/fuzz as failures are found.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadLine -fuzztime 10s ./cmd/hmtsd
 	$(GO) test -run '^$$' -fuzz FuzzPushParse -fuzztime 10s ./cmd/hmtsd
@@ -132,3 +133,4 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzResultLine -fuzztime 10s ./cmd/hmtsd
 	$(GO) test -run '^$$' -fuzz FuzzShardMerge -fuzztime 10s ./internal/op
 	$(GO) test -run '^$$' -fuzz FuzzWindowAgg -fuzztime 10s ./internal/op
+	$(GO) test -run '^$$' -fuzz FuzzBatchSplit -fuzztime 10s ./internal/op

@@ -369,15 +369,58 @@ func (s *Stream) CountSink(name string) *Counter {
 // the given input port and Done signals end of stream on that port.
 // Implementations must be safe for concurrent calls when the query runs
 // under a multi-threaded mode.
+//
+// The engine delivers results in batches. A sink may add
+//
+//	ProcessBatch(port int, es []Element)
+//
+// to receive each burst in one call (a batch of one when a single result
+// is ready); the engine then calls ProcessBatch only, never Process. The
+// slice is the engine's: the sink must neither retain nor modify it.
 type Sink interface {
 	Process(port int, e Element)
 	Done(port int)
 }
 
+// Consumer is what Into and AddQuery accept: a Sink, or a type that has
+// ProcessBatch(port, es) and Done(port) — the engine's own sink contract —
+// in place of Process. A value with neither Process nor ProcessBatch is
+// rejected.
+type Consumer interface {
+	Done(port int)
+}
+
+// batchSink returns c as the engine's batch sink: as is when it has
+// ProcessBatch, otherwise wrapped in scalarSink.
+func batchSink(c Consumer) (op.Sink, error) {
+	switch s := c.(type) {
+	case op.Sink:
+		return s, nil
+	case Sink:
+		return scalarSink{s}, nil
+	}
+	return nil, fmt.Errorf("hmts: sink %T has neither ProcessBatch nor Process", c)
+}
+
+// scalarSink delivers each batch to a Sink that lacks ProcessBatch one
+// element at a time. It is the only place the engine calls Process.
+type scalarSink struct{ Sink }
+
+// ProcessBatch implements op.Sink.
+func (s scalarSink) ProcessBatch(port int, es []Element) {
+	for _, e := range es {
+		s.Process(port, e)
+	}
+}
+
 // Into terminates the stream in a caller-provided sink (for example a
-// network writer).
-func (s *Stream) Into(name string, sink Sink) {
-	n := s.eng.placeSink(s.eng.g.AddSink(name, sink))
+// network writer). It panics if sink has neither Process nor ProcessBatch.
+func (s *Stream) Into(name string, sink Consumer) {
+	bs, err := batchSink(sink)
+	if err != nil {
+		panic(err)
+	}
+	n := s.eng.placeSink(s.eng.g.AddSink(name, bs))
 	s.eng.g.Connect(s.node, n, 0)
 }
 

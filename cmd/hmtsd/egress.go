@@ -121,12 +121,6 @@ type resultSink struct {
 	id  int
 }
 
-// Process implements hmts.Sink.
-func (r *resultSink) Process(port int, e hmts.Element) {
-	one := [1]hmts.Element{e}
-	r.ProcessBatch(port, one[:])
-}
-
 // ProcessBatch implements the engine's batched sink: a burst of results is
 // encoded under one lock acquisition.
 func (r *resultSink) ProcessBatch(_ int, es []hmts.Element) {

@@ -370,7 +370,7 @@ func TestSourceShedOverride(t *testing.T) {
 	}
 }
 
-// countSink implements op.Sink and op.BatchSink, recording what arrives.
+// countSink implements op.Sink, recording what arrives.
 type countSink struct {
 	mu      sync.Mutex
 	els     []stream.Element
@@ -379,12 +379,6 @@ type countSink struct {
 }
 
 func newCountSink() *countSink { return &countSink{done: make(chan struct{})} }
-
-func (c *countSink) Process(port int, e stream.Element) {
-	c.mu.Lock()
-	c.els = append(c.els, e)
-	c.mu.Unlock()
-}
 
 func (c *countSink) ProcessBatch(port int, es []stream.Element) {
 	c.mu.Lock()
@@ -419,7 +413,7 @@ func TestSourceRunDrainsAndFinishes(t *testing.T) {
 		}
 	}
 	if sink.batches == 0 {
-		t.Fatal("a BatchSink downstream should receive bursts")
+		t.Fatal("the sink should receive whole pops as bursts")
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 
 // Source adapts a Buffer to op.Source: the engine runs one goroutine per
 // source, and that goroutine drains the ingress buffer into the deployed
-// graph in bursts (via op.BatchSink when the downstream edge supports it,
-// which the decoupling queue does). Producers keep calling Push from any
+// graph in bursts: each pop is handed over as one batch, of one element
+// when only one was waiting. Producers keep calling Push from any
 // goroutine — network handlers, for hmtsd — while the engine consumes.
 //
 // Beyond op.Source it carries the shed override used by the adaptive
@@ -106,17 +106,10 @@ func (s *Source) IngestStats() Stats {
 func (s *Source) Run(out op.Sink, port int) {
 	defer out.Done(port)
 	scratch := make([]stream.Element, s.batch)
-	bs, batched := out.(op.BatchSink)
 	for {
 		n, open := s.buf.PopWait(scratch, s.stop)
 		if n > 0 {
-			if batched && n > 1 {
-				bs.ProcessBatch(port, scratch[:n])
-			} else {
-				for i := 0; i < n; i++ {
-					out.Process(port, scratch[i])
-				}
-			}
+			out.ProcessBatch(port, scratch[:n])
 		}
 		if !open {
 			return

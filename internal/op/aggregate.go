@@ -42,10 +42,13 @@ type aggState struct {
 	key   int64
 	win   fifo[stream.Element]
 	count int64
-	// sum totals the finite values only; nan, posInf and negInf count the
-	// non-finite ones, so SUM/AVG recover once a NaN or ±Inf leaves the
+	// For SUM and AVG, sum+comp totals the finite values only, as a
+	// compensated (Neumaier) pair: comp carries the low-order bits the
+	// running sum rounds away, so a large value leaving the window does
+	// not take the small ones with it. nan, posInf and negInf count the
+	// non-finite values, so SUM/AVG recover once a NaN or ±Inf leaves the
 	// window (a running sum cannot subtract one back out).
-	sum                 float64
+	sum, comp           float64
 	nan, posInf, negInf int64
 	// deque holds a monotonic sequence of candidate values for min/max;
 	// front is the current extremum. Standard sliding-window-extremum
@@ -127,13 +130,12 @@ func (a *WindowAgg) WindowLen() int {
 	return n
 }
 
-// tally counts v into (d = 1) or out of (d = -1) the group's count, its
-// finite sum or its non-finite counts.
+// tally counts v into (d = 1) or out of (d = -1) the group's finite sum
+// or its non-finite counts.
 func (g *aggState) tally(v float64, d int64) {
-	g.count += d
 	switch {
 	case v-v == 0: // finite
-		g.sum += float64(d) * v
+		g.addFinite(float64(d) * v)
 	case v != v:
 		g.nan += d
 	case v > 0:
@@ -143,11 +145,37 @@ func (g *aggState) tally(v float64, d int64) {
 	}
 }
 
+// addFinite adds the finite x to the compensated sum (Neumaier's variant
+// of Kahan summation). Once finite values overflow the sum to ±Inf the
+// compensation means nothing and is left alone; remove recomputes the sum
+// when the overflow has left the window.
+func (g *aggState) addFinite(x float64) {
+	t := g.sum + x
+	switch {
+	case t-t != 0: // overflow
+	case math.Abs(g.sum) >= math.Abs(x):
+		g.comp += (g.sum - t) + x
+	default:
+		g.comp += (x - t) + g.sum
+	}
+	g.sum = t
+}
+
+// resum recomputes the compensated sum from the window's values. remove
+// calls it when finite values overflowed the sum to ±Inf: the overflow
+// cannot be subtracted back out, and the window may no longer overflow.
+func (g *aggState) resum() {
+	g.sum, g.comp = 0, 0
+	g.win.each(func(e stream.Element) { g.addFinite(e.Val) })
+}
+
 func (a *WindowAgg) add(g *aggState, e stream.Element) {
 	g.win.push(e)
 	a.held++
-	g.tally(e.Val, 1)
+	g.count++
 	switch {
+	case a.kind == AggSum || a.kind == AggAvg: // only they read the sum
+		g.tally(e.Val, 1)
 	case e.Val != e.Val: // NaN is not comparable: MIN/MAX ignore it
 	case a.kind == AggMin:
 		for !g.deque.empty() && g.deque.back() > e.Val {
@@ -167,8 +195,14 @@ func (a *WindowAgg) add(g *aggState, e stream.Element) {
 func (a *WindowAgg) remove(g *aggState) {
 	e := g.win.pop()
 	a.held--
-	g.tally(e.Val, -1)
-	if (a.kind == AggMin || a.kind == AggMax) && !g.deque.empty() && g.deque.front() == e.Val {
+	g.count--
+	switch {
+	case a.kind == AggSum || a.kind == AggAvg:
+		g.tally(e.Val, -1)
+		if g.sum-g.sum != 0 && g.nan == 0 && g.posInf == 0 && g.negInf == 0 {
+			g.resum() // every value left is finite, so all of them are summed
+		}
+	case (a.kind == AggMin || a.kind == AggMax) && !g.deque.empty() && g.deque.front() == e.Val:
 		g.deque.pop()
 	}
 }
@@ -212,7 +246,8 @@ func (a *WindowAgg) result(g *aggState) float64 {
 }
 
 // total is the IEEE sum of the window's values: NaN if it holds a NaN or
-// both infinities, the infinity if it holds one, else the finite sum.
+// both infinities, the infinity if it holds one, else the compensated sum
+// of the finite values (±Inf if they overflow).
 func (g *aggState) total() float64 {
 	switch {
 	case g.nan > 0 || g.posInf > 0 && g.negInf > 0:
@@ -221,13 +256,14 @@ func (g *aggState) total() float64 {
 		return math.Inf(1)
 	case g.negInf > 0:
 		return math.Inf(-1)
+	case g.sum-g.sum != 0:
+		return g.sum
 	}
-	return g.sum
+	return g.sum + g.comp
 }
 
 // step applies one element to the aggregate state and returns the updated
-// aggregate to emit. Shared by the scalar and batch paths so they cannot
-// diverge semantically.
+// aggregate to emit.
 func (a *WindowAgg) step(e stream.Element) stream.Element {
 	key := a.group(e)
 	g := a.groups[key]
@@ -272,15 +308,7 @@ func (a *WindowAgg) ImportShardElement(_ int, e stream.Element) {
 	a.heldPub.Store(int64(a.held))
 }
 
-// Process implements Sink.
-func (a *WindowAgg) Process(_ int, e stream.Element) {
-	t := a.BeginWork(e)
-	a.Emit(a.step(e))
-	a.heldPub.Store(int64(a.held))
-	a.EndWork(t)
-}
-
-// ProcessBatch implements BatchSink. Expiry stays per element — the
+// ProcessBatch implements Sink. Expiry stays per element — the
 // emitted aggregate value at each element's event time depends on it — but
 // the ring makes it O(1) when nothing is due, and metering and downstream
 // dispatch are hoisted out of the loop: one stats update and one fan-out

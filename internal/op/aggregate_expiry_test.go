@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/dsms/hmts/internal/stream"
+	"github.com/dsms/hmts/internal/testutil"
 	"github.com/dsms/hmts/internal/xrand"
 )
 
@@ -15,14 +16,14 @@ import (
 func TestWindowAggIdleGroupExpiry(t *testing.T) {
 	a := NewWindowAgg("a", AggSum, 100, func(e stream.Element) int64 { return e.Key })
 	a.Subscribe(NewNull(1), 0)
-	a.Process(0, stream.Element{TS: 0, Key: 1, Val: 5})
-	a.Process(0, stream.Element{TS: 10, Key: 2, Val: 7})
+	testutil.Push(a, 0, stream.Element{TS: 0, Key: 1, Val: 5})
+	testutil.Push(a, 0, stream.Element{TS: 10, Key: 2, Val: 7})
 	if got := a.GroupCount(); got != 2 {
 		t.Fatalf("GroupCount = %d, want 2", got)
 	}
 	// Key 1 goes idle; an arrival on key 2 far past the window must expire
 	// and delete it without any key-1 traffic.
-	a.Process(0, stream.Element{TS: 500, Key: 2, Val: 1})
+	testutil.Push(a, 0, stream.Element{TS: 500, Key: 2, Val: 1})
 	if got := a.GroupCount(); got != 1 {
 		t.Fatalf("GroupCount = %d after idle-group deadline, want 1", got)
 	}
@@ -52,7 +53,7 @@ func TestWindowAggMatchesBruteForce(t *testing.T) {
 				ts += rng.Int64n(25)
 				e := stream.Element{TS: ts, Key: rng.Int64n(64), Val: float64(rng.Int64n(1000)) - 500}
 				all = append(all, e)
-				a.Process(0, e)
+				testutil.Push(a, 0, e)
 
 				key := e.Key % 8
 				want := bruteAgg(kind, timeWindow(all, group, key, ts-window))
@@ -136,39 +137,75 @@ func sameAgg(got, want float64) bool {
 	return got == want || math.IsNaN(got) && math.IsNaN(want)
 }
 
-// TestWindowAggNonFiniteLeavesWindow is the regression test for non-finite
-// inputs poisoning a group for as long as it stayed non-empty: a NaN never
+// TestWindowAggNonFiniteLeavesWindow is the regression test for values
+// that once poisoned a group for as long as it stayed non-empty. A NaN never
 // matched the min/max deque's front and so was never popped, and a running
-// sum cannot subtract a NaN or an infinity back out. Once the non-finite
+// sum cannot subtract a NaN or an infinity back out: once the non-finite
 // values have expired, every kind must report the remaining finite window.
+// The same holds for finite values a plain running sum mishandles: a large
+// value cancels the small ones added after it when it leaves, and finite
+// values that overflow the sum to +Inf never subtract back out.
 func TestWindowAggNonFiniteLeavesWindow(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
-	in := []stream.Element{
-		{TS: 0, Val: inf}, {TS: 10, Val: 5}, {TS: 20, Val: -inf}, {TS: 30, Val: nan},
-		{TS: 150, Val: 7}, // deadline 50: everything above has expired
-		{TS: 160, Val: 3},
-		{TS: 400, Val: nan}, // a window of only NaN
+	cases := []struct {
+		name string
+		in   []stream.Element
+		want map[AggKind][]float64
+	}{
+		{
+			name: "non-finite",
+			in: []stream.Element{
+				{TS: 0, Val: inf}, {TS: 10, Val: 5}, {TS: 20, Val: -inf}, {TS: 30, Val: nan},
+				{TS: 150, Val: 7}, // deadline 50: everything above has expired
+				{TS: 160, Val: 3},
+				{TS: 400, Val: nan}, // a window of only NaN
+			},
+			want: map[AggKind][]float64{
+				AggCount: {1, 2, 3, 4, 1, 2, 1},
+				AggSum:   {inf, inf, nan, nan, 7, 10, nan},
+				AggAvg:   {inf, inf, nan, nan, 7, 5, nan},
+				AggMin:   {inf, 5, -inf, -inf, 7, 3, nan},
+				AggMax:   {inf, inf, inf, inf, 7, 7, nan},
+			},
+		},
+		{
+			name: "cancellation",
+			in:   []stream.Element{{TS: 0, Val: 1e16}, {TS: 10, Val: 1}, {TS: 105, Val: 2}},
+			want: map[AggKind][]float64{
+				AggCount: {1, 2, 2},
+				AggSum:   {1e16, 1e16 + 1, 3},
+				AggAvg:   {1e16, (1e16 + 1) / 2, 1.5},
+				AggMin:   {1e16, 1, 1},
+				AggMax:   {1e16, 1e16, 2},
+			},
+		},
+		{
+			name: "overflow",
+			in:   []stream.Element{{TS: 0, Val: 1e308}, {TS: 10, Val: 1e308}, {TS: 105, Val: 1}},
+			want: map[AggKind][]float64{
+				AggCount: {1, 2, 2},
+				AggSum:   {1e308, inf, 1e308},
+				AggAvg:   {1e308, inf, 1e308 / 2},
+				AggMin:   {1e308, 1e308, 1},
+				AggMax:   {1e308, 1e308, 1e308},
+			},
+		},
 	}
-	want := map[AggKind][]float64{
-		AggCount: {1, 2, 3, 4, 1, 2, 1},
-		AggSum:   {inf, inf, nan, nan, 7, 10, nan},
-		AggAvg:   {inf, inf, nan, nan, 7, 5, nan},
-		AggMin:   {inf, 5, -inf, -inf, 7, 3, nan},
-		AggMax:   {inf, inf, inf, inf, 7, 7, nan},
-	}
-	for kind, w := range want {
-		a := NewWindowAgg("a", kind, 100, nil)
-		c := &captureSink{}
-		a.Subscribe(c, 0)
-		for _, e := range in {
-			a.Process(0, e)
-		}
-		if len(c.got) != len(w) {
-			t.Fatalf("%s: %d emissions, want %d", kind, len(c.got), len(w))
-		}
-		for i, e := range c.got {
-			if !sameAgg(e.Val, w[i]) {
-				t.Errorf("%s: emission %d = %v, want %v", kind, i, e.Val, w[i])
+	for _, tc := range cases {
+		for kind, w := range tc.want {
+			a := NewWindowAgg("a", kind, 100, nil)
+			c := &captureSink{}
+			a.Subscribe(c, 0)
+			for _, e := range tc.in {
+				testutil.Push(a, 0, e)
+			}
+			if len(c.got) != len(w) {
+				t.Fatalf("%s %s: %d emissions, want %d", tc.name, kind, len(c.got), len(w))
+			}
+			for i, e := range c.got {
+				if !sameAgg(e.Val, w[i]) {
+					t.Errorf("%s %s: emission %d = %v, want %v", tc.name, kind, i, e.Val, w[i])
+				}
 			}
 		}
 	}
@@ -183,7 +220,7 @@ func TestWindowAggRingInvariant(t *testing.T) {
 	var ts int64
 	for i := 0; i < 5000; i++ {
 		ts += rng.Int64n(30)
-		a.Process(0, stream.Element{TS: ts, Key: rng.Int64n(200), Val: float64(i)})
+		testutil.Push(a, 0, stream.Element{TS: ts, Key: rng.Int64n(200), Val: float64(i)})
 		if i%250 == 0 {
 			checkRing(t, a)
 		}
@@ -232,7 +269,7 @@ func checkRing(t *testing.T, a *WindowAgg) {
 // gap (0 repeats the timestamp; large gaps empty whole windows), value
 // (NaN, ±Inf or a small integer, so sums are exact) and a cut byte that
 // ends the current chunk and decides whether the next chunk is delivered
-// element by element or as one batch.
+// as batches of one or as one batch.
 func FuzzWindowAgg(f *testing.F) {
 	f.Add([]byte{0, 10, 3, 1, 2, 3, 0, 4, 5, 6, 1})
 	f.Add([]byte{1, 41, 7, 9, 0, 255, 2, 9, 1, 5, 0, 9, 250, 7, 3})
@@ -276,7 +313,7 @@ func FuzzWindowAgg(f *testing.F) {
 				a.ProcessBatch(0, chunk)
 			} else {
 				for _, e := range chunk {
-					a.Process(0, e)
+					testutil.Push(a, 0, e)
 				}
 			}
 			chunk = chunk[:0]

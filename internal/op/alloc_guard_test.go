@@ -16,16 +16,18 @@ func TestTopKZeroAlloc(t *testing.T) {
 	k := NewTopK("t", 8, int64(time.Millisecond))
 	k.Subscribe(&Null{}, 0)
 	rng := xrand.New(1)
+	one := make([]stream.Element, 1)
 	var ts int64
 	feed := func(n int) {
 		for i := 0; i < n; i++ {
 			ts += 1000
-			k.Process(0, stream.Element{TS: ts, Key: rng.Int64n(64)})
+			one[0] = stream.Element{TS: ts, Key: rng.Int64n(64)}
+			k.ProcessBatch(0, one)
 		}
 	}
 	feed(4096) // warm up: window filled, maps and buffers at steady size
 	if avg := testing.AllocsPerRun(1000, func() { feed(1) }); avg != 0 {
-		t.Fatalf("TopK.Process allocates %.2f/op in steady state, want 0", avg)
+		t.Fatalf("TopK.ProcessBatch allocates %.2f/op in steady state, want 0", avg)
 	}
 }
 
@@ -38,17 +40,19 @@ func TestWindowAggExpiryZeroAlloc(t *testing.T) {
 	const dt = 100
 	a := NewWindowAgg("a", AggSum, int64(2*groups*dt), func(e stream.Element) int64 { return e.Key })
 	a.Subscribe(NewNull(1), 0)
+	one := make([]stream.Element, 1)
 	var ts int64
 	var i int
 	feed := func(n int) {
 		for j := 0; j < n; j++ {
 			ts += dt
-			a.Process(0, stream.Element{TS: ts, Key: int64(i % groups), Val: 1})
+			one[0] = stream.Element{TS: ts, Key: int64(i % groups), Val: 1}
+			a.ProcessBatch(0, one)
 			i++
 		}
 	}
 	feed(4 * groups) // reach steady state: every group's fifo warmed
 	if avg := testing.AllocsPerRun(1000, func() { feed(1) }); avg != 0 {
-		t.Fatalf("WindowAgg.Process allocates %.2f/op in steady state, want 0", avg)
+		t.Fatalf("WindowAgg.ProcessBatch allocates %.2f/op in steady state, want 0", avg)
 	}
 }

@@ -10,12 +10,13 @@ import (
 	"github.com/dsms/hmts/internal/xrand"
 )
 
-// The batch/scalar equivalence harness: every operator is driven twice with
-// an identical element sequence — once element-by-element through Process,
-// once through ProcessBatch with randomized batch sizes (batches never span
-// ports, matching the BatchSink contract) and occasional scalar calls mixed
-// in — and must produce byte-identical outputs on every downstream edge,
-// identical Done propagation, and identical In/Out stats counters.
+// The batch-size invariance harness: every operator is driven twice with an
+// identical element sequence — once with every element as its own batch of
+// one (the reference), once with the sequence cut into same-port batches of
+// 1..maxB elements (batches never span ports, per the Sink contract) — and
+// must produce byte-identical outputs on every downstream edge, identical
+// Done propagation, and identical In/Out stats counters. The cut comes from
+// a byte pattern, so FuzzBatchSplit can search for a cut that breaks it.
 
 // portedElem is one input event: which port it arrives on and the element.
 type portedElem struct {
@@ -23,14 +24,14 @@ type portedElem struct {
 	e    stream.Element
 }
 
-// captureSink records everything delivered to it, per input port.
+// captureSink records everything delivered to it.
 type captureSink struct {
 	got   []stream.Element
 	dones int
 }
 
-func (c *captureSink) Process(_ int, e stream.Element) { c.got = append(c.got, e) }
-func (c *captureSink) Done(int)                        { c.dones++ }
+func (c *captureSink) ProcessBatch(_ int, es []stream.Element) { c.got = append(c.got, es...) }
+func (c *captureSink) Done(int)                                { c.dones++ }
 
 // genSeq produces n events with nondecreasing event time over the given
 // port count. disorder adds bounded timestamp jitter (for Reorder).
@@ -54,44 +55,51 @@ func genSeq(rng *xrand.Rand, n, ports int, disorder bool) []portedElem {
 	return seq
 }
 
-// driveScalar feeds every event through Process in order.
-func driveScalar(s Sink, seq []portedElem) {
-	for _, pe := range seq {
-		s.Process(pe.port, pe.e)
+// splitPattern draws the byte pattern the harness cuts sequences with.
+func splitPattern(rng *xrand.Rand) []byte {
+	p := make([]byte, 97) // prime, so the cut does not repeat in step with ports
+	for i := range p {
+		p[i] = byte(rng.Int64n(256))
 	}
+	return p
 }
 
-// driveBatched feeds the same events through ProcessBatch: maximal
-// same-port runs are split at random boundaries into batches of 1..maxB,
-// and size-1 batches sometimes degrade to a scalar Process call, so the
-// mixed path is exercised too.
-func driveBatched(bs BatchSink, seq []portedElem, rng *xrand.Rand, maxB int) {
+// driveOnes feeds every event as its own batch of one, in order.
+func driveOnes(s Sink, seq []portedElem) {
+	driveSplit(s, seq, nil, 1)
+}
+
+// driveSplit feeds the events as batches: maximal same-port runs are cut
+// into batches whose sizes cycle through pattern, byte b asking for
+// b%maxB+1 elements. An empty pattern cuts batches of one.
+func driveSplit(s Sink, seq []portedElem, pattern []byte, maxB int) {
 	buf := make([]stream.Element, 0, maxB)
-	for i := 0; i < len(seq); {
+	for i, k := 0, 0; i < len(seq); k++ {
+		want := 1
+		if len(pattern) > 0 {
+			want = int(pattern[k%len(pattern)])%maxB + 1
+		}
 		j := i + 1
-		limit := i + 1 + int(rng.Int64n(int64(maxB)))
-		for j < len(seq) && j < limit && seq[j].port == seq[i].port {
+		for j < len(seq) && j-i < want && seq[j].port == seq[i].port {
 			j++
 		}
-		if j-i == 1 && rng.Int64n(3) == 0 {
-			bs.Process(seq[i].port, seq[i].e)
-		} else {
-			buf = buf[:0]
-			for _, pe := range seq[i:j] {
-				buf = append(buf, pe.e)
-			}
-			bs.ProcessBatch(seq[i].port, buf)
+		buf = buf[:0]
+		for _, pe := range seq[i:j] {
+			buf = append(buf, pe.e)
 		}
+		s.ProcessBatch(seq[i].port, buf)
 		i = j
 	}
 }
 
-// equivCase builds one operator instance per invocation so the scalar and
-// batch runs start from identical state.
+// equivCase builds one operator instance per invocation so the reference
+// and the batched runs start from identical state. A case with branches > 0
+// builds a *Switch and captures each branch separately.
 type equivCase struct {
 	name     string
 	ports    int
 	disorder bool
+	branches int
 	mk       func() Operator
 }
 
@@ -132,43 +140,85 @@ func equivCases() []equivCase {
 	}
 }
 
+// switchCases covers the router: its outputs fan across branches, so
+// invariance is checked per branch.
+func switchCases() []equivCase {
+	preds := []func(stream.Element) bool{
+		func(e stream.Element) bool { return e.Key < 5 },
+		func(e stream.Element) bool { return e.Key < 11 },
+		nil, // catch-all
+	}
+	var cs []equivCase
+	for _, routeAll := range []bool{false, true} {
+		routeAll := routeAll
+		cs = append(cs, equivCase{
+			name: fmt.Sprintf("switch-routeAll=%v", routeAll), ports: 1, branches: len(preds),
+			mk: func() Operator { return NewSwitch("sw", preds, routeAll) },
+		})
+	}
+	return cs
+}
+
+// equivRun is what one drive of a case produced: each output edge's
+// elements and Done count, and the operator's In/Out counters.
+type equivRun struct {
+	caps    []*captureSink
+	in, out uint64
+}
+
+// run drives a fresh instance of tc with seq cut by pattern (nil: batches
+// of one) and closes every input port.
+func (tc equivCase) run(seq []portedElem, pattern []byte, maxB int) equivRun {
+	o := tc.mk()
+	var caps []*captureSink
+	if tc.branches > 0 {
+		for i := 0; i < tc.branches; i++ {
+			caps = append(caps, &captureSink{})
+			o.(*Switch).SubscribeBranch(i, caps[i], 0)
+		}
+	} else {
+		caps = []*captureSink{{}}
+		o.Subscribe(caps[0], 0)
+	}
+	driveSplit(o, seq, pattern, maxB)
+	for p := 0; p < tc.ports; p++ {
+		o.Done(p)
+	}
+	return equivRun{caps: caps, in: o.Stats().In(), out: o.Stats().Out()}
+}
+
+// checkInvariance runs tc once with batches of one and once cut by
+// pattern, and fails t on any difference.
+func checkInvariance(t *testing.T, tc equivCase, seq []portedElem, pattern []byte, maxB int) {
+	t.Helper()
+	ref, got := tc.run(seq, nil, 1), tc.run(seq, pattern, maxB)
+	var emitted int
+	for i := range ref.caps {
+		r, g := ref.caps[i], got.caps[i]
+		if !reflect.DeepEqual(r.got, g.got) {
+			t.Fatalf("%s edge %d: outputs diverge: batches of one %d elements, split %d\nones:  %v\nsplit: %v",
+				tc.name, i, len(r.got), len(g.got), trunc(r.got), trunc(g.got))
+		}
+		if r.dones != 1 || g.dones != 1 {
+			t.Fatalf("%s edge %d: Done propagation diverges: batches of one %d, split %d", tc.name, i, r.dones, g.dones)
+		}
+		emitted += len(r.got)
+	}
+	if ref.in != got.in || ref.in != uint64(len(seq)) {
+		t.Fatalf("%s: In counters diverge: batches of one %d, split %d, want %d", tc.name, ref.in, got.in, len(seq))
+	}
+	if ref.out != got.out || ref.out != uint64(emitted) {
+		t.Fatalf("%s: Out counters diverge: batches of one %d, split %d, want %d", tc.name, ref.out, got.out, emitted)
+	}
+}
+
 func TestBatchScalarEquivalence(t *testing.T) {
 	for _, tc := range equivCases() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 5; seed++ {
-				rng := xrand.New(seed)
-				seq := genSeq(rng, 400, tc.ports, tc.disorder)
-
-				sop := tc.mk()
-				scap := &captureSink{}
-				sop.Subscribe(scap, 0)
-				driveScalar(sop, seq)
-
-				bop := tc.mk().(BatchSink)
-				bcap := &captureSink{}
-				bop.(Operator).Subscribe(bcap, 0)
-				driveBatched(bop, seq, xrand.New(seed+100), 33)
-
-				for p := 0; p < tc.ports; p++ {
-					sop.Done(p)
-					bop.Done(p)
-				}
-
-				if !reflect.DeepEqual(scap.got, bcap.got) {
-					t.Fatalf("seed %d: outputs diverge: scalar %d elements, batch %d\nscalar: %v\nbatch:  %v",
-						seed, len(scap.got), len(bcap.got), trunc(scap.got), trunc(bcap.got))
-				}
-				if scap.dones != 1 || bcap.dones != 1 {
-					t.Fatalf("seed %d: Done propagation diverges: scalar %d, batch %d", seed, scap.dones, bcap.dones)
-				}
-				so, bo := sop.Stats(), bop.(Operator).Stats()
-				if so.In() != bo.In() || so.In() != uint64(len(seq)) {
-					t.Fatalf("seed %d: In counters diverge: scalar %d, batch %d, want %d", seed, so.In(), bo.In(), len(seq))
-				}
-				if so.Out() != bo.Out() || so.Out() != uint64(len(scap.got)) {
-					t.Fatalf("seed %d: Out counters diverge: scalar %d, batch %d, want %d", seed, so.Out(), bo.Out(), len(scap.got))
-				}
+				seq := genSeq(xrand.New(seed), 400, tc.ports, tc.disorder)
+				checkInvariance(t, tc, seq, splitPattern(xrand.New(seed+100)), 33)
 			}
 		})
 	}
@@ -182,52 +232,40 @@ func trunc(es []stream.Element) string {
 }
 
 // TestBatchScalarEquivalenceSwitch covers the router separately: its
-// outputs fan across branches, so equivalence is per-branch.
+// outputs fan across branches, so invariance is per branch.
 func TestBatchScalarEquivalenceSwitch(t *testing.T) {
-	preds := []func(stream.Element) bool{
-		func(e stream.Element) bool { return e.Key < 5 },
-		func(e stream.Element) bool { return e.Key < 11 },
-		nil, // catch-all
-	}
-	for _, routeAll := range []bool{false, true} {
+	for _, tc := range switchCases() {
 		for seed := uint64(1); seed <= 5; seed++ {
-			rng := xrand.New(seed)
-			seq := genSeq(rng, 400, 1, false)
-
-			mk := func() (*Switch, []*captureSink) {
-				s := NewSwitch("sw", preds, routeAll)
-				caps := make([]*captureSink, len(preds))
-				for i := range caps {
-					caps[i] = &captureSink{}
-					s.SubscribeBranch(i, caps[i], 0)
-				}
-				return s, caps
-			}
-			ss, scaps := mk()
-			driveScalar(ss, seq)
-			bs, bcaps := mk()
-			driveBatched(bs, seq, xrand.New(seed+100), 33)
-			ss.Done(0)
-			bs.Done(0)
-			for i := range scaps {
-				if !reflect.DeepEqual(scaps[i].got, bcaps[i].got) {
-					t.Fatalf("routeAll=%v seed %d: branch %d diverges: scalar %d elements, batch %d",
-						routeAll, seed, i, len(scaps[i].got), len(bcaps[i].got))
-				}
-				if scaps[i].dones != 1 || bcaps[i].dones != 1 {
-					t.Fatalf("routeAll=%v seed %d: branch %d Done diverges", routeAll, seed, i)
-				}
-			}
-			if ss.Stats().Out() != bs.Stats().Out() {
-				t.Fatalf("routeAll=%v seed %d: Out diverges: %d vs %d", routeAll, seed, ss.Stats().Out(), bs.Stats().Out())
-			}
+			seq := genSeq(xrand.New(seed), 400, 1, false)
+			checkInvariance(t, tc, seq, splitPattern(xrand.New(seed+100)), 33)
 		}
 	}
 }
 
+// FuzzBatchSplit is the invariance harness with the cut taken from fuzz
+// bytes: sel picks the operator (sel mod the case count) and the seed of
+// its element sequence (sel div the case count), and that sequence must
+// yield the same outputs, Done propagation and counters whether each
+// element arrives alone or the sequence is cut as pattern says. The seed
+// corpus is exactly the harness's cases: every operator, seeds 1..5.
+func FuzzBatchSplit(f *testing.F) {
+	cases := append(equivCases(), switchCases()...)
+	n := uint64(len(cases))
+	for seed := uint64(1); seed <= 5; seed++ {
+		for i := range cases {
+			f.Add(seed*n+uint64(i), splitPattern(xrand.New(seed+100)))
+		}
+	}
+	f.Fuzz(func(t *testing.T, sel uint64, pattern []byte) {
+		tc := cases[sel%n]
+		seq := genSeq(xrand.New(sel/n), 400, tc.ports, tc.disorder)
+		checkInvariance(t, tc, seq, pattern, 33)
+	})
+}
+
 // TestBatchEquivalenceThroughChain drives a fused DI chain end to end —
-// batches entering the head must yield the same sink sequence as scalar
-// elements, including across the batch-capable fan-out hops.
+// split batches entering the head must yield the same sink sequence as
+// batches of one, including across the fan-out hops.
 func TestBatchEquivalenceThroughChain(t *testing.T) {
 	build := func() (head *Filter, cap1, cap2 *captureSink) {
 		head = NewFilter("f", func(e stream.Element) bool { return e.Key%5 != 0 })
@@ -236,20 +274,20 @@ func TestBatchEquivalenceThroughChain(t *testing.T) {
 		head.Subscribe(m, 0)
 		m.Subscribe(a, 0)
 		cap1, cap2 = &captureSink{}, &captureSink{}
-		a.Subscribe(cap1, 0) // batch-incapable edge
+		a.Subscribe(cap1, 0)
 		a.Subscribe(cap2, 0) // sibling edge: must see the identical stream
 		return head, cap1, cap2
 	}
 	for seed := uint64(1); seed <= 3; seed++ {
 		seq := genSeq(xrand.New(seed), 500, 1, false)
 		sh, sc1, sc2 := build()
-		driveScalar(sh, seq)
+		driveOnes(sh, seq)
 		sh.Done(0)
 		bh, bc1, bc2 := build()
-		driveBatched(bh, seq, xrand.New(seed+100), 64)
+		driveSplit(bh, seq, splitPattern(xrand.New(seed+100)), 64)
 		bh.Done(0)
 		if !reflect.DeepEqual(sc1.got, bc1.got) || !reflect.DeepEqual(sc2.got, bc2.got) {
-			t.Fatalf("seed %d: chain outputs diverge (scalar %d, batch %d)", seed, len(sc1.got), len(bc1.got))
+			t.Fatalf("seed %d: chain outputs diverge (batches of one %d, split %d)", seed, len(sc1.got), len(bc1.got))
 		}
 		if !reflect.DeepEqual(bc1.got, bc2.got) {
 			t.Fatalf("seed %d: sibling fan-out edges diverge", seed)
@@ -289,5 +327,29 @@ func TestBatchMeteringFeedsEstimators(t *testing.T) {
 	}
 	if st.BusyNS() <= 0 {
 		t.Fatal("BusyNS must accumulate on the batch path")
+	}
+}
+
+// TestMeteringCountsElements pins the sampling rule: a batch is timed once
+// meterEvery elements have arrived since the last timed one, so batches of
+// one are metered one in meterEvery, and a batch of meterEvery every time.
+func TestMeteringCountsElements(t *testing.T) {
+	f := NewCostSim("c", int64(time.Microsecond), nil)
+	f.Subscribe(NewNull(1), 0)
+	one := make([]stream.Element, 1)
+	for i := 1; i < meterEvery; i++ {
+		f.ProcessBatch(0, one)
+	}
+	if busy := f.Stats().BusyNS(); busy != 0 {
+		t.Fatalf("BusyNS = %d after %d batches of one, want 0 (none timed yet)", busy, meterEvery-1)
+	}
+	f.ProcessBatch(0, one)
+	first := f.Stats().BusyNS()
+	if first <= 0 {
+		t.Fatalf("BusyNS = %d after %d batches of one, want > 0", first, meterEvery)
+	}
+	f.ProcessBatch(0, make([]stream.Element, meterEvery))
+	if f.Stats().BusyNS() <= first {
+		t.Fatal("a batch of meterEvery elements must be timed")
 	}
 }

@@ -46,18 +46,9 @@ func (c *CostSim) SetCost(costNS int64) {
 	c.costNS.Store(costNS)
 }
 
-// Process implements Sink.
-func (c *CostSim) Process(_ int, e stream.Element) {
-	t := c.BeginWork(e)
-	simtime.Busy(c.costNS.Load())
-	if c.pred == nil || c.pred(e) {
-		c.Emit(e)
-	}
-	c.EndWork(t)
-}
-
-// ProcessBatch implements BatchSink: the simulated cost is burned in one
-// spin of n×costNS — the same total thread occupancy as n scalar calls.
+// ProcessBatch implements Sink: the simulated cost is burned in one
+// spin of n×costNS — the same total thread occupancy whatever the batch
+// size.
 func (c *CostSim) ProcessBatch(_ int, es []stream.Element) {
 	if len(es) == 0 {
 		return

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/dsms/hmts/internal/stream"
+	"github.com/dsms/hmts/internal/testutil"
 )
 
 func TestCountWindowSum(t *testing.T) {
@@ -11,7 +12,7 @@ func TestCountWindowSum(t *testing.T) {
 	c := NewCollector(1)
 	a.Subscribe(c, 0)
 	for i := 1; i <= 6; i++ {
-		a.Process(0, stream.Element{TS: int64(i), Val: float64(i)})
+		testutil.Push(a, 0, stream.Element{TS: int64(i), Val: float64(i)})
 	}
 	a.Done(0)
 	c.Wait()
@@ -35,7 +36,7 @@ func TestCountWindowMinPerGroup(t *testing.T) {
 		{2, 9}, {2, 1}, // mins: 9, 1
 	}
 	for i, f := range feed {
-		a.Process(0, stream.Element{TS: int64(i), Key: f.key, Val: f.val})
+		testutil.Push(a, 0, stream.Element{TS: int64(i), Key: f.key, Val: f.val})
 	}
 	a.Done(0)
 	c.Wait()

@@ -11,24 +11,32 @@ import (
 // benchSink is a zero-cost terminal.
 type benchSink struct{ n int }
 
-func (b *benchSink) Process(int, stream.Element) { b.n++ }
-func (b *benchSink) Done(int)                    {}
+func (b *benchSink) ProcessBatch(_ int, es []stream.Element) { b.n += len(es) }
+func (b *benchSink) Done(int)                                {}
+
+// The per-operator benches deliver every element as a batch of one — the
+// path a source takes when a single element is ready — through one reused
+// slice, so ns/op is the cost of one element arriving alone.
 
 func BenchmarkFilter(b *testing.B) {
 	f := NewFilter("f", func(e stream.Element) bool { return e.Key%2 == 0 })
 	f.Subscribe(&benchSink{}, 0)
+	one := make([]stream.Element, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f.Process(0, stream.Element{TS: int64(i), Key: int64(i)})
+		one[0] = stream.Element{TS: int64(i), Key: int64(i)}
+		f.ProcessBatch(0, one)
 	}
 }
 
 func BenchmarkMap(b *testing.B) {
 	m := NewMap("m", func(e stream.Element) stream.Element { e.Val++; return e })
 	m.Subscribe(&benchSink{}, 0)
+	one := make([]stream.Element, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m.Process(0, stream.Element{TS: int64(i)})
+		one[0] = stream.Element{TS: int64(i)}
+		m.ProcessBatch(0, one)
 	}
 }
 
@@ -42,9 +50,11 @@ func BenchmarkChainDI5(b *testing.B) {
 		prev = f
 	}
 	prev.Subscribe(&benchSink{}, 0)
+	one := make([]stream.Element, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		head.Process(0, stream.Element{TS: int64(i), Key: int64(i)})
+		one[0] = stream.Element{TS: int64(i), Key: int64(i)}
+		head.ProcessBatch(0, one)
 	}
 }
 
@@ -52,9 +62,11 @@ func BenchmarkSHJ(b *testing.B) {
 	j := NewSHJ("j", int64(time.Millisecond), nil)
 	j.Subscribe(&benchSink{}, 0)
 	rng := xrand.New(1)
+	one := make([]stream.Element, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		j.Process(i&1, stream.Element{TS: int64(i) * 1000, Key: rng.Int64n(512)})
+		one[0] = stream.Element{TS: int64(i) * 1000, Key: rng.Int64n(512)}
+		j.ProcessBatch(i&1, one)
 	}
 }
 
@@ -62,36 +74,44 @@ func BenchmarkSNJ(b *testing.B) {
 	j := NewSNJ("j", int64(100*time.Microsecond), nil, nil)
 	j.Subscribe(&benchSink{}, 0)
 	rng := xrand.New(1)
+	one := make([]stream.Element, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		j.Process(i&1, stream.Element{TS: int64(i) * 1000, Key: rng.Int64n(64)})
+		one[0] = stream.Element{TS: int64(i) * 1000, Key: rng.Int64n(64)}
+		j.ProcessBatch(i&1, one)
 	}
 }
 
 func BenchmarkWindowAggSum(b *testing.B) {
 	a := NewWindowAgg("a", AggSum, int64(time.Millisecond), nil)
 	a.Subscribe(&benchSink{}, 0)
+	one := make([]stream.Element, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		a.Process(0, stream.Element{TS: int64(i) * 1000, Val: float64(i & 127)})
+		one[0] = stream.Element{TS: int64(i) * 1000, Val: float64(i & 127)}
+		a.ProcessBatch(0, one)
 	}
 }
 
 func BenchmarkWindowAggMaxGrouped(b *testing.B) {
 	a := NewWindowAgg("a", AggMax, int64(time.Millisecond), func(e stream.Element) int64 { return e.Key })
 	a.Subscribe(&benchSink{}, 0)
+	one := make([]stream.Element, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		a.Process(0, stream.Element{TS: int64(i) * 1000, Key: int64(i & 15), Val: float64(i & 127)})
+		one[0] = stream.Element{TS: int64(i) * 1000, Key: int64(i & 15), Val: float64(i & 127)}
+		a.ProcessBatch(0, one)
 	}
 }
 
 func BenchmarkDistinct(b *testing.B) {
 	d := NewDistinct("d", int64(time.Millisecond))
 	d.Subscribe(&benchSink{}, 0)
+	one := make([]stream.Element, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		d.Process(0, stream.Element{TS: int64(i) * 1000, Key: int64(i & 255)})
+		one[0] = stream.Element{TS: int64(i) * 1000, Key: int64(i & 255)}
+		d.ProcessBatch(0, one)
 	}
 }
 
@@ -99,17 +119,21 @@ func BenchmarkTopK(b *testing.B) {
 	k := NewTopK("t", 8, int64(time.Millisecond))
 	k.Subscribe(&benchSink{}, 0)
 	rng := xrand.New(1)
+	one := make([]stream.Element, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		k.Process(0, stream.Element{TS: int64(i) * 1000, Key: rng.Int64n(64)})
+		one[0] = stream.Element{TS: int64(i) * 1000, Key: rng.Int64n(64)}
+		k.ProcessBatch(0, one)
 	}
 }
 
 func BenchmarkThrottle(b *testing.B) {
 	th := NewThrottle("t", 1e6, 64)
 	th.Subscribe(&benchSink{}, 0)
+	one := make([]stream.Element, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		th.Process(0, stream.Element{TS: int64(i) * 500})
+		one[0] = stream.Element{TS: int64(i) * 500}
+		th.ProcessBatch(0, one)
 	}
 }

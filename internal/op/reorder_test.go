@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"github.com/dsms/hmts/internal/stream"
+	"github.com/dsms/hmts/internal/testutil"
 	"github.com/dsms/hmts/internal/xrand"
 )
 
@@ -14,7 +15,7 @@ func TestReorderSortsWithinSlack(t *testing.T) {
 	c := NewCollector(1)
 	r.Subscribe(c, 0)
 	for _, ts := range []int64{10, 50, 30, 20, 60, 40, 200, 150, 170} {
-		r.Process(0, stream.Element{TS: ts})
+		testutil.Push(r, 0, stream.Element{TS: ts})
 	}
 	r.Done(0)
 	c.Wait()
@@ -36,12 +37,12 @@ func TestReorderEmitsOnlyBehindWatermark(t *testing.T) {
 	r := NewReorder("r", 100)
 	c := NewCollector(1)
 	r.Subscribe(c, 0)
-	r.Process(0, stream.Element{TS: 10})
-	r.Process(0, stream.Element{TS: 50})
+	testutil.Push(r, 0, stream.Element{TS: 10})
+	testutil.Push(r, 0, stream.Element{TS: 50})
 	if c.Len() != 0 {
 		t.Fatal("emitted before the watermark passed")
 	}
-	r.Process(0, stream.Element{TS: 160}) // watermark 60: releases 10 and 50
+	testutil.Push(r, 0, stream.Element{TS: 160}) // watermark 60: releases 10 and 50
 	if c.Len() != 2 {
 		t.Fatalf("watermark release emitted %d, want 2", c.Len())
 	}
@@ -59,8 +60,8 @@ func TestReorderLatePassThrough(t *testing.T) {
 	r := NewReorder("r", 10)
 	c := NewCollector(1)
 	r.Subscribe(c, 0)
-	r.Process(0, stream.Element{TS: 1000})
-	r.Process(0, stream.Element{TS: 5}) // hopelessly late
+	testutil.Push(r, 0, stream.Element{TS: 1000})
+	testutil.Push(r, 0, stream.Element{TS: 5}) // hopelessly late
 	if r.Late() != 1 {
 		t.Fatalf("late count %d", r.Late())
 	}
@@ -93,7 +94,7 @@ func TestReorderProperty(t *testing.T) {
 		c := NewCollector(1)
 		r.Subscribe(c, 0)
 		for _, e := range els {
-			r.Process(0, e)
+			testutil.Push(r, 0, e)
 		}
 		r.Done(0)
 		c.Wait()

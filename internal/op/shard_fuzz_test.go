@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/dsms/hmts/internal/stream"
+	"github.com/dsms/hmts/internal/testutil"
 )
 
 // FuzzShardMerge drives a full split → replicas → merge region from raw
@@ -42,7 +43,7 @@ func FuzzShardMerge(f *testing.F) {
 		cap := &captureSink{}
 		mg.Subscribe(cap, 0)
 		for _, e := range in {
-			sp.Process(0, e)
+			testutil.Push(sp, 0, e)
 		}
 		buffered := mg.Buffered()
 		sp.Done(0) // early close: whatever is held back must flush now
@@ -69,7 +70,7 @@ func FuzzShardMerge(f *testing.F) {
 		rcap := &captureSink{}
 		ref.Subscribe(rcap, 0)
 		for _, e := range in {
-			ref.Process(0, e)
+			testutil.Push(ref, 0, e)
 		}
 		ref.Done(0)
 		sp2, mg2, _ := buildRegion(n, 1, func(_ int, e stream.Element) int64 { return group(e) },
@@ -77,7 +78,7 @@ func FuzzShardMerge(f *testing.F) {
 		cap2 := &captureSink{}
 		mg2.Subscribe(cap2, 0)
 		for _, e := range in {
-			sp2.Process(0, e)
+			testutil.Push(sp2, 0, e)
 		}
 		sp2.Done(0)
 		if !reflect.DeepEqual(rcap.got, cap2.got) {

@@ -8,7 +8,7 @@ import (
 
 // Switch routes each element to the first output branch whose predicate
 // accepts it (or to every matching branch with RouteAll). Unlike the
-// implicit fan-out of Base.Emit — which copies every element to every
+// implicit fan-out of Base.EmitBatch — which copies every element to every
 // subscriber, the subquery-sharing case of Figure 1 — Switch partitions the
 // stream across branches.
 type Switch struct {
@@ -36,7 +36,7 @@ func (s *Switch) SubscribeBranch(i int, sink Sink, port int) {
 	if i < 0 || i >= len(s.branches) {
 		panic(fmt.Sprintf("op: switch %q has no branch %d", s.Name(), i))
 	}
-	s.branches[i] = append(s.branches[i], newEdge(sink, port))
+	s.branches[i] = append(s.branches[i], edge{sink: sink, port: port})
 }
 
 // Subscribe attaches to branch 0, satisfying Operator for single-branch use.
@@ -55,27 +55,10 @@ func (s *Switch) Unsubscribe(sink Sink, port int) {
 	panic(fmt.Sprintf("op: Unsubscribe of unknown edge from switch %q", s.Name()))
 }
 
-// Process implements Sink.
-func (s *Switch) Process(_ int, e stream.Element) {
-	t := s.BeginWork(e)
-	for i, p := range s.preds {
-		if p == nil || p(e) {
-			s.Stats().RecordOut(1)
-			for _, ed := range s.branches[i] {
-				ed.sink.Process(ed.port, e)
-			}
-			if !s.routeAll {
-				break
-			}
-		}
-	}
-	s.EndWork(t)
-}
-
-// ProcessBatch implements BatchSink. Elements are gathered per branch and
+// ProcessBatch implements Sink. Elements are gathered per branch and
 // dispatched with one stats update and one delivery per branch; a consumed
 // bitmap preserves the first-matching-branch semantics when routeAll is
-// off. Per-branch element order matches the scalar path exactly; only the
+// off. Per-branch element order is the arrival order; only the
 // interleaving across branches coarsens to batch granularity.
 func (s *Switch) ProcessBatch(_ int, es []stream.Element) {
 	if len(es) == 0 {
@@ -104,13 +87,7 @@ func (s *Switch) ProcessBatch(_ int, es []stream.Element) {
 			s.Stats().RecordOut(len(out))
 			for j := range s.branches[bi] {
 				ed := &s.branches[bi][j]
-				if ed.batch != nil {
-					ed.batch.ProcessBatch(ed.port, out)
-					continue
-				}
-				for _, e := range out {
-					ed.sink.Process(ed.port, e)
-				}
+				ed.sink.ProcessBatch(ed.port, out)
 			}
 		}
 		s.obuf = out[:0]

@@ -80,8 +80,7 @@ func (t *TopK) topInto() []int64 {
 }
 
 // step folds one element into the window counts and appends an element to
-// out for every key newly entering the top-k set. Shared by the scalar and
-// batch paths.
+// out for every key newly entering the top-k set.
 func (t *TopK) step(e stream.Element, out []stream.Element) []stream.Element {
 	deadline := e.TS - t.window
 	for !t.order.empty() && t.order.front().TS <= deadline {
@@ -130,21 +129,7 @@ func (t *TopK) ImportShardElement(_ int, e stream.Element) {
 	t.heldPub.Store(int64(t.order.len()))
 }
 
-// Process implements Sink.
-func (t *TopK) Process(_ int, e stream.Element) {
-	w := t.BeginWork(e)
-	// Up to k keys can enter the top set on one element; size the emit
-	// buffer for that so the hot path never grows it.
-	out := t.step(e, t.scratch(t.k))
-	for _, r := range out {
-		t.Emit(r)
-	}
-	t.obuf = out[:0]
-	t.heldPub.Store(int64(t.order.len()))
-	t.EndWork(w)
-}
-
-// ProcessBatch implements BatchSink: entering-key notifications accumulate
+// ProcessBatch implements Sink: entering-key notifications accumulate
 // across the batch and leave in one fan-out dispatch.
 func (t *TopK) ProcessBatch(_ int, es []stream.Element) {
 	if len(es) == 0 {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/dsms/hmts/internal/stream"
+	"github.com/dsms/hmts/internal/testutil"
 )
 
 func TestDrainBatchFIFOOrder(t *testing.T) {
@@ -14,7 +15,7 @@ func TestDrainBatchFIFOOrder(t *testing.T) {
 	rec := &recorder{}
 	q.Subscribe(rec, 3)
 	for i := 0; i < 1000; i++ {
-		q.Process(0, stream.Element{Key: int64(i)})
+		testutil.Push(q, 0, stream.Element{Key: int64(i)})
 	}
 	q.Done(0)
 	scratch := make([]stream.Element, 128)
@@ -44,7 +45,7 @@ func TestDrainBatchScratchBoundsBatch(t *testing.T) {
 	rec := &recorder{}
 	q.Subscribe(rec, 0)
 	for i := 0; i < 10; i++ {
-		q.Process(0, stream.Element{Key: int64(i)})
+		testutil.Push(q, 0, stream.Element{Key: int64(i)})
 	}
 	scratch := make([]stream.Element, 4)
 	if n, open := q.DrainBatch(scratch, 100); n != 4 || !open {
@@ -69,7 +70,7 @@ func TestDrainBatchClosesOnExactBatch(t *testing.T) {
 	rec := &recorder{}
 	q.Subscribe(rec, 0)
 	for i := 0; i < 64; i++ {
-		q.Process(0, stream.Element{Key: int64(i)})
+		testutil.Push(q, 0, stream.Element{Key: int64(i)})
 	}
 	q.Done(0)
 	scratch := make([]stream.Element, 64)
@@ -265,7 +266,7 @@ func TestPoisonReleasesBlockedProcessBatch(t *testing.T) {
 }
 
 // TestConcurrentBatchedProducersBatchedDrainer: several producers mixing
-// Process and ProcessBatch against one DrainBatch consumer on a bounded
+// batches of one and bursts against one DrainBatch consumer on a bounded
 // queue — conservation, no duplicates, per-producer order. Run with -race.
 func TestConcurrentBatchedProducersBatchedDrainer(t *testing.T) {
 	const producers, per, burst = 8, 5_000, 32
@@ -291,7 +292,7 @@ func TestConcurrentBatchedProducersBatchedDrainer(t *testing.T) {
 				q.ProcessBatch(0, buf)
 			} else {
 				for i := 0; i < per; i++ {
-					q.Process(0, stream.Element{Key: int64(p), Val: float64(i)})
+					testutil.Push(q, 0, stream.Element{Key: int64(p), Val: float64(i)})
 				}
 			}
 			q.Done(0)
@@ -432,7 +433,7 @@ func TestBatchedPropertyFIFO(t *testing.T) {
 			switch b % 4 {
 			case 0:
 				for i := 0; i < int(b%17); i++ {
-					q.Process(0, stream.Element{Key: int64(want)})
+					testutil.Push(q, 0, stream.Element{Key: int64(want)})
 					want++
 				}
 			case 1:
@@ -443,7 +444,7 @@ func TestBatchedPropertyFIFO(t *testing.T) {
 				}
 				q.ProcessBatch(0, burst)
 			case 2:
-				q.Drain(5)
+				drain(q, 5)
 			case 3:
 				q.DrainBatch(scratch, 9)
 			}

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/dsms/hmts/internal/op"
 	"github.com/dsms/hmts/internal/stats"
 	"github.com/dsms/hmts/internal/stream"
 )
@@ -31,9 +32,8 @@ import (
 // is not called. With park=true the producer blocks on space/poison/abort;
 // abort (may be nil) is an additional wake channel — typically the owner's
 // stop signal — and a wake through it also forces the push past the bound
-// so no element is lost when an executor is halted mid-push: one element
-// on the Process path, the whole remaining batch on the ProcessBatch
-// path. Either overshoot is metered by Overshoot. After the park ends for
+// so no element is lost when an executor is halted mid-push: the whole
+// remaining batch is enqueued, and the overshoot is metered by Overshoot. After the park ends for
 // any reason, Resume is called exactly once (same goroutine) to reacquire
 // whatever Yield released; aborted reports an abort wake.
 type WaitHook interface {
@@ -42,9 +42,10 @@ type WaitHook interface {
 }
 
 // Queue is a FIFO buffer between graph partitions. The upstream side is an
-// op.Sink (Process/Done, safe for concurrent producers). The downstream
-// side is drained in batches by exactly one scheduler at a time via Drain,
-// which pushes dequeued elements into the subscribed sinks using DI.
+// op.Sink (ProcessBatch/Done, safe for concurrent producers). The
+// downstream side is drained in batches by exactly one scheduler at a time
+// via DrainBatch, which pushes dequeued elements into the subscribed sinks
+// using DI.
 //
 // A bound of 0 means unbounded; a positive bound blocks producers when the
 // queue is full, providing backpressure.
@@ -99,15 +100,7 @@ const (
 )
 
 type sub struct {
-	sink interface {
-		Process(port int, e stream.Element)
-		Done(port int)
-	}
-	// batch is the sink's batched-delivery view (op.BatchSink, structurally),
-	// resolved once at Subscribe so DrainBatch pays no per-batch assertion.
-	batch interface {
-		ProcessBatch(port int, es []stream.Element)
-	}
+	sink op.Sink
 	port int
 }
 
@@ -165,9 +158,8 @@ func (q *Queue) BlockedNS() int64 { return q.blockedNS.Load() }
 
 // Overshoot returns how many elements were enqueued past the bound: by a
 // hook veto (producer and consumer are the same thread), by an abort wake
-// (a producer halted mid-push force-flushes its in-flight element — or,
-// on the batch path, its whole remaining batch), or by teardown paths
-// that must not park. It is the observable measure of how soft the bound
+// (a producer halted mid-push force-flushes its whole remaining batch), or
+// by teardown paths that must not park. It is the observable measure of how soft the bound
 // has been in practice; FullBlocks/BlockedNS count only actual parks, so
 // without this counter veto/abort bound violations would be invisible to
 // metrics.
@@ -228,27 +220,14 @@ func (q *Queue) SetProducers(n int) {
 	q.mu.Unlock()
 }
 
-// Subscribe attaches a downstream sink; Drain delivers into it. A sink
-// that also implements ProcessBatch receives DrainBatch transfers as whole
-// batches, so a drained burst enters the downstream DI chain in one call.
-func (q *Queue) Subscribe(s interface {
-	Process(port int, e stream.Element)
-	Done(port int)
-}, port int) {
-	e := sub{sink: s, port: port}
-	if bs, ok := s.(interface {
-		ProcessBatch(port int, es []stream.Element)
-	}); ok {
-		e.batch = bs
-	}
-	q.subs = append(q.subs, e)
+// Subscribe attaches a downstream sink; DrainBatch delivers into it, so a
+// drained burst enters the downstream DI chain in one call.
+func (q *Queue) Subscribe(s op.Sink, port int) {
+	q.subs = append(q.subs, sub{sink: s, port: port})
 }
 
 // Unsubscribe detaches a previously subscribed edge.
-func (q *Queue) Unsubscribe(s interface {
-	Process(port int, e stream.Element)
-	Done(port int)
-}, port int) {
+func (q *Queue) Unsubscribe(s op.Sink, port int) {
 	for i, e := range q.subs {
 		if e.sink == s && e.port == port {
 			q.subs = append(q.subs[:i], q.subs[i+1:]...)
@@ -368,78 +347,19 @@ func (q *Queue) Closed() bool {
 	return q.gFlags.Load()&gOutClosed != 0
 }
 
-// Process implements op.Sink: it enqueues the element, blocking while a
-// bounded queue is full. A registered WaitHook is invoked around the park
-// so the producer can release scheduler resources first; a hook veto or
-// abort pushes past the bound instead of parking. Enqueueing after all
-// producers signaled Done panics — that is always an engine bug.
-func (q *Queue) Process(_ int, e stream.Element) {
-	q.mu.Lock()
-	select {
-	case <-q.poison:
-		q.mu.Unlock()
-		q.dropped.Add(1)
-		return
-	default:
-	}
-	for q.bound > 0 && q.n >= q.bound {
-		ch := q.space
-		hook := q.hook
-		q.mu.Unlock()
-		force := q.waitSpace(ch, hook)
-		q.mu.Lock()
-		select {
-		case <-q.poison:
-			q.mu.Unlock()
-			q.dropped.Add(1)
-			return
-		default:
-		}
-		if force {
-			break
-		}
-	}
-	if q.doneProds >= q.producers {
-		q.mu.Unlock()
-		panic(fmt.Sprintf("queue: enqueue into closed queue %q", q.name))
-	}
-	if q.bound > 0 && q.n >= q.bound {
-		q.overshoot.Add(1)
-	}
-	q.push(e)
-	wasEmpty := q.n == 1
-	if int64(q.n) > q.maxLen.Load() {
-		q.maxLen.Store(int64(q.n))
-	}
-	q.publishLocked()
-	var wake chan struct{}
-	if wasEmpty {
-		wake = q.wake
-		q.wake = make(chan struct{})
-	}
-	notify := q.notify
-	q.mu.Unlock()
-
-	q.enq.Add(1)
-	q.st.RecordIn(e.TS)
-	if wake != nil {
-		close(wake)
-	}
-	q.ping(notify)
-}
-
-// ProcessBatch implements op.BatchSink: it enqueues the whole burst with
-// one lock acquisition per contiguous run of available space — a single
-// one in the common (unbounded or non-full) case — instead of one per
-// element, and coalesces the drainer wakeup into at most one signal per
-// run. On a full bounded queue it enqueues what fits, blocks for space
-// (cooperating with a registered WaitHook exactly like Process), and
-// continues; poisoning drops the not-yet-enqueued remainder, while a hook
-// veto or abort enqueues the entire remainder past the bound — an
-// overshoot of up to len(es) elements, so a batch producer halted
+// ProcessBatch implements op.Sink: it enqueues the whole burst with one
+// lock acquisition per contiguous run of available space — a single one
+// in the common (unbounded or non-full) case — instead of one per element,
+// and coalesces the drainer wakeup into at most one signal per run. On a
+// full bounded queue it enqueues what fits and blocks for space; a
+// registered WaitHook is invoked around the park so the producer can
+// release scheduler resources first. Poisoning drops the not-yet-enqueued
+// remainder, while a hook veto or abort enqueues the entire remainder past
+// the bound — an overshoot of up to len(es) elements, so a producer halted
 // mid-push loses nothing. Overshot elements are counted in Overshoot so
 // the bound violation is visible to metrics. Element order within the
-// batch is preserved.
+// batch is preserved. Enqueueing after all producers signaled Done panics
+// — that is always an engine bug.
 func (q *Queue) ProcessBatch(_ int, es []stream.Element) {
 	force := false
 	for len(es) > 0 {
@@ -532,99 +452,22 @@ func (q *Queue) push(e stream.Element) {
 	q.n++
 }
 
-// pop removes the oldest element. Caller holds mu and guarantees n > 0.
-func (q *Queue) pop() stream.Element {
-	e := q.buf[q.head]
-	q.buf[q.head] = stream.Element{}
-	q.head = (q.head + 1) % len(q.buf)
-	q.n--
-	return e
-}
-
-// Drain dequeues up to max elements, delivering each to every subscriber
-// via DI, and reports how many were delivered and whether the queue can
-// still yield work in the future (open == false exactly once the queue has
-// closed downstream). Only one goroutine may call Drain at a time; that is
-// the scheduler owning this queue's partition.
-func (q *Queue) Drain(max int) (delivered int, open bool) {
-	if max <= 0 {
-		max = 1
-	}
-	for delivered < max {
-		q.mu.Lock()
-		if q.n == 0 {
-			if q.doneProds >= q.producers && !q.outClosed {
-				q.outClosed = true
-				q.publishLocked()
-				q.mu.Unlock()
-				for _, s := range q.subs {
-					s.sink.Done(s.port)
-				}
-				return delivered, false
-			}
-			closed := q.outClosed
-			q.mu.Unlock()
-			return delivered, !closed
-		}
-		e := q.pop()
-		var space chan struct{}
-		if q.bound > 0 && q.n == q.bound-1 {
-			space = q.space
-			q.space = make(chan struct{})
-		}
-		q.publishLocked()
-		q.mu.Unlock()
-		if space != nil {
-			close(space)
-		}
-		q.deq.Add(1)
-		q.st.RecordOut(1)
-		for _, s := range q.subs {
-			s.sink.Process(s.port, e)
-		}
-		delivered++
-	}
-	// Delivering exactly max elements may have emptied the buffer with the
-	// input already closed; propagate the final Done now instead of making
-	// the executor pay one more wakeup just to learn the queue is finished.
-	if q.closeIfDrained() {
-		return delivered, false
-	}
-	return delivered, true
-}
-
-// closeIfDrained marks the queue closed and propagates Done downstream if
-// the buffer is empty, every producer has finished, and Done has not been
-// sent yet. It reports whether it closed the queue. Caller must be the
-// single draining goroutine and must not hold mu.
-func (q *Queue) closeIfDrained() bool {
-	q.mu.Lock()
-	if q.n != 0 || q.doneProds < q.producers || q.outClosed {
-		q.mu.Unlock()
-		return false
-	}
-	q.outClosed = true
-	q.publishLocked()
-	q.mu.Unlock()
-	for _, s := range q.subs {
-		s.sink.Done(s.port)
-	}
-	return true
-}
-
 // DrainBatch dequeues up to max elements (bounded also by len(scratch))
 // with a single lock acquisition: the elements are copied out of the ring
 // into the caller-owned scratch slice under the lock, and delivered to the
 // subscribers outside it. The space-channel backpressure wakeup is
 // coalesced into one signal per batch, and the queue's output counter is
-// bumped once via the bulk stats path. Like Drain it reports how many
-// elements were delivered and whether the queue can still yield work;
-// when the batch empties the buffer with the input already closed, the
-// final Done is propagated immediately and open is false.
+// bumped once via the bulk stats path. It reports how many elements were
+// delivered and whether the queue can still yield work in the future
+// (open == false exactly once the queue has closed downstream); when the
+// batch empties the buffer with the input already closed, the final Done
+// is propagated immediately and open is false. Called on an empty queue
+// whose input has closed, it only propagates that Done.
 //
 // Scratch ownership: the slice is only written between the call and the
 // return; the queue keeps no reference to it, so the caller may reuse it
-// for every call. Only one goroutine may call DrainBatch/Drain at a time.
+// for every call. Only one goroutine may call DrainBatch at a time; that
+// is the scheduler owning this queue's partition.
 func (q *Queue) DrainBatch(scratch []stream.Element, max int) (n int, open bool) {
 	if max <= 0 {
 		max = 1
@@ -682,17 +525,11 @@ func (q *Queue) DrainBatch(scratch []stream.Element, max int) (n int, open bool)
 	q.deq.Add(uint64(take))
 	q.st.RecordOut(take)
 	for _, s := range q.subs {
-		if s.batch != nil {
-			// The whole batch flows into the downstream DI chain in one
-			// call; subscribers must not retain or mutate the slice (the
-			// op.BatchSink contract), since it is shared across the
-			// fan-out and reused by the caller.
-			s.batch.ProcessBatch(s.port, scratch[:take])
-			continue
-		}
-		for i := 0; i < take; i++ {
-			s.sink.Process(s.port, scratch[i])
-		}
+		// The whole batch flows into the downstream DI chain in one call;
+		// subscribers must not retain or mutate the slice (the op.Sink
+		// contract), since it is shared across the fan-out and reused by
+		// the caller.
+		s.sink.ProcessBatch(s.port, scratch[:take])
 	}
 	if closing {
 		for _, s := range q.subs {
@@ -703,7 +540,7 @@ func (q *Queue) DrainBatch(scratch []stream.Element, max int) (n int, open bool)
 	return take, true
 }
 
-// HasWork reports whether a Drain call would deliver at least one element
+// HasWork reports whether a DrainBatch call would deliver at least one element
 // or propagate the final Done right now. It reads the published gauges and
 // never blocks on the queue lock, so strategies can consult every unit per
 // decision without serializing against producers.

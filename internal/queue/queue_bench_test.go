@@ -9,8 +9,8 @@ import (
 
 type sinkhole struct{}
 
-func (sinkhole) Process(int, stream.Element) {}
-func (sinkhole) Done(int)                    {}
+func (sinkhole) ProcessBatch(int, []stream.Element) {}
+func (sinkhole) Done(int)                           {}
 
 // BenchmarkEnqueueDequeue measures the single-threaded cost of one element
 // through a queue — the per-edge overhead GTS and OTS pay that DI avoids
@@ -18,10 +18,13 @@ func (sinkhole) Done(int)                    {}
 func BenchmarkEnqueueDequeue(b *testing.B) {
 	q := New("q", 0)
 	q.Subscribe(sinkhole{}, 0)
+	one := make([]stream.Element, 1)
+	scratch := make([]stream.Element, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		q.Process(0, stream.Element{TS: int64(i)})
-		q.Drain(1)
+		one[0] = stream.Element{TS: int64(i)}
+		q.ProcessBatch(0, one)
+		q.DrainBatch(scratch, 1)
 	}
 }
 
@@ -30,12 +33,15 @@ func BenchmarkBatchedDrain(b *testing.B) {
 	q := New("q", 0)
 	q.Subscribe(sinkhole{}, 0)
 	const batch = 64
+	one := make([]stream.Element, 1)
+	scratch := make([]stream.Element, batch)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i += batch {
 		for j := 0; j < batch; j++ {
-			q.Process(0, stream.Element{TS: int64(i + j)})
+			one[0] = stream.Element{TS: int64(i + j)}
+			q.ProcessBatch(0, one)
 		}
-		q.Drain(batch)
+		q.DrainBatch(scratch, batch)
 	}
 }
 
@@ -47,16 +53,19 @@ func BenchmarkProducerConsumer(b *testing.B) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
+		scratch := make([]stream.Element, 64)
 		for {
-			if _, open := q.Drain(64); !open {
+			if _, open := q.DrainBatch(scratch, 64); !open {
 				return
 			}
 			q.WaitWork(nil)
 		}
 	}()
+	one := make([]stream.Element, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		q.Process(0, stream.Element{TS: int64(i)})
+		one[0] = stream.Element{TS: int64(i)}
+		q.ProcessBatch(0, one)
 	}
 	q.Done(0)
 	<-done
@@ -82,9 +91,9 @@ func BenchmarkBatchedTransfer(b *testing.B) {
 
 // benchTransfer pushes b.N elements through one queue from nprod
 // concurrent producers to one draining consumer and reports per-element
-// cost. batchedEnq uses ProcessBatch bursts of 64; batchedDrain uses
-// DrainBatch with a reused scratch slice — the before/after pairs for the
-// hot-path batching.
+// cost. batchedEnq uses ProcessBatch bursts of 64 rather than batches of
+// one; batchedDrain drains up to 256 elements per DrainBatch call rather
+// than one — the before/after pairs for the hot-path batching.
 func benchTransfer(b *testing.B, nprod, bound int, batchedEnq, batchedDrain bool) {
 	q := New("q", bound)
 	q.SetProducers(nprod)
@@ -94,13 +103,11 @@ func benchTransfer(b *testing.B, nprod, bound int, batchedEnq, batchedDrain bool
 		defer close(done)
 		scratch := make([]stream.Element, 256)
 		for {
-			var open bool
+			take := 1
 			if batchedDrain {
-				_, open = q.DrainBatch(scratch, 256)
-			} else {
-				_, open = q.Drain(256)
+				take = len(scratch)
 			}
-			if !open {
+			if _, open := q.DrainBatch(scratch, take); !open {
 				return
 			}
 			q.WaitWork(nil)
@@ -130,8 +137,10 @@ func benchTransfer(b *testing.B, nprod, bound int, batchedEnq, batchedDrain bool
 				}
 				q.ProcessBatch(0, buf)
 			} else {
+				one := make([]stream.Element, 1)
 				for i := 0; i < n; i++ {
-					q.Process(0, stream.Element{TS: int64(i)})
+					one[0] = stream.Element{TS: int64(i)}
+					q.ProcessBatch(0, one)
 				}
 			}
 			q.Done(0)

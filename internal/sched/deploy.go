@@ -157,32 +157,11 @@ func (a *srcAdapter) lockTarget(ts []srcTarget, gen uint64, i int) *srcTarget {
 	}
 }
 
-// Process implements op.Sink. Locks are released via defer so that a
-// panicking operator cannot leak the world lock or a VO gate.
-func (a *srcAdapter) Process(_ int, e stream.Element) {
-	a.d.world.RLock()
-	defer a.d.world.RUnlock()
-	ts, gen := a.targets, a.d.wireGen
-	for i := range ts {
-		a.deliverTo(ts, gen, i, e)
-	}
-}
-
-func (a *srcAdapter) deliverTo(ts []srcTarget, gen uint64, i int, e stream.Element) {
-	t := a.lockTarget(ts, gen, i)
-	if t == nil {
-		return // edge spliced out while parked: the element has no destination
-	}
-	if t.gate != nil {
-		defer t.gate.Unlock()
-	}
-	t.sink.Process(t.port, e)
-}
-
-// ProcessBatch implements op.BatchSink: a bursting source hands a whole
-// burst over in one call, and each target that supports batched enqueue
-// (notably the decoupling queue) receives it under a single lock
-// acquisition instead of one per element.
+// ProcessBatch implements op.Sink: a source hands its ready elements over
+// in one call (a batch of one when only one is ready), and each target —
+// notably the decoupling queue — receives the batch under a single lock
+// acquisition instead of one per element. Locks are released via defer so
+// that a panicking operator cannot leak the world lock or a VO gate.
 func (a *srcAdapter) ProcessBatch(_ int, es []stream.Element) {
 	a.d.world.RLock()
 	defer a.d.world.RUnlock()
@@ -195,18 +174,12 @@ func (a *srcAdapter) ProcessBatch(_ int, es []stream.Element) {
 func (a *srcAdapter) deliverBatchTo(ts []srcTarget, gen uint64, i int, es []stream.Element) {
 	t := a.lockTarget(ts, gen, i)
 	if t == nil {
-		return
+		return // edge spliced out while parked: the elements have no destination
 	}
 	if t.gate != nil {
 		defer t.gate.Unlock()
 	}
-	if bs, ok := t.sink.(op.BatchSink); ok {
-		bs.ProcessBatch(t.port, es)
-		return
-	}
-	for _, e := range es {
-		t.sink.Process(t.port, e)
-	}
+	t.sink.ProcessBatch(t.port, es)
 }
 
 // Done implements op.Sink.

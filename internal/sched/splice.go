@@ -111,7 +111,7 @@ func (sp *Splicer) AddEdge(e graph.Edge, cut bool) {
 		q := queue.New(fmt.Sprintf("q(%s->%s)", from.Name, to.Name), d.opts.QueueBound)
 		if sent {
 			q.Done(0)
-			q.Drain(1) // no subscriber yet: closes without a second Done
+			q.DrainBatch(nil, 0) // no subscriber yet: closes without a second Done
 		}
 		q.Subscribe(to.Op, e.ToPort)
 		d.queues[k] = q
@@ -177,7 +177,7 @@ func (sp *Splicer) retire(e graph.Edge, fromDying bool) {
 			q.DrainBatch(scratch, len(scratch))
 		}
 		if q.InputClosed() && !q.Closed() {
-			q.Drain(1) // propagate the pending Done
+			q.DrainBatch(scratch, len(scratch)) // propagate the pending Done
 		}
 		delete(d.queues, k)
 		delete(d.cut, k)

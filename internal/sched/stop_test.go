@@ -21,8 +21,8 @@ func stopWithin(t *testing.T, d *Deployment, timeout time.Duration, what string)
 
 // TestStopWithBlockedProducer: Stop must never deadlock behind a producer
 // parked on a full bounded queue whose executor has already halted. Run a
-// few rounds over both transfer paths (scalar Process and ProcessBatch) to
-// cover the timing window.
+// few rounds over drain batches of one and of eight to cover the timing
+// window.
 func TestStopWithBlockedProducer(t *testing.T) {
 	for _, batch := range []int{1, 8} {
 		for round := 0; round < 5; round++ {

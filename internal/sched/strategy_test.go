@@ -7,13 +7,14 @@ import (
 
 	"github.com/dsms/hmts/internal/queue"
 	"github.com/dsms/hmts/internal/stream"
+	"github.com/dsms/hmts/internal/testutil"
 )
 
 // devnull is the minimal downstream for test queues.
 type devnull struct{}
 
-func (devnull) Process(int, stream.Element) {}
-func (devnull) Done(int)                    {}
+func (devnull) ProcessBatch(int, []stream.Element) {}
+func (devnull) Done(int)                           {}
 
 // unitWith returns a unit whose queue holds elements with the given
 // timestamps.
@@ -21,7 +22,7 @@ func unitWith(name string, tss ...int64) *Unit {
 	q := queue.New(name, 0)
 	q.Subscribe(devnull{}, 0)
 	for _, ts := range tss {
-		q.Process(0, stream.Element{TS: ts})
+		testutil.Push(q, 0, stream.Element{TS: ts})
 	}
 	return &Unit{Q: q}
 }
@@ -76,7 +77,7 @@ func TestFIFOTracksUpdates(t *testing.T) {
 		t.Fatalf("picked %d, want 0", got)
 	}
 	// Drain a's front; its next element is younger than b's front.
-	a.Q.Process(0, stream.Element{TS: 30})
+	testutil.Push(a.Q, 0, stream.Element{TS: 30})
 	var scratch [1]stream.Element
 	a.Q.DrainBatch(scratch[:], 1)
 	s.Update(0)
@@ -235,7 +236,7 @@ func TestMaxQueueTracksGrowth(t *testing.T) {
 	// unit dirty and is folded in before the next pick.
 	b.Q.SetNotify(func() { s.Update(1) })
 	for i := 0; i < 5; i++ {
-		b.Q.Process(0, stream.Element{TS: int64(i)})
+		testutil.Push(b.Q, 0, stream.Element{TS: int64(i)})
 	}
 	if got := s.Pick(); got != 1 {
 		t.Fatalf("picked %d, want the grown queue", got)
@@ -427,7 +428,7 @@ func TestFIFOGlobalOrderAtBatchGranularity(t *testing.T) {
 	// queues, so every queue's buffer is locally sorted (the FIFO model).
 	for k := 0; k < nq*per; k++ {
 		next += int64(1 + rng.Intn(5))
-		units[rng.Intn(nq)].Q.Process(0, stream.Element{TS: next})
+		testutil.Push(units[rng.Intn(nq)].Q, 0, stream.Element{TS: next})
 	}
 	s := initStrat(&FIFO{}, units)
 	var scratch [1]stream.Element
@@ -451,8 +452,12 @@ func TestFIFOGlobalOrderAtBatchGranularity(t *testing.T) {
 
 type orderRecorder struct{ ts []int64 }
 
-func (r *orderRecorder) Process(_ int, e stream.Element) { r.ts = append(r.ts, e.TS) }
-func (r *orderRecorder) Done(int)                        {}
+func (r *orderRecorder) ProcessBatch(_ int, es []stream.Element) {
+	for _, e := range es {
+		r.ts = append(r.ts, e.TS)
+	}
+}
+func (r *orderRecorder) Done(int) {}
 
 // TestPickDoesNotAllocate guards the hot path: a Pick+Update cycle on
 // every strategy must run allocation-free once the index is built.

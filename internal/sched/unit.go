@@ -20,7 +20,7 @@ import (
 
 // Unit is one schedulable entity on level 2: a decoupling queue plus the
 // static metadata strategies consult. The subgraph the queue feeds is
-// executed via DI inside Drain.
+// executed via DI inside DrainBatch.
 type Unit struct {
 	Q *queue.Queue
 	// Gate, when non-nil, serializes entry into the virtual operator this

@@ -216,16 +216,7 @@ func newMonitorSink(mon *slo.Monitor) *monitorSink {
 	return &monitorSink{mon: mon, done: make(chan struct{})}
 }
 
-// Process implements op.Sink.
-func (k *monitorSink) Process(_ int, e stream.Element) {
-	if d := k.stallNS.Load(); d > 0 {
-		time.Sleep(time.Duration(d))
-	}
-	k.seen.Add(1)
-	k.mon.Observe(float64(ingest.Now() - e.TS))
-}
-
-// ProcessBatch implements op.BatchSink; the stall is charged per element
+// ProcessBatch implements op.Sink; the stall is charged per element
 // so a burst does not dilute the injected slowness.
 func (k *monitorSink) ProcessBatch(_ int, es []stream.Element) {
 	if d := k.stallNS.Load(); d > 0 {

@@ -5,7 +5,7 @@ import (
 	"sync/atomic"
 )
 
-// noArrival is the lastIn sentinel before the first RecordIn. A real event
+// noArrival is the lastIn sentinel before the first RecordInBatch. A real event
 // time of MinInt64 would be mistaken for it, but interarrival math is
 // meaningless that far outside the epoch anyway.
 const noArrival = math.MinInt64
@@ -39,21 +39,11 @@ func NewOpStats() *OpStats {
 	return s
 }
 
-// RecordIn notes one arriving element with event time ts, updating the
-// interarrival estimator d(v).
-func (s *OpStats) RecordIn(ts int64) {
-	s.in.Add(1)
-	prev := s.lastIn.Swap(ts)
-	if prev != noArrival && ts >= prev {
-		s.interNS.Observe(float64(ts - prev))
-	}
-}
-
 // RecordInBatch notes n arriving elements spanning event times firstTS to
-// lastTS in one call — the bulk mirror of RecordIn for batched enqueues.
-// The interarrival estimator d(v) receives one observation, the mean gap
-// across the batch relative to the previous arrival, so a burst of n
-// elements costs one EWMA update instead of n.
+// lastTS in one call, updating the interarrival estimator d(v). It receives
+// one observation, the mean gap across the batch relative to the previous
+// arrival, so a burst of n elements costs one EWMA update instead of n; a
+// batch of one observes the plain gap to the previous arrival.
 func (s *OpStats) RecordInBatch(firstTS, lastTS int64, n int) {
 	if n <= 0 {
 		return
@@ -73,18 +63,11 @@ func (s *OpStats) RecordInBatch(firstTS, lastTS int64, n int) {
 // RecordOut notes n emitted elements.
 func (s *OpStats) RecordOut(n int) { s.out.Add(uint64(n)) }
 
-// RecordBusy adds d nanoseconds of processing time for one element and
-// updates the cost estimator c(v).
-func (s *OpStats) RecordBusy(d int64) {
-	s.busyNS.Add(d)
-	s.costNS.Observe(float64(d))
-}
-
 // RecordBusyBatch adds d nanoseconds of processing time spanning n elements
-// — the bulk mirror of RecordBusy for batch-metered operators. The cost
-// estimator c(v) stays per-element: it receives one observation of d/n, so
-// a metered batch is one EWMA update whose value is the amortized cost the
-// capacity model cap(P) = d(P) − c(P) is defined over.
+// and updates the cost estimator c(v). The estimator stays per-element: it
+// receives one observation of d/n, so a metered batch is one EWMA update
+// whose value is the amortized cost the capacity model
+// cap(P) = d(P) − c(P) is defined over.
 func (s *OpStats) RecordBusyBatch(d int64, n int) {
 	if n <= 0 {
 		return

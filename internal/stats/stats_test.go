@@ -108,7 +108,7 @@ func TestOpStatsCountsAndSelectivity(t *testing.T) {
 		t.Fatalf("fresh selectivity %v, want neutral 1", s.Selectivity())
 	}
 	for i := 0; i < 10; i++ {
-		s.RecordIn(int64(i) * 100)
+		s.RecordInBatch(int64(i)*100, int64(i)*100, 1)
 	}
 	s.RecordOut(4)
 	if s.In() != 10 || s.Out() != 4 {
@@ -124,8 +124,8 @@ func TestOpStatsCountsAndSelectivity(t *testing.T) {
 
 func TestOpStatsBusy(t *testing.T) {
 	s := NewOpStats()
-	s.RecordBusy(100)
-	s.RecordBusy(200)
+	s.RecordBusyBatch(100, 1)
+	s.RecordBusyBatch(200, 1)
 	if s.BusyNS() != 300 {
 		t.Fatalf("busy %d", s.BusyNS())
 	}
@@ -134,8 +134,8 @@ func TestOpStatsBusy(t *testing.T) {
 	}
 }
 
-// TestOpStatsConcurrentProducers hammers RecordIn and RecordInBatch from
-// several goroutines. With the old haveIn/lastIn pair, interleaved first
+// TestOpStatsConcurrentProducers hammers RecordInBatch from several
+// goroutines. With the old haveIn/lastIn pair, interleaved first
 // arrivals double-counted and torn load/store pairs could observe gaps far
 // larger than any real spacing; the Swap-based update must keep every
 // observed gap within the producers' timestamp span and never lose an
@@ -155,11 +155,7 @@ func TestOpStatsConcurrentProducers(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perProd; i++ {
 				ts := base + int64(w*perProd+i)
-				if i%10 == 9 {
-					s.RecordInBatch(ts, ts, 1)
-				} else {
-					s.RecordIn(ts)
-				}
+				s.RecordInBatch(ts, ts, 1)
 			}
 		}(w)
 	}
@@ -201,7 +197,7 @@ func TestOpStatsConcurrentReaders(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 10_000; i++ {
-			s.RecordIn(int64(i))
+			s.RecordInBatch(int64(i), int64(i), 1)
 			s.RecordOut(1)
 		}
 	}()

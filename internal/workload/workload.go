@@ -134,7 +134,7 @@ type Source struct {
 	gen        Gen
 	arr        Arrival
 	clock      simtime.Clock
-	batch      int  // >1 enables burst emission via op.BatchSink
+	batch      int  // most elements handed over per call; 0 or 1: one
 	preserveTS bool // keep generator-provided timestamps (replay mode)
 	emitted    atomic.Uint64
 	sched      atomic.Int64
@@ -159,12 +159,11 @@ func New(name string, n int, gen Gen, arr Arrival, clock simtime.Clock) *Source 
 // Name implements op.Source.
 func (s *Source) Name() string { return s.name }
 
-// SetBatch sets the burst size: when n > 1 and the downstream sink
-// supports op.BatchSink, Run hands over up to n consecutive due elements
-// per call instead of one, amortizing the per-element handoff cost. A
-// real-time source never sits on a partial burst across a pacing sleep —
-// it flushes before sleeping — so batching only coalesces elements that
-// are already due together (a burst). Call before the source starts.
+// SetBatch sets the burst size: Run hands over up to n consecutive due
+// elements per call instead of one, amortizing the per-element handoff
+// cost. A real-time source never sits on a partial burst across a pacing
+// sleep — it flushes before sleeping — so batching only coalesces elements
+// that are already due together (a burst). Call before the source starts.
 func (s *Source) SetBatch(n int) {
 	if n < 1 {
 		n = 1
@@ -193,49 +192,15 @@ func (s *Source) Stop() { s.stopped.Store(true) }
 
 // Run implements op.Source. In real-time mode the element timestamp is the
 // actual emission time, so downstream backpressure stretches the stream;
-// in stamped mode it is the scheduled arrival. With SetBatch(n > 1) and a
-// batch-capable sink, due elements are handed over in bursts.
+// in stamped mode it is the scheduled arrival. Elements that are due
+// without sleeping accumulate in a reusable buffer of up to the SetBatch
+// size and are handed over with one ProcessBatch call. The buffer is
+// flushed before every pacing sleep so a real-time source never delays an
+// element it has already generated, and on stop so nothing generated is
+// lost.
 func (s *Source) Run(out op.Sink, port int) {
 	defer out.Done(port)
-	if s.batch > 1 {
-		if bs, ok := out.(op.BatchSink); ok {
-			s.runBatched(bs, port)
-			return
-		}
-	}
-	var sched int64
-	for i := 0; i < s.n; i++ {
-		if s.stopped.Load() {
-			return
-		}
-		sched += s.arr.Next(i)
-		s.sched.Store(sched)
-		e := s.gen(i)
-		switch {
-		case s.preserveTS:
-			// replay: keep the recorded timestamp
-		case s.clock != nil:
-			now := s.clock.Now()
-			if d := sched - now; d > 0 {
-				s.clock.Sleep(d)
-				now = s.clock.Now()
-			}
-			e.TS = now
-		default:
-			e.TS = sched
-		}
-		out.Process(port, e)
-		s.emitted.Add(1)
-	}
-}
-
-// runBatched is the burst-emitting Run loop: elements that are due without
-// sleeping accumulate in a reusable buffer and are handed over with one
-// ProcessBatch call. The buffer is flushed before every pacing sleep so a
-// real-time source never delays an element it has already generated, and
-// on stop so nothing generated is lost.
-func (s *Source) runBatched(out op.BatchSink, port int) {
-	buf := make([]stream.Element, 0, s.batch)
+	buf := make([]stream.Element, 0, max(s.batch, 1))
 	flush := func() {
 		if len(buf) == 0 {
 			return
@@ -268,7 +233,7 @@ func (s *Source) runBatched(out op.BatchSink, port int) {
 			e.TS = sched
 		}
 		buf = append(buf, e)
-		if len(buf) == s.batch {
+		if len(buf) == cap(buf) {
 			flush()
 		}
 	}

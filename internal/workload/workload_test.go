@@ -17,9 +17,9 @@ type capture struct {
 	done int
 }
 
-func (c *capture) Process(_ int, e stream.Element) {
+func (c *capture) ProcessBatch(_ int, es []stream.Element) {
 	c.mu.Lock()
-	c.els = append(c.els, e)
+	c.els = append(c.els, es...)
 	c.mu.Unlock()
 }
 

@@ -91,7 +91,7 @@ func (q *queryReg) regionNodeIDs() []int {
 // per-query metrics section and dedups end-of-stream, so DropQuery can
 // force a final Done on a sink whose stream was severed mid-flight.
 type queryTap struct {
-	inner   Sink
+	inner   op.Sink
 	out     atomic.Uint64
 	firstNS atomic.Int64
 	lastNS  atomic.Int64
@@ -105,26 +105,13 @@ func (t *queryTap) meter(n int) {
 	t.out.Add(uint64(n))
 }
 
-// Process implements Sink.
-func (t *queryTap) Process(port int, e Element) {
-	t.meter(1)
-	t.inner.Process(port, e)
-}
-
-// ProcessBatch implements op.BatchSink so batched delivery stays batched
-// through the tap when the user sink supports it.
+// ProcessBatch implements op.Sink.
 func (t *queryTap) ProcessBatch(port int, es []Element) {
 	t.meter(len(es))
-	if bs, ok := t.inner.(op.BatchSink); ok {
-		bs.ProcessBatch(port, es)
-		return
-	}
-	for _, e := range es {
-		t.inner.Process(port, e)
-	}
+	t.inner.ProcessBatch(port, es)
 }
 
-// Done implements Sink.
+// Done implements op.Sink.
 func (t *queryTap) Done(port int) {
 	if !t.done.Swap(true) {
 		t.inner.Done(port)
@@ -167,11 +154,11 @@ func (e *Engine) placeSink(n *graph.Node) *graph.Node {
 
 // AddQuery registers a standing query under a unique name: build
 // constructs the query's plan with the usual builder methods (or
-// ql.Plan) and returns its result stream, and sink receives the query's
-// results. Operators identical to those of already-registered queries —
-// same builder method, same name and parameters, same upstream chain —
-// are shared rather than duplicated, so the Nth similar query costs only
-// its divergent operators.
+// ql.Plan) and returns its result stream, and sink (see Consumer)
+// receives the query's results. Operators identical to those of
+// already-registered queries — same builder method, same name and
+// parameters, same upstream chain — are shared rather than duplicated, so
+// the Nth similar query costs only its divergent operators.
 //
 // On a running engine the new plan is spliced in live under the same
 // discipline as Reconfigure: executors pause, the suffix is wired (with
@@ -180,12 +167,16 @@ func (e *Engine) placeSink(n *graph.Node) *graph.Node {
 // elements are dropped. Live registrations may only read from sources
 // that already exist. A query whose upstream has already reached
 // end-of-stream completes immediately.
-func (e *Engine) AddQuery(name string, sink Sink, build func() (*Stream, error)) error {
+func (e *Engine) AddQuery(name string, sink Consumer, build func() (*Stream, error)) error {
 	if name == "" {
 		return fmt.Errorf("hmts: AddQuery needs a name")
 	}
 	if sink == nil || build == nil {
 		return fmt.Errorf("hmts: AddQuery %q needs a sink and a build function", name)
+	}
+	inner, err := batchSink(sink)
+	if err != nil {
+		return err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -196,7 +187,7 @@ func (e *Engine) AddQuery(name string, sink Sink, build func() (*Stream, error))
 	if _, dup := e.queries[name]; dup {
 		return fmt.Errorf("hmts: query %q already registered", name)
 	}
-	reg := &queryReg{name: name, seq: e.nextQSeq, tap: &queryTap{inner: sink}, used: make(map[int]bool)}
+	reg := &queryReg{name: name, seq: e.nextQSeq, tap: &queryTap{inner: inner}, used: make(map[int]bool)}
 
 	doBuild := func() error {
 		e.curQuery = reg

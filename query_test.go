@@ -110,7 +110,7 @@ func trialData(rng *rand.Rand, n int) []hmts.Element {
 // multi-query subsumption layer: N queries registered on one shared
 // engine (prefix-merged, refcounted, fanned out at divergence) must
 // produce byte-identical outputs to N independent single-query engines,
-// over randomized plans and seeds, with scalar and batched sources.
+// over randomized plans and seeds, with unbatched and batched sources.
 func TestSharedQueriesMatchIndependent(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		for _, batched := range []bool{false, true} {
@@ -286,6 +286,11 @@ func TestDropQueryPrunesExclusiveSuffix(t *testing.T) {
 
 // TestAddQueryRejectsInvalid covers duplicate names, in-closure sources,
 // and rollback: a failed registration must leave no trace in the graph.
+// doneOnly has Done but neither delivery method, so it is no sink at all.
+type doneOnly struct{}
+
+func (doneOnly) Done(int) {}
+
 func TestAddQueryRejectsInvalid(t *testing.T) {
 	eng := hmts.New()
 	src := eng.Source("src", hmts.Replay(trialData(rand.New(rand.NewSource(9)), 10)))
@@ -299,6 +304,9 @@ func TestAddQueryRejectsInvalid(t *testing.T) {
 		t.Fatal("duplicate name not rejected")
 	}
 	before := eng.Graph().Len()
+	if err := eng.AddQuery("no-process", doneOnly{}, ok); err == nil {
+		t.Fatal("sink with neither Process nor ProcessBatch not rejected")
+	}
 	err := eng.AddQuery("bad-src", newMemSink(), func() (*hmts.Stream, error) {
 		s := eng.Source("rogue", hmts.Replay(nil))
 		return s.Where("x", func(e hmts.Element) bool { return true }), nil

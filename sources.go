@@ -66,7 +66,7 @@ func Custom(src op.Source, rateHintHz float64) SourceSpec {
 // elements that are due at the same instant — a paced source still emits
 // on schedule — so it pays off for flat-out, replayed, and bursty-phase
 // workloads. It is a no-op for Custom sources (batch in the source's own
-// Run via op.BatchSink instead).
+// Run instead).
 func (sp SourceSpec) Batched(n int) SourceSpec {
 	if ws, ok := sp.src.(*workload.Source); ok {
 		ws.SetBatch(n)
