@@ -32,12 +32,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The bounded-queue deadlock regression gate: cooperative blocking must
-# survive a single OS thread, where a parked producer that fails to yield
-# its run permit freezes the whole process rather than just one pipeline.
+# The bounded-queue deadlock regression gate: safe-point parking must
+# survive a single OS thread, where a waiting producer that kept its run
+# permit would freeze the whole process rather than just one pipeline.
+# The Backpressured tests mutate the deployment while the source waits.
 bounded:
 	GOMAXPROCS=1 $(GO) test -timeout 120s \
-		-run 'Bounded|BlockedProducer|PermitHolding|LeaksNoGoroutines|Hook|Reconfigure' \
+		-run 'Bounded|BlockedProducer|PermitHolding|LeaksNoGoroutines|Reconfigure|Backpressured' \
 		./internal/queue ./internal/sched .
 
 # The capacity-model validation is a timing experiment; run it a few times so
@@ -123,9 +124,9 @@ benchdiff:
 	$(GO) run ./cmd/benchdiff $(BENCHDIFF_FLAGS) BENCH_adapt.json .bench/adapt.json
 
 # Short fuzz pass over the hmtsd line protocol, its result encoder, the
-# order-restoring shard merge, the windowed aggregate and the batch-size
-# invariance of every operator; the corpora keep growing under
-# testdata/fuzz as failures are found.
+# order-restoring shard merge, the windowed aggregate, the batch-size
+# invariance of every operator and live mutation of a whole deployment;
+# the corpora keep growing under testdata/fuzz as failures are found.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadLine -fuzztime 10s ./cmd/hmtsd
 	$(GO) test -run '^$$' -fuzz FuzzPushParse -fuzztime 10s ./cmd/hmtsd
@@ -134,3 +135,4 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzShardMerge -fuzztime 10s ./internal/op
 	$(GO) test -run '^$$' -fuzz FuzzWindowAgg -fuzztime 10s ./internal/op
 	$(GO) test -run '^$$' -fuzz FuzzBatchSplit -fuzztime 10s ./internal/op
+	$(GO) test -run '^$$' -fuzz FuzzLiveMutation -fuzztime 10s .

@@ -16,6 +16,12 @@ import (
 // listener and client connections close, each session's engine, external
 // sources and egress writer must have stopped.
 func startServer(t *testing.T) string {
+	return startServerWatch(t, nil)
+}
+
+// startServerWatch is startServer that also hands every new session to
+// watch (if non-nil) before it starts serving.
+func startServerWatch(t *testing.T, watch func(*session)) string {
 	t.Helper()
 	testutil.VerifyNoLeaks(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -29,7 +35,11 @@ func startServer(t *testing.T) string {
 			if err != nil {
 				return
 			}
-			go newSession(conn).serve()
+			s := newSession(conn)
+			if watch != nil {
+				watch(s)
+			}
+			go s.serve()
 		}
 	}()
 	return ln.Addr().String()
@@ -39,10 +49,12 @@ type client struct {
 	t    *testing.T
 	conn net.Conn
 	r    *bufio.Reader
-	// results tallies RESULT lines per query id and dones the DONE lines,
-	// no matter which read consumed them — results stream concurrently
-	// with command responses.
+	// results tallies RESULT lines per query id, rows keeps their
+	// "<ts> <key> <val>" fields and dones the DONE lines, no matter which
+	// read consumed them — results stream concurrently with command
+	// responses.
 	results map[string]int
+	rows    map[string][]string
 	dones   map[string]bool
 }
 
@@ -54,7 +66,7 @@ func dial(t *testing.T, addr string) *client {
 	}
 	t.Cleanup(func() { conn.Close() })
 	c := &client{t: t, conn: conn, r: bufio.NewReader(conn),
-		results: make(map[string]int), dones: make(map[string]bool)}
+		results: make(map[string]int), rows: make(map[string][]string), dones: make(map[string]bool)}
 	c.expect("OK hmtsd ready")
 	return c
 }
@@ -78,6 +90,7 @@ func (c *client) readLine() string {
 		switch f[0] {
 		case "RESULT":
 			c.results[f[1]]++
+			c.rows[f[1]] = append(c.rows[f[1]], strings.Join(f[2:], " "))
 		case "DONE":
 			c.dones[f[1]] = true
 		}
@@ -333,7 +346,7 @@ func TestServerConcurrentClients(t *testing.T) {
 				}
 				defer conn.Close()
 				c := &client{t: t, conn: conn, r: bufio.NewReader(conn),
-					results: make(map[string]int), dones: make(map[string]bool)}
+					results: make(map[string]int), rows: make(map[string][]string), dones: make(map[string]bool)}
 				c.expect("OK hmtsd ready")
 				c.sendLine("SOURCE s COUNT 5000 RATE 0 KEYS 0 99 SEED " +
 					string(rune('1'+i)) + " STAMPED")

@@ -73,11 +73,11 @@ type RunConfig struct {
 	MaxThreads int
 	// QueueBound bounds decoupling queues for backpressure (0 =
 	// unbounded). Safe under every mode, thread budget and live
-	// reconfiguration: producers that must block cooperate with the
-	// scheduler (yielding run permits and structural locks) instead of
-	// deadlocking. The bound is strict for cross-thread producers; a
-	// producer that is its own consumer overshoots it rather than
-	// self-deadlock, as does teardown mid-push.
+	// mutation: a producer waits for space only at virtual-operator
+	// entry, holding no run permit or structural lock. The bound is
+	// strict for cross-thread producers; a producer that is its own
+	// consumer overshoots it rather than self-deadlock, as does a live
+	// mutation.
 	QueueBound int
 }
 
@@ -144,7 +144,11 @@ func (e *Engine) plan(mode Mode) (sched.Plan, sched.Options) {
 
 // Run validates the graph, deploys it under the configured mode and starts
 // processing. It returns an error if the graph is structurally invalid.
+// It holds the engine lock, so a concurrent Metrics snapshot sees the
+// engine either before or after the deployment.
 func (e *Engine) Run(cfg RunConfig) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.running {
 		return fmt.Errorf("hmts: engine already running")
 	}

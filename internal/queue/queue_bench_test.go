@@ -65,6 +65,7 @@ func BenchmarkProducerConsumer(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		one[0] = stream.Element{TS: int64(i)}
+		q.WaitSpace(nil)
 		q.ProcessBatch(0, one)
 	}
 	q.Done(0)
@@ -90,8 +91,8 @@ func BenchmarkBatchedTransfer(b *testing.B) {
 }
 
 // benchTransfer pushes b.N elements through one queue from nprod
-// concurrent producers to one draining consumer and reports per-element
-// cost. batchedEnq uses ProcessBatch bursts of 64 rather than batches of
+// concurrent producers, each waiting for space before every push, to one
+// draining consumer and reports per-element cost. batchedEnq uses ProcessBatch bursts of 64 rather than batches of
 // one; batchedDrain drains up to 256 elements per DrainBatch call rather
 // than one — the before/after pairs for the hot-path batching.
 func benchTransfer(b *testing.B, nprod, bound int, batchedEnq, batchedDrain bool) {
@@ -131,15 +132,18 @@ func benchTransfer(b *testing.B, nprod, bound int, batchedEnq, batchedDrain bool
 				for i := 0; i < n; i++ {
 					buf = append(buf, stream.Element{TS: int64(i)})
 					if len(buf) == burst {
+						q.WaitSpace(nil)
 						q.ProcessBatch(0, buf)
 						buf = buf[:0]
 					}
 				}
+				q.WaitSpace(nil)
 				q.ProcessBatch(0, buf)
 			} else {
 				one := make([]stream.Element, 1)
 				for i := 0; i < n; i++ {
 					one[0] = stream.Element{TS: int64(i)}
+					q.WaitSpace(nil)
 					q.ProcessBatch(0, one)
 				}
 			}

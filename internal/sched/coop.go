@@ -1,167 +1,195 @@
-// Cooperative blocking: the machinery that makes bounded decoupling
-// queues safe under every configuration of the three-level scheduler.
+// Safe-point parking: how bounded decoupling queues apply backpressure
+// without ever stopping a thread inside an operator.
 //
-// The hazard (ROADMAP's bounded-queue deadlock): an executor that blocks
-// pushing into a full downstream queue used to keep both its level-3 TS
-// run permit and the deployment's world read lock while parked. With the
-// permit held, the consumer partition that would free the space starves
-// in TS.Acquire (fatal at MaxConcurrent=1, the GOMAXPROCS=1 repro); with
-// the read lock held, Reconfigure's world write lock can never be taken.
+// A virtual operator (VO) is a fused subgraph whose operators call each
+// other directly; queues sit only on the cut edges between VOs. The
+// queues on the cut edges leaving a VO are its frontier. A thread enters
+// a VO in two places only — a source goroutine handing a batch to its
+// adapter (srcAdapter.enter), and an executor draining one of the VO's
+// entry queues (Exec.enter) — and there no operator frame of the VO is on
+// its stack. That is the one place a thread waits for queue space. Inside
+// the fused chain an enqueue never parks: operators on a cut edge emit
+// into the edge's outlet, which enqueues what fits under the bound and
+// holds the rest back. The VO's next entry flushes it first
+// (frontier.settle), and while an outlet stays full the thread parks in
+// queue.WaitSpace on its queue until the consumer drains it.
+// A source settles before it returns to its generator and an executor
+// before it drains again, so held output is the producer's own short
+// backlog, and a chain that emits more than it takes in — a join, or a
+// Reorder flushing its buffer on end-of-stream — still meets the bound.
+// An executor never waits on a queue it drains itself (it would wait for
+// itself): it force-flushes that outlet, overshooting the bound
+// (queue.Overshoot meters it), and its strategy drains the queue next.
 //
-// The fix is a per-queue queue.WaitHook wired at deploy time to the
-// queue's producing side. Before a producer parks on q.space the hook
-// releases exactly what the rest of the engine needs to make progress,
-// and reacquires it after the park.
+// Because nobody is ever parked inside an operator, a live mutation
+// (Deployment.mutate) that holds the world write lock knows that no
+// operator loop is in progress: every executor has exited and every
+// source is outside its VO. Edge lists, routing tables and shard state
+// can be rewritten without a resumed loop seeing them change underneath.
 //
 // # Lock ordering
 //
-// The engine's documented — and, on the yield paths, assertion-enforced —
-// acquisition order is
+// A VO gate (a mutex in Deployment.gates, shared by every driver of a VO
+// that has more than one) serializes entries. The acquisition order is
 //
-//	world RLock  →  VO gate  →  TS run permit  →  queue mutex
+//	TS run permit  →  VO gate  →  queue mutex       (executors)
+//	world RLock    →  VO gate  →  queue mutex       (sources)
 //
-// with one invariant on top: a thread must never WAIT (park on a full
-// queue, or block on a VO gate) while holding a TS run permit — it
-// releases the permit first and reacquires it afterwards. Reacquisition
-// respects the same order: the world read lock is retaken first, then the
-// permit (honoring stop, so a halting deployment can always collect its
-// executors), and only then the queue mutex. Reconfigure takes the world
-// write lock only after halting every executor, so a reader waiting for a
-// permit can always be unwound through its stop channel first; that is
-// what makes the mixed wait-for graph acyclic.
+// Executors take no world lock: mutate halts them all before it takes
+// the write lock. On top of the order, one rule: no thread waits for
+// queue space while holding the world read lock, a VO gate or a TS run
+// permit; and gate holders never wait at all. The rule makes the system
+// deadlock-free:
 //
-// Waiting while holding a VO gate is permitted (the gate serializes entry
-// into one partition and nothing the consumer side needs is behind it) —
-// which is why executors must not block *on* a gate while holding a
-// permit either: the holder may be parked on backpressure for a while.
-// For the same reason no thread may block on a gate while holding the
-// world read lock: the holder's park is wakeable only by a consumer or by
-// poison, and a pending Reconfigure — which has already halted every
-// consumer — would wedge behind the waiter's read lock forever. Executors
-// satisfy this structurally: their gate waits select on stop, and
-// Reconfigure halts them before taking the write lock. Source goroutines
-// have no stop channel, so they yield the read lock around a contended
-// gate (srcAdapter.lockTarget) and retake it afterwards — the one place
-// the order inverts (gate, then read lock), safe because the only world
-// writer never acquires gates; a rewire detected across the wait
-// (Deployment.wireGen) drops the stale gate and re-resolves the target.
+//   - A gate holder runs operators whose enqueues never block, so it
+//     releases the gate after finite CPU work. Waiting on a gate — with a
+//     permit or the read lock held — is therefore safe.
+//   - The world write lock is taken by mutate only after it has halted
+//     every executor. The remaining readers are sources inside an entry,
+//     which wait on nothing but gates, so the lock is granted.
+//   - A thread parked for space holds nothing. The queue it waits on is
+//     drained by an executor of another group, which can get a permit
+//     (parked executors released theirs, and the TS ages waiters) and the
+//     gate (by the first point). Waits follow the dataflow downstream,
+//     and query graphs are acyclic, so the chain of waits ends at an
+//     executor that can run — provided the executor groups are ordered
+//     along the dataflow. They are when every VO has its own executor
+//     (every plan but GTS that the engine builds) and under GTS; a
+//     hand-written Plan.Groups that puts an upstream and a downstream VO
+//     on one executor and a VO between them on another can wait in a
+//     cycle.
+//   - Every wait for space has a way out: an executor's aborts on its
+//     stop channel, so halting never hangs; Stop poisons every queue, which
+//     releases parked sources, and a source that finds the deployment
+//     stopped enters without waiting (poisoned queues drop).
+//
+// Under GTS (Global Thread Scheduling) one executor drains every queue,
+// so every outlet it fills is its own and it never waits; the sources
+// wait on queues it drains. With one OS thread (GOMAXPROCS=1, `make bounded`) and
+// one TS permit, a parked executor has released the permit and blocks in
+// a channel receive, so the consumer gets both the permit and the thread.
 package sched
 
 import (
-	"bytes"
-	"runtime"
-	"strconv"
-
 	"github.com/dsms/hmts/internal/queue"
+	"github.com/dsms/hmts/internal/stream"
 )
 
-// goid returns the calling goroutine's id. It is used only on slow paths
-// (parking on a full queue) to discriminate which thread is pushing
-// through a partition: the partition's executor, a fused source, or a
-// live mutation. The textual parse is the only portable way to get the
-// id; at ~1µs it is noise next to an actual park.
-func goid() int64 {
-	var buf [32]byte
-	n := runtime.Stack(buf[:], false)
-	// "goroutine 123 [running]:"
-	b := buf[:n]
-	if i := bytes.IndexByte(b, ' '); i >= 0 {
-		b = b[i+1:]
-	}
-	if i := bytes.IndexByte(b, ' '); i >= 0 {
-		b = b[:i]
-	}
-	id, _ := strconv.ParseInt(string(b), 10, 64)
-	return id
+// outlet is what a producer is subscribed to on a cut edge, in front of
+// the edge's queue. It enqueues what fits under the bound and holds the
+// rest back — with a Done that arrives behind it — for the producing VO's
+// next driver to flush at VO entry (settle). So an enqueue inside a fused
+// chain never parks and never overshoots; the held elements are the
+// producer's own backlog, at most one entry's output. An outlet is
+// touched only by its VO's drivers, which the VO gate serializes, and by
+// mutate and Stop once every driver is out.
+type outlet struct {
+	q     *queue.Queue
+	bound int // 0: unbounded, nothing is ever held
+	held  []stream.Element
+	done  bool // a Done waits behind held; implies held is not empty
+	// credit is how many elements the queue is known to take before it
+	// reaches the bound. The outlet is the queue's only producer and the
+	// consumer only shortens it, so credit never overstates the room and
+	// the queue length is read only when credit runs out.
+	credit int
+	// holds counts the producing VO's outlets that hold output back, so
+	// an entry checks its whole frontier at once; shared with the VO's
+	// frontier and replaced by every rebuild.
+	holds *int
 }
 
-// Gate serializes entry into a virtual operator that can have more than
-// one driver (fused sources, an executor draining entry queues). It is a
-// channel-based mutex rather than sync.Mutex so an executor can wait for
-// it cooperatively — selecting against its stop signal and releasing its
-// TS run permit first, since the holder may itself be parked on
-// downstream backpressure for an arbitrary time.
-type Gate struct {
-	ch chan struct{}
-}
-
-// NewGate returns an unlocked gate.
-func NewGate() *Gate { return &Gate{ch: make(chan struct{}, 1)} }
-
-// Lock acquires the gate, blocking until it is free. Callers must not
-// hold the world read lock or a TS permit across the wait: source threads
-// reach this only through srcAdapter.lockTarget, which yields the read
-// lock first (the holder may be parked on backpressure, wakeable only by
-// a consumer that a pending Reconfigure has already halted).
-func (g *Gate) Lock() { g.ch <- struct{}{} }
-
-// TryLock acquires the gate only if it is free.
-func (g *Gate) TryLock() bool {
-	select {
-	case g.ch <- struct{}{}:
-		return true
-	default:
-		return false
+// room returns how many of n elements the queue takes before it reaches
+// the bound.
+func (o *outlet) room(n int) int {
+	if o.bound == 0 {
+		return n
 	}
-}
-
-// lockOrStop acquires the gate unless stop closes first; it reports
-// whether the gate was acquired.
-func (g *Gate) lockOrStop(stop <-chan struct{}) bool {
-	select {
-	case g.ch <- struct{}{}:
-		return true
-	case <-stop:
-		return false
+	if o.credit < n {
+		o.credit = max(o.bound-o.q.Len(), 0)
 	}
+	return min(n, o.credit)
 }
 
-// Unlock releases the gate.
-func (g *Gate) Unlock() {
-	select {
-	case <-g.ch:
-	default:
-		panic("sched: unlock of unlocked gate")
+// put enqueues es, past the bound if it must.
+func (o *outlet) put(es []stream.Element) {
+	o.q.ProcessBatch(0, es)
+	o.credit = max(o.credit-len(es), 0)
+}
+
+// ProcessBatch implements op.Sink.
+func (o *outlet) ProcessBatch(_ int, es []stream.Element) {
+	if len(o.held) == 0 {
+		k := o.room(len(es))
+		o.put(es[:k])
+		if es = es[k:]; len(es) == 0 {
+			return
+		}
+		*o.holds++
 	}
+	o.held = append(o.held, es...)
 }
 
-// pushHook is the queue.WaitHook installed on every decoupling queue; one
-// instance per queue, bound to the queue's producing side. Yield releases
-// whatever the calling thread holds that the rest of the engine needs to
-// free space in the queue, Resume reacquires it in the documented order.
-type pushHook struct {
-	d *Deployment
-	// x is the executor of the group that drains the producing partition,
-	// nil when only source goroutines push into the queue.
-	x *Exec
-}
-
-// Yield implements queue.WaitHook.
-func (h *pushHook) Yield(q *queue.Queue) (bool, <-chan struct{}) {
-	g := goid()
-	if h.d.spliceGid.Load() == g {
-		// A live mutation is draining a retired queue on the admin
-		// goroutine while every executor is halted; nobody can free space,
-		// so the push must overshoot rather than park.
-		return false, nil
-	}
-	if h.x != nil && h.x.gid.Load() == g {
-		return h.x.yieldFor(q)
-	}
-	// A source goroutine (a direct source producer, or a source fused
-	// into the producing partition) is pushing: it holds one world read
-	// lock — via srcAdapter — and no TS permit. Yield the read lock so a
-	// Reconfigure can splice past the full queue; the park is woken by
-	// space, poison, or nothing else (sources are stopped via poison).
-	h.d.world.RUnlock()
-	return true, nil
-}
-
-// Resume implements queue.WaitHook.
-func (h *pushHook) Resume(q *queue.Queue, aborted bool) {
-	if h.x != nil && h.x.gid.Load() == goid() {
-		h.x.resumeFor(q, aborted)
+// Done implements op.Sink.
+func (o *outlet) Done(int) {
+	if len(o.held) > 0 {
+		o.done = true
 		return
 	}
-	h.d.world.RLock()
+	o.q.Done(0)
+}
+
+// flush moves held elements into the queue as far as the bound allows —
+// all of them when force, overshooting it — and then a held-back Done. It
+// reports whether anything is still held.
+func (o *outlet) flush(force bool) bool {
+	k := len(o.held)
+	if k == 0 {
+		return false
+	}
+	if !force {
+		k = o.room(k)
+	}
+	o.put(o.held[:k])
+	if o.held = o.held[k:]; len(o.held) > 0 {
+		return true
+	}
+	o.held = nil
+	*o.holds--
+	if o.done {
+		o.done = false
+		o.q.Done(0)
+	}
+	return false
+}
+
+// frontier is the set of outlets on the cut edges leaving a VO, as one
+// driver of the VO sees it: the driver waits on the wait outlets and
+// force-flushes the own ones, whose queues it drains itself. held is the
+// VO's count of holding outlets (nil when queues are unbounded).
+type frontier struct {
+	wait, own []*outlet
+	held      *int
+}
+
+// holding reports whether an outlet of the frontier holds output back.
+func (f *frontier) holding() bool { return f.held != nil && *f.held > 0 }
+
+// settle flushes what the frontier holds back, at VO entry. It returns a
+// queue the driver must wait on before it enters — one whose outlet
+// still holds output — or nil once nothing is held.
+func (f *frontier) settle() *queue.Queue {
+	if !f.holding() {
+		return nil
+	}
+	for _, o := range f.own {
+		o.flush(true)
+	}
+	var full *queue.Queue
+	for _, o := range f.wait {
+		if o.flush(false) && full == nil {
+			full = o.q
+		}
+	}
+	return full
 }

@@ -25,9 +25,9 @@ type Deployment struct {
 	opts Options
 	ts   *TS
 
-	// world serializes structural changes against data flow: sources and
-	// executors hold it for reading around every push/drain; mutate holds
-	// it for writing.
+	// world serializes structural changes against sources: a source holds
+	// it for reading around every VO entry; mutate holds it for writing,
+	// after halting every executor.
 	world sync.RWMutex
 
 	// admin serializes management operations (Stop, live mutations,
@@ -45,25 +45,12 @@ type Deployment struct {
 	cut      map[graph.EdgeKey]bool
 	comps    [][]int
 	voOf     map[int]int
-	gates    []*Gate
-	queues   map[graph.EdgeKey]*queue.Queue
-	units    map[int][]*Unit // VO index -> entry units
-	groupOf  []int           // VO index -> executor group
+	gates    []*sync.Mutex             // VO index -> entry gate, nil with one driver
+	outlets  map[graph.EdgeKey]*outlet // cut edge -> its outlet and queue
+	units    map[int][]*Unit           // VO index -> entry units
+	groupOf  []int                     // VO index -> executor group
 	execs    []*Exec
-	execOf   map[int]*Exec       // executor group -> executor
 	adapters map[int]*srcAdapter // source node ID -> adapter
-
-	// spliceGid is the goroutine id of a live mutation in progress
-	// (0 otherwise); the wait hooks let that goroutine push past queue
-	// bounds instead of parking, since every executor is halted during
-	// the splice and nothing could free space.
-	spliceGid atomic.Int64
-
-	// wireGen counts rewireTargets passes (written under world.Lock, read
-	// under world.RLock). A source that yielded its read lock around a
-	// contended gate wait compares it afterwards to detect that a splice
-	// rewired its targets while it waited (see srcAdapter.lockTarget).
-	wireGen uint64
 
 	// reshardOverheadNS / reshardPerRowNS model the stop-the-region pause
 	// a live Reshard costs: a fixed splice overhead plus a per-retained-row
@@ -81,128 +68,92 @@ type Deployment struct {
 	err   error
 }
 
-// srcTarget is one resolved output edge of a source. key names the graph
-// edge it resolves, so a delivery that raced a splice can find the same
-// edge's fresh placement (or learn the edge is gone) in the rebuilt list.
+// srcTarget is one resolved output edge of a source.
 type srcTarget struct {
 	sink op.Sink
 	port int
-	gate *Gate
-	key  graph.EdgeKey
 }
 
 // srcAdapter is the Sink handed to a source's Run; it fans elements out to
-// the source's resolved targets under the world read-lock so a live
-// mutation can rewire safely.
+// the source's resolved targets under the world read lock so a live
+// mutation can rewire safely. The lock is taken only at VO entry (see
+// enter), so a mutation never runs while the source is inside an
+// operator, and a whole fan-out happens on one side of it.
 type srcAdapter struct {
-	d        *Deployment
-	targets  []srcTarget
+	d       *Deployment
+	targets []srcTarget
+	// gate is the entry gate of the source's VO, if it has one, and front
+	// its frontier; both are written under the world write lock.
+	gate  *sync.Mutex
+	front frontier
+	// finished is set when the source's Done goes down its edges; a
+	// mutation sees it for all of them or for none.
 	finished atomic.Bool
-	// ended holds the edges the source's Done has gone (or is going)
-	// down (written under the world read lock, read by mutations under
-	// the write lock). A source can finish while parked on a gate
-	// mid-fan-out; a mutation that re-places one of its edges then needs
-	// to know whether that edge's Done is behind it or still to come.
-	ended map[graph.EdgeKey]bool
 }
 
-// lockTarget returns the snapshot's i'th target with its VO gate (if any)
-// held. The snapshot (ts, gen) was taken under the world read lock at the
-// start of the fan-out; a splice that ran while an earlier delivery was
-// parked on downstream backpressure (read lock yielded) may have rebuilt
-// a.targets since — including adding or removing source out-edges, so
-// indexes do not survive a rewire. When gen is stale the entry's graph
-// edge is re-resolved by key against the fresh list; a missing edge was
-// spliced out (its query dropped mid-element) and nil is returned so the
-// caller skips the delivery.
-//
-// A contended gate is acquired cooperatively: the holder may itself be
-// parked on downstream backpressure with its world read lock yielded —
-// wakeable only by space or poison — so blocking on the gate while still
-// holding our own read lock would wedge a pending splice (its world.Lock
-// waits behind us, every executor is already halted, and nothing left
-// could free the space). The read lock is yielded around the wait and
-// retaken after; that inverted reacquisition (gate, then read lock)
-// cannot deadlock because the only world writer never takes gates. If a
-// splice rewired the sources while we waited, the acquired gate belongs
-// to a stale target — the edge may have gained a queue, the VO's gate may
-// have been replaced — so it is dropped and the edge re-resolved.
-func (a *srcAdapter) lockTarget(ts []srcTarget, gen uint64, i int) *srcTarget {
+// enter takes the world read lock and the VO gate at the VO entry, where
+// no operator frame of the source's VO is on the stack. What the frontier
+// holds back is settled first, and while an outlet there stays full the
+// source parks on its queue holding nothing. A stopped deployment's
+// queues are poisoned and drop what they are given, so there is nothing
+// left to wait for.
+func (a *srcAdapter) enter() {
 	for {
-		if a.d.wireGen != gen {
-			key := ts[i].key
-			ts, gen = a.targets, a.d.wireGen
-			i = -1
-			for j := range ts {
-				if ts[j].key == key {
-					i = j
-					break
-				}
-			}
-			if i < 0 {
-				return nil
-			}
-		}
-		t := &ts[i]
-		if t.gate == nil || t.gate.TryLock() {
-			return t
-		}
-		a.d.world.RUnlock()
-		t.gate.Lock()
 		a.d.world.RLock()
-		if a.d.wireGen == gen {
-			return t
+		if a.gate != nil {
+			a.gate.Lock()
 		}
-		t.gate.Unlock()
+		full := a.front.settle()
+		if full == nil || a.d.stopped.Load() {
+			return
+		}
+		a.leave()
+		full.WaitSpace(nil)
 	}
+}
+
+func (a *srcAdapter) leave() {
+	if a.gate != nil {
+		a.gate.Unlock()
+	}
+	a.d.world.RUnlock()
 }
 
 // ProcessBatch implements op.Sink: a source hands its ready elements over
 // in one call (a batch of one when only one is ready), and each target —
-// notably the decoupling queue — receives the batch under a single lock
-// acquisition instead of one per element. Locks are released via defer so
-// that a panicking operator cannot leak the world lock or a VO gate.
-func (a *srcAdapter) ProcessBatch(_ int, es []stream.Element) {
-	a.d.world.RLock()
-	defer a.d.world.RUnlock()
-	ts, gen := a.targets, a.d.wireGen
-	for i := range ts {
-		a.deliverBatchTo(ts, gen, i, es)
-	}
-}
-
-func (a *srcAdapter) deliverBatchTo(ts []srcTarget, gen uint64, i int, es []stream.Element) {
-	t := a.lockTarget(ts, gen, i)
-	if t == nil {
-		return // edge spliced out while parked: the elements have no destination
-	}
-	if t.gate != nil {
-		defer t.gate.Unlock()
-	}
-	t.sink.ProcessBatch(t.port, es)
-}
+// notably the decoupling queue — receives them under a single lock
+// acquisition instead of one per element.
+func (a *srcAdapter) ProcessBatch(_ int, es []stream.Element) { a.deliver(es, false) }
 
 // Done implements op.Sink.
-func (a *srcAdapter) Done(int) {
-	a.d.world.RLock()
-	defer a.d.world.RUnlock()
-	a.finished.Store(true)
-	ts, gen := a.targets, a.d.wireGen
-	for i := range ts {
-		a.doneTo(ts, gen, i)
+func (a *srcAdapter) Done(int) { a.deliver(nil, true) }
+
+// deliver runs one entry — the batch, or end-of-stream — and then, if
+// the frontier held output back, settles it before the source goes on.
+func (a *srcAdapter) deliver(es []stream.Element, done bool) {
+	if a.entry(es, done) {
+		a.enter()
+		a.leave()
 	}
 }
 
-func (a *srcAdapter) doneTo(ts []srcTarget, gen uint64, i int) {
-	t := a.lockTarget(ts, gen, i)
-	if t == nil {
-		return
+// entry delivers to every target and reports whether the frontier held
+// output back. The locks are released via defer so that a panicking
+// operator cannot leak the world lock or a VO gate.
+func (a *srcAdapter) entry(es []stream.Element, done bool) bool {
+	a.enter()
+	defer a.leave()
+	if done {
+		a.finished.Store(true)
 	}
-	if t.gate != nil {
-		defer t.gate.Unlock()
+	for _, t := range a.targets {
+		if done {
+			t.sink.Done(t.port)
+		} else {
+			t.sink.ProcessBatch(t.port, es)
+		}
 	}
-	a.ended[t.key] = true // before delivery, which may park and yield
-	t.sink.Done(t.port)
+	return a.front.holding()
 }
 
 // Build validates the graph against the plan and constructs a deployment.
@@ -219,7 +170,7 @@ func Build(g *graph.Graph, plan Plan, opts Options) (*Deployment, error) {
 		g:        g,
 		opts:     opts,
 		cut:      cut,
-		queues:   make(map[graph.EdgeKey]*queue.Queue),
+		outlets:  make(map[graph.EdgeKey]*outlet),
 		adapters: make(map[int]*srcAdapter),
 	}
 	if opts.TS != nil {
@@ -237,7 +188,7 @@ func Build(g *graph.Graph, plan Plan, opts Options) (*Deployment, error) {
 		return nil, err
 	}
 	d.wire()
-	d.buildExecs()
+	d.rebuild()
 	return d, nil
 }
 
@@ -337,63 +288,56 @@ func (d *Deployment) analyze(groups [][]int, single bool) error {
 			hasEntry[d.voOf[e.To]] = true
 		}
 	}
-	d.gates = make([]*Gate, len(d.comps))
+	d.gates = make([]*sync.Mutex, len(d.comps))
 	for vi := range d.comps {
 		if nSrc[vi] >= 2 || (nSrc[vi] >= 1 && hasEntry[vi]) {
-			d.gates[vi] = NewGate()
+			d.gates[vi] = new(sync.Mutex)
 		}
 	}
 	return nil
 }
 
-// wire creates queues on cut edges and subscribes every edge, building the
-// source adapters along the way.
+// wire creates queues on cut edges and subscribes every operator edge;
+// source targets, units and executors are derived by rebuild.
 func (d *Deployment) wire() {
-	steep, pos := chainMeta(d.g)
-	d.units = make(map[int][]*Unit)
 	for _, n := range d.g.Sources() {
-		d.adapters[n.ID] = &srcAdapter{d: d, ended: make(map[graph.EdgeKey]bool)}
+		d.adapters[n.ID] = &srcAdapter{d: d}
 	}
 	for _, e := range d.g.Edges() {
 		from, to := d.g.Node(e.From), d.g.Node(e.To)
-		var target op.Sink
-		var tport int
+		target, tport := downstreamSink(to), e.ToPort
 		if d.cut[e.Key()] {
-			q := queue.New(fmt.Sprintf("q(%s->%s)", from.Name, to.Name), d.opts.QueueBound)
-			d.queues[e.Key()] = q
-			q.Subscribe(to.Op, e.ToPort)
-			vi := d.voOf[e.To]
-			d.units[vi] = append(d.units[vi], &Unit{
-				Q:         q,
-				Gate:      d.gates[vi],
-				Steepness: steep[e.To],
-				SegPos:    pos[e.To],
-			})
-			target, tport = q, 0
-		} else {
-			tport = e.ToPort
-			switch to.Kind {
-			case graph.KindSink:
-				target = to.Sink
-			default:
-				target = to.Op
-			}
+			target, tport = d.newOutlet(e, false), 0
 		}
-		switch from.Kind {
-		case graph.KindSource:
-			var gate *Gate
-			if !d.cut[e.Key()] && to.Kind != graph.KindSink {
-				gate = d.gates[d.voOf[e.To]]
-			}
-			a := d.adapters[from.ID]
-			a.targets = append(a.targets, srcTarget{sink: target, port: tport, gate: gate, key: e.Key()})
-		default:
-			if sh, ok := d.g.SplitEdgeShard(e); ok {
-				from.Op.(*op.Split).SubscribeShard(sh, e.ToPort, target, tport)
-			} else {
-				from.Op.Subscribe(target, tport)
-			}
+		if from.Kind != graph.KindSource {
+			d.subscribe(from, e, target, tport)
 		}
+	}
+}
+
+// newOutlet creates the queue of cut edge e, subscribed to e's consumer,
+// and the outlet its producer emits into. A closed queue is born with
+// its input ended, for an edge whose end-of-stream already went down.
+func (d *Deployment) newOutlet(e graph.Edge, closed bool) *outlet {
+	from, to := d.g.Node(e.From), d.g.Node(e.To)
+	q := queue.New(fmt.Sprintf("q(%s->%s)", from.Name, to.Name), d.opts.QueueBound)
+	if closed {
+		q.Done(0)
+		q.DrainBatch(nil, 0) // no subscriber yet: closes without a second Done
+	}
+	q.Subscribe(to.Op, e.ToPort)
+	o := &outlet{q: q, bound: d.opts.QueueBound}
+	d.outlets[e.Key()] = o
+	return o
+}
+
+// subscribe attaches target to the out-edge e of operator node from,
+// through the split's routing table when e leaves a shard split.
+func (d *Deployment) subscribe(from *graph.Node, e graph.Edge, target op.Sink, tport int) {
+	if sh, ok := d.g.SplitEdgeShard(e); ok {
+		from.Op.(*op.Split).SubscribeShard(sh, e.ToPort, target, tport)
+	} else {
+		from.Op.Subscribe(target, tport)
 	}
 }
 
@@ -431,6 +375,44 @@ func (d *Deployment) Err() error {
 	return d.err
 }
 
+// rebuild derives everything that follows from the wired queues and the
+// current VO layout: source targets and frontiers, units and executors.
+// Caller holds the world write lock or has not started the deployment.
+func (d *Deployment) rebuild() {
+	front := d.frontiers()
+	d.rewireTargets(front)
+	d.refreshUnits(front)
+	d.buildExecs()
+}
+
+// frontiers returns, per VO index, the frontier of the VO as the executor
+// of its group sees it: the outlets on the cut edges leaving the VO,
+// split by whether another executor drains their queue, sharing one
+// fresh holding count (every outlet is empty when the structure is
+// rebuilt). It is nil when queues are unbounded, since then nothing is
+// ever held back.
+func (d *Deployment) frontiers() map[int]frontier {
+	if d.opts.QueueBound == 0 {
+		return nil
+	}
+	front := make(map[int]frontier)
+	for k, o := range d.outlets {
+		vi := d.voOf[k.From]
+		f := front[vi]
+		if f.held == nil {
+			f.held = new(int)
+		}
+		o.holds = f.held
+		if d.groupOf[d.voOf[k.To]] == d.groupOf[vi] {
+			f.own = append(f.own, o)
+		} else {
+			f.wait = append(f.wait, o)
+		}
+		front[vi] = f
+	}
+	return front
+}
+
 // buildExecs creates one executor per group that owns at least one queue.
 func (d *Deployment) buildExecs() {
 	byGroup := make(map[int][]*Unit)
@@ -445,32 +427,12 @@ func (d *Deployment) buildExecs() {
 	sort.Ints(groups)
 	d.execGen++
 	d.execs = nil
-	d.execOf = make(map[int]*Exec, len(groups))
 	for _, gi := range groups {
 		us := byGroup[gi]
 		sort.Slice(us, func(i, j int) bool { return us[i].Q.Name() < us[j].Q.Name() })
 		prio := d.opts.Priority[gi]
-		x := newExec(fmt.Sprintf("exec-g%d", gi), us, d.opts.strategyFor(gi), d.opts.batch(), d.opts.quantum(), d.ts, prio, &d.world, d.fail)
+		x := newExec(fmt.Sprintf("exec-g%d", gi), us, d.opts.strategyFor(gi), d.opts.batch(), d.opts.quantum(), d.ts, prio, d.fail)
 		d.execs = append(d.execs, x)
-		d.execOf[gi] = x
-	}
-	d.wireHooks()
-}
-
-// wireHooks installs a cooperative-blocking hook on every decoupling
-// queue, bound to the queue's producing side: the executor of the group
-// that drains the producing partition when there is one, otherwise the
-// source goroutines pushing directly (see coop.go). Re-run after every
-// buildExecs — group assignments move under every live mutation. A
-// producer already parked keeps the hook it yielded through (the queue
-// snapshots it per park); old executors stay valid resume targets.
-func (d *Deployment) wireHooks() {
-	for k, q := range d.queues {
-		var x *Exec
-		if from := d.g.Node(k.From); from.Kind != graph.KindSource {
-			x = d.execOf[d.groupOf[d.voOf[k.From]]]
-		}
-		q.SetWaitHook(&pushHook{d: d, x: x})
 	}
 }
 
@@ -523,9 +485,10 @@ func (d *Deployment) Wait() {
 }
 
 // Stop aborts processing: sources are asked to stop, queues are poisoned
-// so producers blocked on backpressure are released, and executors halt
-// after their current batch. Queued elements may remain unprocessed or be
-// dropped.
+// so producers waiting for space are released, and executors halt after
+// their current batch. Queued elements may remain unprocessed, and what
+// outlets still hold back is dropped into the poisoned queues, where it
+// is counted.
 func (d *Deployment) Stop() {
 	if d.stopped.Swap(true) {
 		return
@@ -535,13 +498,22 @@ func (d *Deployment) Stop() {
 	for _, n := range d.g.Sources() {
 		n.Src.Stop()
 	}
-	for _, q := range d.queues {
-		q.Poison()
+	for _, o := range d.outlets {
+		o.q.Poison()
 	}
 	for _, x := range d.execs {
 		x.halt()
 	}
 	d.srcWG.Wait()
+	d.flushOutlets()
+}
+
+// flushOutlets force-flushes every outlet into its queue. Every driver
+// must be out: executors halted, sources finished or locked out.
+func (d *Deployment) flushOutlets() {
+	for _, o := range d.outlets {
+		o.flush(true)
+	}
 }
 
 // Queues returns the live decoupling queues in deterministic order; the
@@ -549,8 +521,8 @@ func (d *Deployment) Stop() {
 func (d *Deployment) Queues() []*queue.Queue {
 	d.admin.Lock()
 	defer d.admin.Unlock()
-	keys := make([]graph.EdgeKey, 0, len(d.queues))
-	for k := range d.queues {
+	keys := make([]graph.EdgeKey, 0, len(d.outlets))
+	for k := range d.outlets {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {
@@ -565,7 +537,7 @@ func (d *Deployment) Queues() []*queue.Queue {
 	})
 	out := make([]*queue.Queue, len(keys))
 	for i, k := range keys {
-		out[i] = d.queues[k]
+		out[i] = d.outlets[k].q
 	}
 	return out
 }
@@ -587,7 +559,10 @@ func (d *Deployment) Cut() map[graph.EdgeKey]bool {
 func (d *Deployment) Queue(k graph.EdgeKey) *queue.Queue {
 	d.admin.Lock()
 	defer d.admin.Unlock()
-	return d.queues[k]
+	if o := d.outlets[k]; o != nil {
+		return o.q
+	}
+	return nil
 }
 
 // Execs returns the current executors.

@@ -164,10 +164,10 @@ func TestDeploymentAccessors(t *testing.T) {
 }
 
 func TestReconfigureAcceptsBoundedQueues(t *testing.T) {
-	// Cooperative blocking (coop.go) lifted the old "Reconfigure requires
-	// unbounded queues" refusal; re-cutting a bounded deployment — here
-	// before Start, the degenerate splice — must succeed, and inserted
-	// queues must inherit the deployment bound.
+	// Bounded queues are safe under live mutation (coop.go), so there is
+	// no "Reconfigure requires unbounded queues" refusal; re-cutting a
+	// bounded deployment — here before Start, the degenerate splice —
+	// must succeed, and inserted queues must inherit the deployment bound.
 	g, _ := chainGraph(10)
 	d, err := Build(g, GTS(g), Options{QueueBound: 8})
 	if err != nil {

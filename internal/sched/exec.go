@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -33,7 +32,6 @@ type Exec struct {
 	quantum time.Duration
 	ts      *TS
 	proc    *Proc
-	world   *sync.RWMutex
 
 	notify chan int
 	dirty  []atomic.Bool
@@ -41,18 +39,13 @@ type Exec struct {
 	// replacing the old O(n) all-closed rescan.
 	open atomic.Int32
 
-	// Cooperative-blocking state (see coop.go). gid is the executor
-	// goroutine's id, published so the wait hook can tell the executor's
-	// own pushes apart from a fused source pushing through the same
-	// partition. owns is the set of queues this executor drains: a push
-	// into one of them from this executor's own goroutine must never park
-	// (producer == consumer), it overshoots the bound instead. permit and
-	// holdsWorld are owned by the executor goroutine and back the
-	// lock-order assertions on the yield paths.
-	gid        atomic.Int64
-	owns       map[*queue.Queue]struct{}
-	permit     bool
-	holdsWorld bool
+	// permit records whether the executor goroutine holds its TS run
+	// permit: a wait for queue space gives it up mid-slice. pending is a
+	// unit whose VO's frontier held output back in the last drain; it is
+	// settled before anything else (see coop.go). Both are owned by the
+	// executor goroutine.
+	permit  bool
+	pending *Unit
 
 	launched atomic.Bool
 	stop     chan struct{}
@@ -67,7 +60,7 @@ type Exec struct {
 
 // newExec wires an executor over units. A nil ts disables level 3 (the
 // executor runs whenever it has work, like plain OTS/GTS threads).
-func newExec(name string, units []*Unit, strat Strategy, batch int, quantum time.Duration, ts *TS, prio int, world *sync.RWMutex, onFail func(error)) *Exec {
+func newExec(name string, units []*Unit, strat Strategy, batch int, quantum time.Duration, ts *TS, prio int, onFail func(error)) *Exec {
 	if batch < 1 {
 		batch = 1
 	}
@@ -79,7 +72,6 @@ func newExec(name string, units []*Unit, strat Strategy, batch int, quantum time
 		scratch: make([]stream.Element, batch),
 		quantum: quantum,
 		ts:      ts,
-		world:   world,
 		notify:  make(chan int, max(len(units), 1)),
 		dirty:   make([]atomic.Bool, len(units)),
 		stop:    make(chan struct{}),
@@ -89,10 +81,6 @@ func newExec(name string, units []*Unit, strat Strategy, batch int, quantum time
 	if ts != nil {
 		x.proc = &Proc{Name: name}
 		x.proc.SetPriority(prio)
-	}
-	x.owns = make(map[*queue.Queue]struct{}, len(units))
-	for _, u := range units {
-		x.owns[u.Q] = struct{}{}
 	}
 	for i, u := range units {
 		if !u.closed {
@@ -177,9 +165,8 @@ func (x *Exec) wait() { <-x.done }
 
 func (x *Exec) run() {
 	defer close(x.done)
-	x.gid.Store(goid())
 	for {
-		if x.open.Load() == 0 {
+		if x.open.Load() == 0 && x.pending == nil {
 			return
 		}
 		select {
@@ -194,13 +181,7 @@ func (x *Exec) run() {
 			x.permit = true
 		}
 		idle := x.runSlice()
-		// The permit may already be gone: a park on a full downstream
-		// queue yields it, and a stop during the park means it was never
-		// reacquired (see resumeFor).
-		if x.ts != nil && x.permit {
-			x.ts.Release(x.proc)
-			x.permit = false
-		}
+		x.releasePermit()
 		if idle {
 			if x.open.Load() == 0 {
 				return
@@ -213,7 +194,11 @@ func (x *Exec) run() {
 }
 
 // runSlice drains units until the quantum expires, stop is requested, or
-// no unit is ready; it reports whether it stopped for lack of work.
+// no unit is ready; it reports whether it stopped for lack of work. Each
+// drain is a VO entry, the one place the executor waits for queue space:
+// while the frontier of the unit's VO holds back output of an earlier
+// drain that does not fit, the slice ends with the permit released and
+// the executor parked on the full queue (stop aborts the wait).
 func (x *Exec) runSlice() bool {
 	start := time.Now()
 	for {
@@ -222,26 +207,33 @@ func (x *Exec) runSlice() bool {
 			return false
 		default:
 		}
-		x.world.RLock()
-		x.holdsWorld = true
+		if u := x.pending; u != nil {
+			_, _, full, err := x.enter(u, false)
+			if full != nil {
+				return x.waitSpace(full)
+			}
+			x.pending = nil
+			if err != nil {
+				if x.onFail != nil {
+					x.onFail(err)
+				}
+				return false
+			}
+		}
 		x.drainNotify()
 		i := x.strat.Pick()
 		if i < 0 {
-			x.holdsWorld = false
-			x.world.RUnlock()
 			return true
 		}
-		u := x.units[i]
-		n, open, err := x.drain(u)
-		if err == nil {
+		n, open, full, err := x.enter(x.units[i], true)
+		if full != nil {
+			return x.waitSpace(full)
+		}
+		if err == nil && open {
 			// Re-index the drained unit from its fresh gauges; closed
 			// units are removed below instead.
-			if open {
-				x.strat.Update(i)
-			}
+			x.strat.Update(i)
 		}
-		x.holdsWorld = false
-		x.world.RUnlock()
 		x.processed.Add(uint64(n))
 		if err != nil {
 			// An operator downstream of this queue panicked. Contain it:
@@ -262,17 +254,34 @@ func (x *Exec) runSlice() bool {
 	}
 }
 
-// drain runs one batch with gate locking and panic containment. It uses
-// the batched transfer path: up to batch elements are copied out of the
-// queue under one lock acquisition into the executor's scratch slice and
-// delivered downstream outside the queue lock.
-func (x *Exec) drain(u *Unit) (n int, open bool, err error) {
+// waitSpace parks the executor on a full frontier queue with its permit
+// released, until the queue has room or stop closes; it ends the slice.
+func (x *Exec) waitSpace(q *queue.Queue) bool {
+	x.releasePermit()
+	q.WaitSpace(x.stop)
+	return false
+}
+
+// releasePermit gives the TS run permit back if the executor holds it.
+func (x *Exec) releasePermit() {
+	if x.permit {
+		x.ts.Release(x.proc)
+		x.permit = false
+	}
+}
+
+// enter runs one entry into u's VO under the VO gate, with panic
+// containment. It settles what the VO's frontier holds back; if an outlet
+// there stays full it returns that outlet's queue. Otherwise, when drain
+// is set, it runs one batch through the batched transfer path — up to
+// batch elements copied out of u's queue under one lock acquisition into
+// the executor's scratch slice and delivered downstream outside the queue
+// lock — and notes u as pending if the frontier held output back. A gate
+// holder never waits on anything but the CPU (coop.go), so the gate is
+// awaited with the permit held.
+func (x *Exec) enter(u *Unit, drain bool) (n int, open bool, full *queue.Queue, err error) {
 	if u.Gate != nil {
-		if !x.lockGate(u.Gate) {
-			// stop closed while waiting; report the unit untouched and let
-			// runSlice observe stop.
-			return 0, true, nil
-		}
+		u.Gate.Lock()
 		defer u.Gate.Unlock()
 	}
 	defer func() {
@@ -280,82 +289,14 @@ func (x *Exec) drain(u *Unit) (n int, open bool, err error) {
 			err = fmt.Errorf("sched: operator panic in partition of %s: %v", u.Q.Name(), r)
 		}
 	}()
+	if full = u.front.settle(); full != nil || !drain {
+		return 0, true, full, nil
+	}
 	n, open = u.Q.DrainBatch(x.scratch, x.batch)
-	return n, open, nil
-}
-
-// lockGate acquires a VO entry gate cooperatively: the gate's holder may
-// be a fused source that is itself parked on downstream backpressure, so
-// waiting for it while holding the TS run permit could starve the very
-// partition that would unpark it. If the gate is contended the permit is
-// released for the wait and reacquired afterwards; stop aborts the wait.
-// It reports whether the gate was acquired.
-func (x *Exec) lockGate(g *Gate) bool {
-	if g.TryLock() {
-		return true
+	if u.front.holding() {
+		x.pending = u
 	}
-	if x.ts != nil && x.permit {
-		x.ts.Release(x.proc)
-		x.permit = false
-	}
-	if !g.lockOrStop(x.stop) {
-		return false
-	}
-	if x.ts != nil && !x.permit {
-		if !x.ts.Acquire(x.proc, x.stop) {
-			g.Unlock()
-			return false
-		}
-		x.permit = true
-	}
-	return true
-}
-
-// yieldFor is the executor half of the wait hook (see coop.go): called on
-// the executor's own goroutine when a push into downstream queue q must
-// park for space. It releases the TS run permit and the world read lock —
-// everything the consumer partition and a pending Reconfigure need — and
-// arms the executor's stop channel as the park's abort signal so halting
-// never hangs behind backpressure.
-func (x *Exec) yieldFor(q *queue.Queue) (bool, <-chan struct{}) {
-	if _, mine := x.owns[q]; mine {
-		// Producer and consumer are the same executor (GTS, or a cut edge
-		// internal to one group): parking could never be woken. Overshoot
-		// the bound instead; the strategy drains the queue next.
-		return false, nil
-	}
-	if x.ts != nil && !x.permit {
-		// The permit was already lost to a stop during an earlier park in
-		// this same slice; force the rest of the push through so the slice
-		// can unwind without re-parking.
-		return false, nil
-	}
-	if !x.holdsWorld {
-		panic("sched: lock-order violation: executor parking without the world read lock")
-	}
-	if x.ts != nil {
-		x.ts.Release(x.proc)
-		x.permit = false
-	}
-	x.holdsWorld = false
-	x.world.RUnlock()
-	return true, x.stop
-}
-
-// resumeFor reacquires what yieldFor released, in the documented order:
-// world read lock first, then the TS permit. A stop during reacquisition
-// leaves the executor without a permit; the push completes (past the
-// bound if it was woken by the abort) and runSlice exits at its next stop
-// check, with run() skipping the final Release.
-func (x *Exec) resumeFor(_ *queue.Queue, _ bool) {
-	if x.holdsWorld {
-		panic("sched: lock-order violation: executor resuming with the world read lock held")
-	}
-	x.world.RLock()
-	x.holdsWorld = true
-	if x.ts != nil && !x.permit && x.ts.Acquire(x.proc, x.stop) {
-		x.permit = true
-	}
+	return n, open, nil, nil
 }
 
 // waitWork blocks until some unit is ready or stop closes; it returns

@@ -75,11 +75,11 @@ type Options struct {
 	// TS enables the level-3 thread scheduler.
 	TS *TSConfig
 	// QueueBound bounds every decoupling queue (0 = unbounded). Bounded
-	// queues provide backpressure and cooperate with the scheduler
-	// (see coop.go), so they are safe with a TS and with every live
-	// mutation (Reconfigure, Splice, Reshard). The bound is strict for
-	// cross-executor producers; same-executor edges overshoot it instead
-	// of self-deadlocking.
+	// queues provide backpressure at VO entry (see coop.go), so they are
+	// safe with a TS and with every live mutation (Reconfigure, Splice,
+	// Reshard). The bound is strict for cross-executor producers, whose
+	// output that does not fit waits in the producer; same-executor edges
+	// and live mutations overshoot it instead of self-deadlocking.
 	QueueBound int
 	// Priority sets the base priority per executor group index (higher
 	// runs first at the TS).

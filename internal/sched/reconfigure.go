@@ -1,25 +1,27 @@
 package sched
 
 import (
+	"slices"
+
 	"github.com/dsms/hmts/internal/graph"
 	"github.com/dsms/hmts/internal/op"
 )
 
 // refreshUnits rebuilds the Unit wrappers around the existing queues,
-// carrying completion state over.
-func (d *Deployment) refreshUnits() {
+// carrying completion state over, each with its VO's frontier.
+func (d *Deployment) refreshUnits(front map[int]frontier) {
 	steep, pos := chainMeta(d.g)
 	d.units = make(map[int][]*Unit)
-	for k, q := range d.queues {
+	for k, o := range d.outlets {
 		vi := d.voOf[k.To]
-		u := &Unit{
-			Q:         q,
+		d.units[vi] = append(d.units[vi], &Unit{
+			Q:         o.q,
 			Gate:      d.gates[vi],
 			Steepness: steep[k.To],
 			SegPos:    pos[k.To],
-			closed:    q.Closed(),
-		}
-		d.units[vi] = append(d.units[vi], u)
+			front:     front[vi],
+			closed:    o.q.Closed(),
+		})
 	}
 }
 
@@ -35,18 +37,10 @@ func (d *Deployment) refreshUnits() {
 // and queues unchanged and processing continuing. An empty strategy keeps
 // the deployment's default.
 //
-// Bounded queues are supported: parked producers cooperate (coop.go) —
-// halting executors force-flushes their in-flight push past the bound,
-// and a parked source yields its world read lock, so the mutation can run
-// past a full queue. A source blocked on a VO entry gate (whose holder
-// may be such a parked source) likewise yields its read lock around the
-// wait and re-resolves its target afterwards, since the mutation may have
-// moved the edge's queue placement or replaced the gate (see
-// srcAdapter.lockTarget). Two bound relaxations apply during the mutation
-// only: the drain of removed queues may push past downstream bounds
-// (every executor is halted, nothing else could free space), and a
-// source parked on a queue that is spliced out has its in-flight element
-// dropped and counted when the removed queue is poisoned.
+// Bounded queues are supported: no thread is ever parked inside an
+// operator (coop.go), so the mutation waits only for the entries in
+// progress to finish. Draining a removed queue may push past downstream
+// bounds, and every element reaches its sink.
 func (d *Deployment) Reconfigure(plan Plan, strategy string) error {
 	return d.mutate("Reconfigure", plan.Groups, func(sp *Splicer) error {
 		newCut, err := normalizeCut(d.g, plan.Cut)
@@ -79,16 +73,19 @@ func downstreamSink(n *graph.Node) op.Sink {
 	return n.Op
 }
 
-// rewireTargets recomputes every source adapter's resolved targets from
-// the current cut and gates. Caller holds the world write lock. A splice
-// may add or remove source out-edges, so indexes do NOT survive a rewire;
-// each target carries its graph edge key and lockTarget re-resolves a
-// stale entry by key. wireGen is bumped so a source that yielded its read
-// lock around a park or a gate wait can detect the rewire.
-func (d *Deployment) rewireTargets() {
-	d.wireGen++
+// rewireTargets recomputes every source adapter's resolved targets, gate
+// and frontier from the current cut, gates and VOs. Caller holds the world
+// write lock (or the deployment has not started), so no source is in the
+// middle of a delivery.
+func (d *Deployment) rewireTargets(front map[int]frontier) {
 	for _, n := range d.g.Sources() {
-		d.adapters[n.ID].targets = nil
+		vi := d.voOf[n.ID]
+		a := d.adapters[n.ID]
+		a.targets = nil
+		a.gate = d.gates[vi]
+		// A source drains no queue, so it waits on its whole frontier.
+		f := front[vi]
+		a.front = frontier{wait: slices.Concat(f.wait, f.own), held: f.held}
 	}
 	for _, e := range d.g.Edges() {
 		from, to := d.g.Node(e.From), d.g.Node(e.To)
@@ -96,14 +93,10 @@ func (d *Deployment) rewireTargets() {
 			continue
 		}
 		a := d.adapters[from.ID]
-		if q := d.queues[e.Key()]; q != nil {
-			a.targets = append(a.targets, srcTarget{sink: q, port: 0, key: e.Key()})
-			continue
+		if o := d.outlets[e.Key()]; o != nil {
+			a.targets = append(a.targets, srcTarget{sink: o})
+		} else {
+			a.targets = append(a.targets, srcTarget{sink: downstreamSink(to), port: e.ToPort})
 		}
-		var gate *Gate
-		if to.Kind != graph.KindSink {
-			gate = d.gates[d.voOf[e.To]]
-		}
-		a.targets = append(a.targets, srcTarget{sink: downstreamSink(to), port: e.ToPort, gate: gate, key: e.Key()})
 	}
 }

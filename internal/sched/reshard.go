@@ -10,10 +10,10 @@ import (
 
 // Reshard changes the replica count of a live shard region with state
 // handoff, through the live-mutation primitive (see mutate): executors are
-// halted, the world write lock is taken (sources pause at their next
-// element; parked producers have yielded their locks per coop.go), and the
-// mutating goroutine may push past queue bounds because nothing else can
-// free space. A no-op resize returns before anything is halted.
+// halted and the world write lock is taken, so no thread is inside the
+// split, a replica or the merge, and the mutating goroutine's drains may
+// push past queue bounds. A no-op resize returns before anything is
+// halted.
 //
 // The protocol:
 //

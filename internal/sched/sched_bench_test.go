@@ -145,19 +145,19 @@ func BenchmarkStrategyScanPick(b *testing.B) {
 // path end to end (enqueue, strategy pick, batched drain, DI delivery).
 // ns/op is the per-element cost.
 func benchExecThroughput(b *testing.B, nq, nprod, batch int) {
-	var world sync.RWMutex
 	units := make([]*Unit, nq)
 	qs := make([]*queue.Queue, nq)
 	for i := range units {
-		// Bounded so the measurement stays in steady state instead of
-		// degenerating into ring growth when producers outrun the executor.
+		// Bounded, with producers waiting for space before each burst, so
+		// the measurement stays in steady state instead of degenerating
+		// into ring growth when producers outrun the executor.
 		q := queue.New(fmt.Sprintf("q%d", i), 4096)
 		q.SetProducers(nprod)
 		q.Subscribe(devnull{}, 0)
 		qs[i] = q
 		units[i] = &Unit{Q: q}
 	}
-	x := newExec("bench", units, &RoundRobin{}, batch, time.Millisecond, nil, 0, &world, nil)
+	x := newExec("bench", units, &RoundRobin{}, batch, time.Millisecond, nil, 0, nil)
 	per := b.N / (nq * nprod)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -177,10 +177,12 @@ func benchExecThroughput(b *testing.B, nq, nprod, batch int) {
 				for i := 0; i < n; i++ {
 					buf = append(buf, stream.Element{TS: int64(i)})
 					if len(buf) == burst {
+						q.WaitSpace(nil)
 						q.ProcessBatch(0, buf)
 						buf = buf[:0]
 					}
 				}
+				q.WaitSpace(nil)
 				q.ProcessBatch(0, buf)
 				q.Done(0)
 			}(q, n)

@@ -1,24 +1,24 @@
 package sched
 
 import (
-	"fmt"
-
 	"github.com/dsms/hmts/internal/graph"
 	"github.com/dsms/hmts/internal/op"
-	"github.com/dsms/hmts/internal/queue"
 	"github.com/dsms/hmts/internal/stream"
 )
 
 // mutate is the one live-mutation primitive: Splice, Reconfigure and
-// Reshard are thin callers of it. It halts every executor, takes the world
-// write lock so sources pause at their next element, and registers the
-// calling goroutine with the cooperative-blocking hooks so its own drains
-// may push past queue bounds (nothing else could free space while
-// everything is halted). fn then changes the structure through the
-// Splicer; afterwards VOs, groups and gates are re-derived (grouped by
-// groups, keeping the deployment's single-group discipline), source
-// targets rewired, units rebuilt around the queues and a fresh executor
-// set started.
+// Reshard are thin callers of it. It halts every executor and takes the
+// world write lock. Producers wait for queue space only at VO entry,
+// holding nothing (coop.go), so once the lock is granted no goroutine is
+// inside an operator: an executor has exited, and a source is either
+// parked before its entry or blocked on the read lock. What outlets hold
+// back is force-flushed into the queues, before fn and again after it,
+// so no element is in flight across the mutation. fn then changes the
+// structure through the Splicer, and any drain it runs may push past
+// queue bounds. Afterwards VOs, groups and gates are re-derived (grouped
+// by groups, keeping the deployment's single-group discipline), source
+// targets and frontiers rewired, units rebuilt around the queues and a
+// fresh executor set started.
 //
 // The failure contract: fn validates before it touches anything, so an
 // error it returns leaves the cut, VOs and queues as they were (a callback
@@ -37,7 +37,7 @@ func (d *Deployment) mutate(what string, groups [][]int, fn func(*Splicer) error
 		x.halt()
 	}
 	d.world.Lock()
-	d.spliceGid.Store(goid())
+	d.flushOutlets()
 	err := fn(&Splicer{d: d})
 	if err == nil {
 		err = d.analyze(groups, d.single)
@@ -46,10 +46,10 @@ func (d *Deployment) mutate(what string, groups [][]int, fn func(*Splicer) error
 		// The default grouping fits any structure, so this cannot fail.
 		_ = d.analyze(nil, d.single)
 	}
-	d.rewireTargets()
-	d.refreshUnits()
-	d.buildExecs()
-	d.spliceGid.Store(0)
+	// Drains inside fn may have left output held in outlets whose VO sees
+	// no further entry.
+	d.flushOutlets()
+	d.rebuild()
 	d.world.Unlock()
 	if d.started {
 		for _, x := range d.execs {
@@ -108,15 +108,8 @@ func (sp *Splicer) AddEdge(e graph.Edge, cut bool) {
 	var target op.Sink
 	var tport int
 	if cut {
-		q := queue.New(fmt.Sprintf("q(%s->%s)", from.Name, to.Name), d.opts.QueueBound)
-		if sent {
-			q.Done(0)
-			q.DrainBatch(nil, 0) // no subscriber yet: closes without a second Done
-		}
-		q.Subscribe(to.Op, e.ToPort)
-		d.queues[k] = q
+		target, tport = d.newOutlet(e, sent), 0
 		d.cut[k] = true
-		target, tport = q, 0
 	} else {
 		target, tport = downstreamSink(to), e.ToPort
 	}
@@ -127,19 +120,12 @@ func (sp *Splicer) AddEdge(e graph.Edge, cut bool) {
 		// the end of the mutation; only completion needs propagating here.
 		finished = d.adapters[from.ID].finished.Load()
 	default:
-		if sh, ok := d.g.SplitEdgeShard(e); ok {
-			from.Op.(*op.Split).SubscribeShard(sh, e.ToPort, target, tport)
-		} else {
-			from.Op.Subscribe(target, tport)
-		}
+		d.subscribe(from, e, target, tport)
 		finished = opClosed(from)
 	}
 	if finished && !replaced {
 		// The producer's Done already fired on its old edges; the new edge
 		// would wait forever, so deliver end-of-stream now.
-		if a := d.adapters[from.ID]; a != nil {
-			a.ended[k] = true
-		}
 		target.Done(tport)
 	}
 }
@@ -152,9 +138,9 @@ func (sp *Splicer) RemoveEdge(e graph.Edge, fromDying bool) {
 }
 
 // retire takes one edge out of the live deployment without touching the
-// graph. A queue on the edge is first drained to completion — its
-// elements, and a pending end-of-stream, are delivered downstream, not
-// dropped — then poisoned so a producer parked on it wakes. fromDying
+// graph. A queue on the edge is first drained to completion — what its
+// outlet holds back, its elements and a pending end-of-stream are
+// delivered downstream, not dropped — then poisoned. fromDying
 // marks edges whose producer node is itself being pruned or rebuilt: its
 // subscriptions die with it, so only the queue is retired (unsubscribing
 // a shard split's routed edges individually is neither needed nor
@@ -167,11 +153,13 @@ func (sp *Splicer) retire(e graph.Edge, fromDying bool) {
 		sp.retired = make(map[graph.EdgeKey]bool)
 	}
 	if from.Kind == graph.KindSource {
-		sp.retired[k] = d.adapters[from.ID].ended[k]
+		sp.retired[k] = d.adapters[from.ID].finished.Load()
 	} else {
 		sp.retired[k] = opClosed(from)
 	}
-	if q := d.queues[k]; q != nil {
+	if o := d.outlets[k]; o != nil {
+		o.flush(true)
+		q := o.q
 		scratch := make([]stream.Element, 1024)
 		for q.Len() > 0 {
 			q.DrainBatch(scratch, len(scratch))
@@ -179,14 +167,14 @@ func (sp *Splicer) retire(e graph.Edge, fromDying bool) {
 		if q.InputClosed() && !q.Closed() {
 			q.DrainBatch(scratch, len(scratch)) // propagate the pending Done
 		}
-		delete(d.queues, k)
+		delete(d.outlets, k)
 		delete(d.cut, k)
 		if from.Kind != graph.KindSource && !fromDying {
-			from.Op.Unsubscribe(q, 0)
+			from.Op.Unsubscribe(o, 0)
 		}
-		// A producer parked on this queue (read lock yielded) wakes into
-		// an orphaned buffer; poison it so the straggler is counted, not
-		// silently retained.
+		// A source parked on this queue wakes and re-enters through the
+		// rewired targets; poison it so anything that still reached the
+		// orphaned buffer would be counted in Dropped, not retained.
 		q.Poison()
 	} else if from.Kind != graph.KindSource && !fromDying {
 		from.Op.Unsubscribe(downstreamSink(to), e.ToPort)

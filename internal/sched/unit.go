@@ -15,6 +15,8 @@
 package sched
 
 import (
+	"sync"
+
 	"github.com/dsms/hmts/internal/queue"
 )
 
@@ -25,14 +27,18 @@ type Unit struct {
 	Q *queue.Queue
 	// Gate, when non-nil, serializes entry into the virtual operator this
 	// queue feeds; it is shared with any autonomous sources fused into
-	// the same VO. Executors acquire it cooperatively (see Exec.lockGate).
-	Gate *Gate
+	// the same VO.
+	Gate *sync.Mutex
 	// Steepness is the drop rate of the Chain lower-envelope segment the
 	// fed operator belongs to; larger runs first under the Chain strategy.
 	Steepness float64
 	// SegPos orders operators within one chain (0 = closest to the
 	// source); Chain breaks steepness ties in favor of earlier operators.
 	SegPos int
+	// front is the fed VO's frontier as this unit's executor sees it;
+	// the executor settles it before it drains the unit (see coop.go).
+	// Set by buildExecs.
+	front frontier
 	// closed flips once the queue has fully finished (input closed,
 	// drained, Done propagated). Owned by the executor goroutine; the
 	// strategies read it through gaugesOf on that same goroutine.

@@ -26,9 +26,9 @@ type QueueMetrics struct {
 	MaxLen     int
 	Enqueued   uint64
 	Dequeued   uint64
-	FullBlocks uint64 // times a producer parked on this queue full
-	BlockedNS  int64  // cumulative nanoseconds producers spent parked
-	Overshoot  uint64 // elements enqueued past the bound (veto/abort/teardown)
+	FullBlocks uint64 // times a producer waited for space on this queue full
+	BlockedNS  int64  // cumulative nanoseconds producers spent waiting
+	Overshoot  uint64 // elements enqueued past the bound (self-feed, live mutation)
 	Closed     bool
 }
 
