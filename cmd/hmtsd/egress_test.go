@@ -19,6 +19,10 @@ func pending(o *egress) int {
 	return len(o.buf)
 }
 
+// stallSockBuf is the socket buffer size, each way, of the connections in
+// TestServerSlowReaderBackpressure.
+const stallSockBuf = 64 << 10
+
 // TestServerSlowReaderBackpressure runs two sessions side by side. Session
 // A's client keeps pushing PUSHB frames under POLICY block but never reads
 // a line; session B is a well-behaved client. A's egress must fill to its
@@ -40,6 +44,11 @@ func TestServerSlowReaderBackpressure(t *testing.T) {
 			if err != nil {
 				return
 			}
+			// A fixed send buffer (which also turns off the kernel's
+			// autotuning) bounds what the kernel absorbs from a
+			// session nobody reads, so session A's stall is a fixed
+			// point and not a pause.
+			conn.(*net.TCPConn).SetWriteBuffer(stallSockBuf)
 			s := newSession(conn)
 			sessions <- s
 			go func() {
@@ -83,6 +92,7 @@ func TestServerSlowReaderBackpressure(t *testing.T) {
 	t.Run("stalled", func(t *testing.T) {
 		testutil.VerifyNoLeaks(t)
 		a := dial(t, addr)
+		a.conn.(*net.TCPConn).SetReadBuffer(stallSockBuf)
 		sa := <-sessions
 		setup(a)
 		// serve registered the source before queuing its reply on sa.out,
@@ -117,11 +127,12 @@ func TestServerSlowReaderBackpressure(t *testing.T) {
 		deadline := time.Now().Add(30 * time.Second)
 		for {
 			before := ext.Stats().Accepted
+			full := true
 			for i := 0; i < 8; i++ {
 				bStep()
-				below()
+				full = below() >= egressCap && full
 			}
-			if ext.Stats().Accepted == before && below() >= egressCap {
+			if ext.Stats().Accepted == before && full {
 				break
 			}
 			if time.Now().After(deadline) {

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/dsms/hmts/internal/graph"
@@ -87,16 +88,35 @@ func Fig7(s Scale) *Report {
 	}
 	ms = thin(ms, s.Points)
 	for _, m := range ms {
-		di := timedRun(m, 1, func(g *graph.Graph) sched.Plan { return sched.DI(g) }, "")
-		ots := timedRun(m, 1, func(g *graph.Graph) sched.Plan { return sched.OTS(g) }, "")
-		gtsChain := timedRun(m, 1, func(g *graph.Graph) sched.Plan { return sched.GTS(g) }, "chain")
-		gtsFIFO := timedRun(m, 1, func(g *graph.Graph) sched.Plan { return sched.GTS(g) }, "fifo")
+		// One run is tens of milliseconds at Fast scale, as short as the
+		// host's scheduling noise, so each cell is the median of
+		// fig7Reps runs, interleaved across the settings so that a slow
+		// spell of the host does not land on one setting only.
+		var runs [4][fig7Reps]time.Duration
+		for i := 0; i < fig7Reps; i++ {
+			runs[0][i] = timedRun(m, 1, func(g *graph.Graph) sched.Plan { return sched.DI(g) }, "")
+			runs[1][i] = timedRun(m, 1, func(g *graph.Graph) sched.Plan { return sched.OTS(g) }, "")
+			runs[2][i] = timedRun(m, 1, func(g *graph.Graph) sched.Plan { return sched.GTS(g) }, "chain")
+			runs[3][i] = timedRun(m, 1, func(g *graph.Graph) sched.Plan { return sched.GTS(g) }, "fifo")
+		}
+		di, ots, gtsChain, gtsFIFO := medianDur(runs[0][:]), medianDur(runs[1][:]),
+			medianDur(runs[2][:]), medianDur(runs[3][:])
 		r.AddRow(fmt.Sprint(m),
 			fmtMS(di), fmtMS(ots), fmtMS(gtsChain), fmtMS(gtsFIFO),
 			f2(ratio(ots, di)), f2(ratio(gtsChain, di)))
 	}
 	r.AddNote("paper: DI ~40%% faster than OTS; OTS significantly faster than GTS (multicore); FIFO ~= Chain")
 	return r
+}
+
+// fig7Reps is how many runs of each setting a Figure 7 cell is the
+// median of.
+const fig7Reps = 5
+
+// medianDur returns the median of ds, reordering ds.
+func medianDur(ds []time.Duration) time.Duration {
+	slices.Sort(ds)
+	return ds[len(ds)/2]
 }
 
 // timedRun builds q copies of the 5-selection query and measures total
