@@ -59,8 +59,8 @@ func main() {
 		sort.Slice(vos, func(i, j int) bool { return vos[i].Cap() < vos[j].Cap() })
 		fmt.Printf("== %s: %d nodes, %d queues, %d virtual operators ==\n", name, g.Len(), len(cut), len(vos))
 		for _, v := range vos {
-			fmt.Printf("  nodes=%-24v c(P)=%9.0fns  d(P)=%9.0fns  cap=%10.0fns\n",
-				v.Nodes, v.CNS, v.DNS(), v.Cap())
+			fmt.Printf("  nodes=%-24v c(P)=%9.0fns  d(P)=%9.0fns  cap=%10.0fns  load=%6.2f\n",
+				v.Nodes, v.CNS, v.DNS(), v.Cap(), v.Load)
 		}
 		sum := vo.Summarize(vos)
 		fmt.Printf("  summary: %d stalling VOs, avg negative %.2fms, avg positive %.2fms\n\n",

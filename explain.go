@@ -10,8 +10,12 @@ import (
 
 // Explain renders the engine's current execution plan for humans: each
 // virtual operator with its members, combined cost c(P), combined
-// interarrival d(P) and capacity cap(P) = d(P) − c(P), plus the queue
-// placements. Before Run it explains the graph as one would-be plan;
+// interarrival d(P), capacity cap(P) = d(P) − c(P) and load(P), the share
+// of one core its members need, plus the queue placements. A VO is marked
+// STALLS when its load is above 1: one thread cannot keep up with it. A
+// VO of cheap siblings fused behind one producer can read a negative
+// cap(P), which counts each member's input as its own arrival stream, and
+// still keep up. Before Run it explains the graph as one would-be plan;
 // after Run it reflects the live deployment (including runtime
 // re-partitioning).
 func (e *Engine) Explain() string {
@@ -29,19 +33,19 @@ func (e *Engine) Explain() string {
 	for i, c := range comps {
 		vos[i] = vo.Of(e.g, c)
 	}
-	sort.Slice(vos, func(i, j int) bool { return vos[i].Cap() < vos[j].Cap() })
+	sort.Slice(vos, func(i, j int) bool { return vos[i].Load > vos[j].Load })
 	for _, v := range vos {
 		names := make([]string, len(v.Nodes))
 		for i, id := range v.Nodes {
 			names[i] = e.g.Node(id).Name
 		}
 		status := "ok"
-		if v.Cap() < 0 {
+		if v.Load > 1 {
 			status = "STALLS"
 		}
-		fmt.Fprintf(&b, "  VO{%s}  c(P)=%s  d(P)=%s  cap=%s  [%s]\n",
+		fmt.Fprintf(&b, "  VO{%s}  c(P)=%s  d(P)=%s  cap=%s  load=%.2f  [%s]\n",
 			strings.Join(names, " → "),
-			fmtNS(v.CNS), fmtNS(v.DNS()), fmtNS(v.Cap()), status)
+			fmtNS(v.CNS), fmtNS(v.DNS()), fmtNS(v.Cap()), v.Load, status)
 	}
 	qs := e.d.Queues()
 	fmt.Fprintf(&b, "queues (%d):\n", len(qs))

@@ -1,6 +1,7 @@
 package hmts_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -172,6 +173,42 @@ func TestExplain(t *testing.T) {
 	}
 	eng.Wait()
 	sink.Wait()
+}
+
+// TestExplainFanOutLoad: twenty cheap siblings fused behind one producer
+// read a negative cap(P) — d(P) counts each sibling's input as its own
+// arrival stream — yet need 0.61 of one core, so Explain reports the
+// load and marks the VO ok, not STALLS.
+func TestExplainFanOutLoad(t *testing.T) {
+	eng := hmts.New()
+	src := eng.Source("src", hmts.GenerateStamped(20_000, 100_000, hmts.SeqKeys()))
+	pre := src.Where("pre", func(e hmts.Element) bool { return true }).Hint(100, 1)
+	var sinks []*hmts.Counter
+	for i := 0; i < 20; i++ {
+		sinks = append(sinks, pre.
+			Where(fmt.Sprintf("sib%d", i), func(e hmts.Element) bool { return e.Key%2 == 0 }).Hint(300, 0.5).
+			CountSink(fmt.Sprintf("out%d", i)))
+	}
+	eng.MustRun(hmts.RunConfig{Mode: hmts.ModeHMTS})
+	s := eng.Explain()
+	var line string
+	for _, l := range strings.Split(s, "\n") {
+		if strings.Contains(l, "sib0 ") {
+			line = l
+		}
+	}
+	for _, want := range []string{"sib19", "cap=-", "load=0.61", "[ok]"} {
+		if !strings.Contains(line, want) {
+			t.Fatalf("fan-out VO line lacks %q:\n%s", want, s)
+		}
+	}
+	if strings.Contains(s, "STALLS") {
+		t.Fatalf("a VO within one core flagged as stalling:\n%s", s)
+	}
+	eng.Wait()
+	for _, k := range sinks {
+		k.Wait()
+	}
 }
 
 // TestMutationsAfterFailStopRejected: once a panicking operator has

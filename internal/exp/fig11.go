@@ -71,6 +71,7 @@ func Fig11(cfg Fig11Config) *Report {
 			f2(sum.AvgNegative/1e6), f2(sum.AvgPositive/1e6))
 	}
 	r.AddNote("paper: all three produce few, underutilized VOs but differ strongly in average negative capacity; Algorithm 1 (ffd) performs best because it is the only one that respects the cap(P) >= 0 constraint")
+	r.AddNote("ffd also fuses cheap siblings of one producer while load(P) <= 1 (see package vo); such a VO reads a negative cap(P), since d(P) counts each sibling's input as its own arrival stream")
 	return r
 }
 

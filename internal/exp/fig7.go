@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -99,8 +100,8 @@ func Fig7(s Scale) *Report {
 			runs[2][i] = timedRun(m, 1, func(g *graph.Graph) sched.Plan { return sched.GTS(g) }, "chain")
 			runs[3][i] = timedRun(m, 1, func(g *graph.Graph) sched.Plan { return sched.GTS(g) }, "fifo")
 		}
-		di, ots, gtsChain, gtsFIFO := medianDur(runs[0][:]), medianDur(runs[1][:]),
-			medianDur(runs[2][:]), medianDur(runs[3][:])
+		di, ots, gtsChain, gtsFIFO := median(runs[0][:]), median(runs[1][:]),
+			median(runs[2][:]), median(runs[3][:])
 		r.AddRow(fmt.Sprint(m),
 			fmtMS(di), fmtMS(ots), fmtMS(gtsChain), fmtMS(gtsFIFO),
 			f2(ratio(ots, di)), f2(ratio(gtsChain, di)))
@@ -113,10 +114,10 @@ func Fig7(s Scale) *Report {
 // median of.
 const fig7Reps = 5
 
-// medianDur returns the median of ds, reordering ds.
-func medianDur(ds []time.Duration) time.Duration {
-	slices.Sort(ds)
-	return ds[len(ds)/2]
+// median returns the median of xs, reordering xs.
+func median[T cmp.Ordered](xs []T) T {
+	slices.Sort(xs)
+	return xs[len(xs)/2]
 }
 
 // timedRun builds q copies of the 5-selection query and measures total

@@ -54,10 +54,9 @@
 //     and query graphs are acyclic, so the chain of waits ends at an
 //     executor that can run — provided the executor groups are ordered
 //     along the dataflow. They are when every VO has its own executor
-//     (every plan but GTS that the engine builds) and under GTS; a
-//     hand-written Plan.Groups that puts an upstream and a downstream VO
-//     on one executor and a VO between them on another can wait in a
-//     cycle.
+//     (every plan but GTS that the engine builds) and under GTS, and
+//     layout refuses a hand-written Plan.Groups that is not
+//     (groupCycle).
 //   - Every wait for space has a way out: an executor's aborts on its
 //     stop channel, so halting never hangs; Stop poisons every queue, which
 //     releases parked sources, and a source that finds the deployment

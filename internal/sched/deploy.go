@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -259,7 +260,57 @@ func layout(g *graph.Graph, cut map[graph.EdgeKey]bool, groups [][]int, single b
 			next++
 		}
 	}
+	if groups != nil {
+		if err := groupCycle(g, cut, voOf, groupOf, next); err != nil {
+			return nil, nil, nil, err
+		}
+	}
 	return comps, voOf, groupOf, nil
+}
+
+// groupCycle rejects a grouping whose executors can wait on each other in
+// a cycle (see coop.go): an executor waits for space on the queues leaving
+// the VOs it drains, so a cut edge out of a VO with an entry queue makes
+// its group wait on the group of the VO it enters. The engine's own plans
+// (one executor per VO, or one for all) never form such a cycle; a
+// hand-written Plan.Groups that puts an upstream and a downstream VO on
+// one executor and a VO between them on another does.
+func groupCycle(g *graph.Graph, cut map[graph.EdgeKey]bool, voOf map[int]int, groupOf []int, n int) error {
+	drained := make(map[int]bool) // VOs with an entry queue
+	for k := range cut {
+		drained[voOf[k.To]] = true
+	}
+	waits := make([][]int, n)
+	indeg := make([]int, n)
+	for k := range cut {
+		from, to := groupOf[voOf[k.From]], groupOf[voOf[k.To]]
+		if from != to && drained[voOf[k.From]] && !slices.Contains(waits[from], to) {
+			waits[from] = append(waits[from], to)
+			indeg[to]++
+		}
+	}
+	// Kahn's algorithm: groups left over lie on a cycle.
+	var free []int
+	for gi, d := range indeg {
+		if d == 0 {
+			free = append(free, gi)
+		}
+	}
+	for len(free) > 0 {
+		gi := free[len(free)-1]
+		free = free[:len(free)-1]
+		for _, to := range waits[gi] {
+			if indeg[to]--; indeg[to] == 0 {
+				free = append(free, to)
+			}
+		}
+	}
+	for _, d := range indeg {
+		if d > 0 {
+			return fmt.Errorf("sched: executor groups can wait on each other in a cycle; group VOs along the dataflow")
+		}
+	}
+	return nil
 }
 
 // analyze computes VOs, executor groups and gates from the current cut.

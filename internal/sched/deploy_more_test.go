@@ -40,6 +40,39 @@ func TestBuildRejectsSplitVO(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsGroupCycle: with every edge of src → a → b → c cut, one
+// executor for a and c and another for b could wait on each other (a's
+// output waits for b, b's for c), so the grouping is refused; grouping
+// along the dataflow is accepted.
+func TestBuildRejectsGroupCycle(t *testing.T) {
+	g := graph.New()
+	src := g.AddSource("src", workload.New("src", 10, workload.SeqKeys(), workload.FixedRate{Hz: 1e6}, nil), 1e6)
+	prev := src
+	var ids []int
+	for _, name := range []string{"a", "b", "c"} {
+		n := g.AddOp(name, op.NewFilter(name, func(stream.Element) bool { return true }), 100, 1)
+		g.Connect(prev, n, 0)
+		ids = append(ids, n.ID)
+		prev = n
+	}
+	sink := op.NewCollector(1)
+	g.Connect(prev, g.AddSink("out", sink), 0)
+	_, err := Build(g, Plan{Cut: placement.CutAll(g), Groups: [][]int{{ids[0], ids[2]}, {ids[1]}}}, Options{})
+	if err == nil || !strings.Contains(err.Error(), "cycle") {
+		t.Fatalf("want group-cycle rejection, got %v", err)
+	}
+	d, err := Build(g, Plan{Cut: placement.CutAll(g), Groups: [][]int{{ids[0], ids[1]}, {ids[2]}}}, Options{QueueBound: 2})
+	if err != nil {
+		t.Fatalf("groups along the dataflow rejected: %v", err)
+	}
+	d.Start()
+	waitOrFail(t, d)
+	sink.Wait()
+	if got := sink.Len(); got != 10 {
+		t.Fatalf("got %d results, want 10", got)
+	}
+}
+
 func TestBuildRejectsGroupedSink(t *testing.T) {
 	g, _ := chainGraph(10)
 	sink := g.Sinks()[0]

@@ -18,7 +18,8 @@ type Plan struct {
 	// Groups lists executor groups as sets of node IDs. All nodes of one
 	// VO must land in the same group. Nodes (VOs) not mentioned get a
 	// group of their own. Nil with SingleGroup false means one executor
-	// per VO.
+	// per VO. Groups must follow the dataflow: a grouping in which
+	// executors could wait on each other in a cycle is rejected.
 	Groups [][]int
 	// SingleGroup puts every VO into one executor — graph-threaded
 	// scheduling over the whole cut graph.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	hmts "github.com/dsms/hmts"
+	"github.com/dsms/hmts/internal/workload"
 )
 
 // The multi-query sharing benchmarks: 1000 similar standing queries —
@@ -15,11 +16,15 @@ import (
 // naive independent plans (the prefix is duplicated 1000 times). Both
 // engines process the same replayed input under PureDI, so the measured
 // difference is pure per-element operator work, not queueing. The
-// committed BENCH_multi.json tracks shared ≥ 10x naive.
+// committed BENCH_multi.json tracks shared ≥ 10x naive. shared-hmts runs
+// the shared plan under HMTS, so placement decides which of the
+// divergent filters share the prefix's virtual operator and which get a
+// queue and an executor.
 
 const (
 	mqQueries = 1000
 	mqElems   = 2000
+	mqRateHz  = 1e6 // the replayed timestamps are 1µs apart
 )
 
 func mqData() []hmts.Element {
@@ -48,13 +53,13 @@ func mqChain(src *hmts.Stream, i int) *hmts.Stream {
 		Where(fmt.Sprintf("thr%d", i%7), func(e hmts.Element) bool { return e.Val > thr })
 }
 
-func runMultiQuery(b *testing.B, shared bool) {
+func runMultiQuery(b *testing.B, shared bool, mode hmts.Mode) {
 	b.ReportAllocs()
 	data := mqData()
 	for n := 0; n < b.N; n++ {
 		b.StopTimer()
 		eng := hmts.New()
-		src := eng.Source("src", hmts.Replay(data))
+		src := eng.Source("src", hmts.Custom(workload.Slice("replay", data), mqRateHz))
 		for i := 0; i < mqQueries; i++ {
 			if shared {
 				i := i
@@ -68,7 +73,7 @@ func runMultiQuery(b *testing.B, shared bool) {
 			}
 		}
 		b.StartTimer()
-		eng.MustRun(hmts.RunConfig{Mode: hmts.ModePureDI})
+		eng.MustRun(hmts.RunConfig{Mode: mode})
 		eng.Wait()
 		b.StopTimer()
 		if err := eng.Err(); err != nil {
@@ -81,10 +86,12 @@ func runMultiQuery(b *testing.B, shared bool) {
 
 // BenchmarkMultiQuery1000/shared runs 1000 standing queries over one
 // subsumed plan; /naive duplicates the plan 1000 times. The headline
-// acceptance is shared ≥ 10x the naive throughput.
+// acceptance is shared ≥ 10x the naive throughput. /shared-hmts runs the
+// subsumed plan as HMTS places it.
 func BenchmarkMultiQuery1000(b *testing.B) {
-	b.Run("shared", func(b *testing.B) { runMultiQuery(b, true) })
-	b.Run("naive", func(b *testing.B) { runMultiQuery(b, false) })
+	b.Run("shared", func(b *testing.B) { runMultiQuery(b, true, hmts.ModePureDI) })
+	b.Run("shared-hmts", func(b *testing.B) { runMultiQuery(b, true, hmts.ModeHMTS) })
+	b.Run("naive", func(b *testing.B) { runMultiQuery(b, false, hmts.ModePureDI) })
 }
 
 // BenchmarkRegisterSimilarQueries measures the marginal cost of the Nth

@@ -280,8 +280,10 @@ func (e *Engine) AddQuery(name string, sink Consumer, build func() (*Stream, err
 // queue: shard-region internals always do; a new fan-out edge from a
 // source mirrors the placement of the source's existing edges; divergent
 // operator→operator edges follow the mode's discipline — a queue per edge
-// under GTS/OTS, fused into the upstream VO otherwise (a later Rebalance
-// re-places them from measured stats).
+// under GTS/OTS, fused into the upstream VO otherwise. A later Rebalance
+// re-places them from measured stats; it keeps a cheap divergent suffix
+// fused too (placement's fan-out load test) and cuts only one that would
+// stall its siblings or overload the VO's core.
 func (e *Engine) cutNewEdge(sp *sched.Splicer, ed graph.Edge, span int, mustCut map[graph.EdgeKey]bool) bool {
 	to := e.g.Node(ed.To)
 	if to.Kind == graph.KindSink {

@@ -175,19 +175,87 @@ func runEquivalenceTrial(t *testing.T, seed int64, batched bool) {
 		if err := solo.Err(); err != nil {
 			t.Fatalf("solo engine q%d: %v", q, err)
 		}
-		want, _, _ := ref.snapshot()
-		got, done, after := sinks[q].snapshot()
-		if done != 1 || after != 0 {
-			t.Fatalf("q%d: done=%d afterDone=%d", q, done, after)
+		sameResults(t, fmt.Sprintf("q%d (seed %d, batched %v)", q, seed, batched), sinks[q], ref)
+	}
+}
+
+// sameResults fails unless got saw end-of-stream exactly once, nothing
+// after it, and the same elements as want, in the same order.
+func sameResults(t *testing.T, label string, got, want *memSink) {
+	t.Helper()
+	we, _, _ := want.snapshot()
+	ge, done, after := got.snapshot()
+	if done != 1 || after != 0 {
+		t.Fatalf("%s: done=%d afterDone=%d", label, done, after)
+	}
+	if len(ge) != len(we) {
+		t.Fatalf("%s: %d results, want %d", label, len(ge), len(we))
+	}
+	for i := range ge {
+		if ge[i].TS != we[i].TS || ge[i].Key != we[i].Key || ge[i].Val != we[i].Val {
+			t.Fatalf("%s result %d: got %+v, want %+v", label, i, ge[i], we[i])
 		}
-		if len(got) != len(want) {
-			t.Fatalf("q%d (seed %d, batched %v): %d results, want %d", q, seed, batched, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].TS != want[i].TS || got[i].Key != want[i].Key || got[i].Val != want[i].Val {
-				t.Fatalf("q%d result %d: got %+v, want %+v", q, i, got[i], want[i])
+	}
+}
+
+// TestSharedPrefixFanOutPlan registers 64 standing queries on one shared
+// Where prefix plus a sharded count, as the live-mutate benchmark does.
+// Under HMTS with bounded queues, placement fuses the cheap standing
+// filters into the prefix's virtual operator until one core is full, so
+// the deployment has far fewer queues than queries; every query's output
+// must still equal that of the same graph under OTS, which queues every
+// edge.
+func TestSharedPrefixFanOutPlan(t *testing.T) {
+	const standing = 64
+	build := func(mode hmts.Mode) ([]*memSink, hmts.Metrics) {
+		eng := hmts.New()
+		src := eng.Source("src", hmts.GenerateStamped(20_000, 200_000, func(i int) hmts.Element {
+			return hmts.Element{Key: int64(i*7) % 1000, Val: float64(i%5) - 1}
+		}).Batched(64))
+		pos := func(e hmts.Element) bool { return e.Val > 0 }
+		var sinks []*memSink
+		for i := 0; i < standing; i++ {
+			s := newMemSink()
+			err := eng.AddQuery(fmt.Sprintf("q%d", i), s, func() (*hmts.Stream, error) {
+				return src.Where("pos", pos).Where(fmt.Sprintf("k%d", i), func(e hmts.Element) bool { return e.Key%standing == int64(i) }), nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
+			sinks = append(sinks, s)
 		}
+		agg := newMemSink()
+		err := eng.AddQuery("agg", agg, func() (*hmts.Stream, error) {
+			return src.Where("pos", pos).
+				Map("scale", func(e hmts.Element) hmts.Element { e.Val *= 2; return e }).
+				Aggregate("cnt", hmts.Count, time.Second, func(e hmts.Element) int64 { return e.Key }).
+				Shard(2), nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.MustRun(hmts.RunConfig{Mode: mode, QueueBound: 1024})
+		m := eng.Metrics()
+		eng.Wait()
+		if err := eng.Err(); err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		for _, s := range append(sinks, agg) {
+			s.wait(t)
+		}
+		return append(sinks, agg), m
+	}
+	got, m := build(hmts.ModeHMTS)
+	want, _ := build(hmts.ModeOTS)
+	t.Logf("HMTS: %d queues, %d executors", len(m.Queues), m.Executors)
+	if len(m.Queues) > standing/2 {
+		t.Fatalf("HMTS placed %d queues for %d queries; cheap standing filters should share the prefix's VO", len(m.Queues), standing+1)
+	}
+	for i := range got {
+		if els, _, _ := want[i].snapshot(); len(els) == 0 {
+			t.Fatalf("query %d saw no results under OTS", i)
+		}
+		sameResults(t, fmt.Sprintf("query %d", i), got[i], want[i])
 	}
 }
 
