@@ -37,3 +37,24 @@ func BenchmarkRandomDAG(b *testing.B) {
 		RandomDAG(DefaultDAGConfig(200), uint64(i))
 	}
 }
+
+// BenchmarkFFDFanOut measures FirstFitDecreasing on one producer with
+// thousands of cheap consumers, all of which join its VO: each join must
+// cost O(1), not the size of the VO grown so far.
+func BenchmarkFFDFanOut(b *testing.B) {
+	for _, sibs := range []int{1000, 4000} {
+		costs := make([]float64, sibs)
+		for i := range costs {
+			costs[i] = 100
+		}
+		g, _ := mkFanOut(1000, 100, costs...)
+		b.Run(fmt.Sprintf("sibs=%d", sibs), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if len(FirstFitDecreasing(g)) != 0 {
+					b.Fatal("every sibling should join the producer's VO")
+				}
+			}
+		})
+	}
+}

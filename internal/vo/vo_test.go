@@ -74,6 +74,26 @@ func TestMergeMatchesOf(t *testing.T) {
 	}
 }
 
+// Merge leaves its inputs alone; Absorb grows its receiver in place,
+// members unsorted, with the same arithmetic.
+func TestMergeCopiesAbsorbGrowsInPlace(t *testing.T) {
+	g, n := mkGraph()
+	a := Of(g, []int{n[2].ID})
+	a.Nodes = append(make([]int, 0, 4), a.Nodes...) // room to grow in place
+	b := Of(g, []int{n[1].ID})
+	m := Merge(a, b)
+	if len(a.Nodes) != 1 || m.Nodes[0] != n[1].ID || m.Nodes[1] != n[2].ID {
+		t.Fatalf("Merge: a.Nodes %v, merged %v", a.Nodes, m.Nodes)
+	}
+	a.Absorb(b)
+	if len(a.Nodes) != 2 || a.Nodes[0] != n[2].ID || a.Nodes[1] != n[1].ID {
+		t.Fatalf("Absorb: nodes %v", a.Nodes)
+	}
+	if a.CNS != m.CNS || a.InvD != m.InvD || a.Load != m.Load {
+		t.Fatalf("Absorb %+v, Merge %+v", a, m)
+	}
+}
+
 // Property: merging can only reduce capacity relative to either member
 // (d shrinks harmonically, c adds) — the monotonicity the FFD heuristic
 // relies on.
