@@ -7,7 +7,7 @@ GO ?= go
 # the canonical burst + stall + live-reconfigure soak scenario with SLO
 # assertions; soakshard does the same for the data-parallel shard region
 # with live replica-count changes; soakautoscale closes the control loop
-# (the autoscaler must grow and shrink the region on its own); soakchurn
+# (the adapt planner must grow and shrink the region on its own); soakchurn
 # registers and drops 50 standing queries live mid-burst through the
 # multi-query subsumption path with a zero-drop SLO; benchdiff re-measures
 # the tracked benchmarks and fails on regressions beyond the tolerance
@@ -85,7 +85,7 @@ soakshard:
 	$(GO) run ./cmd/hmtssoak -scenario shard
 
 # The autoscaling soak gate: a 10x ramp-hold-decay against a sharded
-# aggregation with NO scripted reshards — the adapt.Autoscaler must grow
+# aggregation with NO scripted reshards — the adapt planner must grow
 # the replica count from measured c(v)/d(v) on the ramp and shrink it back
 # on the decay, within a reshard budget that forbids flapping, with zero
 # drops under Block-policy bounded queues.
@@ -101,7 +101,8 @@ soakchurn:
 
 # Perf-regression gate: re-measure the tracked benchmark suites with a
 # short benchtime (two repetitions, min taken) and diff against the
-# committed BENCH_*.json baselines. The tolerance band is wide (see
+# committed BENCH_*.json baselines. Every leg is diffed and reports its
+# verdict; the target fails at the end if any leg did. The tolerance band is wide (see
 # cmd/benchdiff) so CI noise passes but order-of-magnitude regressions and
 # new hot-path allocations fail. Re-baseline with `make bench` after an
 # intentional perf change.
@@ -116,12 +117,13 @@ benchdiff:
 	$(GO) test -run '^$$' -bench 'ShardScaling|LiveReshard' -benchmem -benchtime $(BENCHDIFF_TIME) -count=2 . | $(GO) run ./cmd/benchjson > .bench/shard.json
 	$(GO) test -run '^$$' -bench 'MultiQuery|RegisterSimilar' -benchmem -benchtime $(BENCHDIFF_TIME) -count=2 . | $(GO) run ./cmd/benchjson > .bench/multi.json
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHDIFF_TIME) -count=2 ./adapt | $(GO) run ./cmd/benchjson > .bench/adapt.json
-	$(GO) run ./cmd/benchdiff $(BENCHDIFF_FLAGS) BENCH_sched.json .bench/sched.json
-	$(GO) run ./cmd/benchdiff $(BENCHDIFF_FLAGS) BENCH_ingest.json .bench/ingest.json
-	$(GO) run ./cmd/benchdiff $(BENCHDIFF_FLAGS) BENCH_ops.json .bench/ops.json
-	$(GO) run ./cmd/benchdiff $(BENCHDIFF_FLAGS) BENCH_shard.json .bench/shard.json
-	$(GO) run ./cmd/benchdiff $(BENCHDIFF_FLAGS) BENCH_multi.json .bench/multi.json
-	$(GO) run ./cmd/benchdiff $(BENCHDIFF_FLAGS) BENCH_adapt.json .bench/adapt.json
+	$(GO) build -o .bench/benchdiff ./cmd/benchdiff
+	@failed=; for leg in sched ingest ops shard multi adapt; do \
+		echo "== benchdiff $$leg"; \
+		.bench/benchdiff $(BENCHDIFF_FLAGS) BENCH_$$leg.json .bench/$$leg.json || failed="$$failed $$leg"; \
+	done; \
+	if [ -n "$$failed" ]; then echo "benchdiff: FAIL:$$failed"; exit 1; fi; \
+	echo "benchdiff: all legs pass"
 
 # Short fuzz pass over the hmtsd line protocol, its result encoder, the
 # order-restoring shard merge, the windowed aggregate, the batch-size

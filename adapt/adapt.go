@@ -1,23 +1,25 @@
 // Package adapt implements runtime adaptation on top of the engine — the
 // direction the paper's future-work section sketches: watch the running
 // deployment's measured statistics and re-plan (queue placement, mode,
-// priorities) while queries keep running.
+// load shedding, shard counts) while queries keep running.
 //
-// A Controller periodically snapshots engine metrics and asks its policies
-// for an action. Policies are deliberately conservative: they require a
-// condition to persist across consecutive observations and respect a
-// cool-down between actions, because every re-plan briefly pauses the
-// world.
+// A Controller periodically reads one metrics snapshot and hands it to its
+// planner, which derives every decision from one load model: each
+// operator's c(v)/d(v). The planner is deliberately conservative: a
+// condition must persist across consecutive observations, and the
+// controller keeps a cool-down between actions, because every re-plan
+// briefly pauses the world.
 package adapt
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	hmts "github.com/dsms/hmts"
 )
 
-// Action is what a policy wants done.
+// Action is what the planner wants done.
 type Action int
 
 // Possible actions, in increasing order of disruption.
@@ -37,8 +39,7 @@ const (
 	// SwitchHMTS moves the running engine to the hybrid architecture
 	// (Engine.SwitchMode to ModeHMTS).
 	SwitchHMTS
-	// Reshard changes a shard region's replica count (Engine.Reshard);
-	// the Proposal carries the region name and target count.
+	// Reshard changes a shard region's replica count (Engine.Reshard).
 	Reshard
 )
 
@@ -61,66 +62,61 @@ func (a Action) String() string {
 	return "Action(?)"
 }
 
-// Proposal is one parameterized action a policy wants executed. Region and
-// Shards are meaningful for Reshard only.
-type Proposal struct {
-	Act    Action
-	Region string // Reshard: the shard region to resize
-	Shards int    // Reshard: the target replica count
-}
-
-// Policy inspects a metrics snapshot and proposes an action.
-//
-// A policy must not assume a non-None return value was executed: the
-// controller may drop the proposal at its cooldown gate. State that has to
-// track what actually ran (an engaged flag, a persist-counter reset)
-// belongs in Commit — implement Committer and flip it there.
-type Policy interface {
-	Name() string
-	Evaluate(m hmts.Metrics) Action
-}
-
-// Advisor is the extended policy interface for parameterized or multi-part
-// decisions: Propose returns any number of proposals per step (one per
-// shard region, say). When a policy implements Advisor the controller
-// calls Propose and ignores Evaluate.
-type Advisor interface {
-	Policy
-	Propose(m hmts.Metrics) []Proposal
-}
-
-// Committer receives execution feedback: the controller calls Commit
-// exactly once per executed proposal, after the action ran, with the
-// action's error. Proposals dropped by the cooldown gate are never
-// committed, so a policy's internal state cannot drift from what the
-// engine actually did.
-type Committer interface {
-	Commit(pr Proposal, err error)
-}
-
 // Event records one controller decision, for observability and tests.
 type Event struct {
-	At     time.Time
-	Policy string
-	Action Action
-	Region string // Reshard: target region
-	Shards int    // Reshard: target replica count
+	At      time.Time
+	Trigger string // the planner condition that fired, e.g. "cost-drift"
+	Action  Action
+	Region  string // Reshard: target region
+	Shards  int    // Reshard: target replica count
 	// Dropped marks a proposal suppressed by the cooldown gate; it was
 	// recorded for observability but never executed.
 	Dropped bool
 	Err     error
 }
 
+// maxEvents bounds Controller.Events: the newest events are kept.
+const maxEvents = 1024
+
+// Config selects what a controller decides and sizes its deployment.
+// Every other threshold is a named constant of the planner (see plan.go).
+type Config struct {
+	// Period is the step interval (default 100ms); Cooldown the minimum
+	// gap between executed actions.
+	Period, Cooldown time.Duration
+
+	// The decisions that run: Rebalance re-places queues on backlog
+	// growth or cost drift, Shed engages and releases load shedding,
+	// Switch moves a mismatched OTS/GTS deployment to HMTS, and Reshard
+	// resizes shard regions.
+	Rebalance, Shed, Switch, Reshard bool
+
+	// Headroom is the per-replica load a reshard aims for: target =
+	// ceil(region load / Headroom) (default 0.7).
+	Headroom float64
+	// MaxReplicas caps the solved replica count (default 8).
+	MaxReplicas int
+	// PauseBudget vetoes a reshard whose estimated state-handoff pause
+	// exceeds it (default 100ms).
+	PauseBudget time.Duration
+}
+
 // Controller drives the adaptation loop.
 type Controller struct {
-	eng      *hmts.Engine
-	policies []Policy
-	period   time.Duration
-	cooldown time.Duration
+	eng *hmts.Engine
+	cfg Config
+	// propose turns a snapshot into proposals; it is the planner (plan),
+	// and tests replace it to script proposals.
+	propose func(hmts.Metrics) []proposal
 
 	// stepMu serializes Step so concurrent callers (the loop plus a test
-	// or an operator console) cannot both pass the cooldown check and act.
-	stepMu sync.Mutex
+	// or an operator console) cannot both pass the cooldown check and
+	// act. It also guards the planner state below.
+	stepMu  sync.Mutex
+	streak  map[streakKey]int
+	lastLen map[string]int
+
+	skewVetoes, pauseVetoes atomic.Int64
 
 	mu      sync.Mutex
 	events  []Event
@@ -132,20 +128,28 @@ type Controller struct {
 	done chan struct{}
 }
 
-// New returns a controller over eng evaluating the policies every period,
-// with at least cooldown between actions.
-func New(eng *hmts.Engine, period, cooldown time.Duration, policies ...Policy) *Controller {
-	if period <= 0 {
-		period = 100 * time.Millisecond
+// New returns a controller over eng that steps every cfg.Period.
+func New(eng *hmts.Engine, cfg Config) *Controller {
+	if cfg.Period <= 0 {
+		cfg.Period = 100 * time.Millisecond
 	}
-	return &Controller{
-		eng:      eng,
-		policies: policies,
-		period:   period,
-		cooldown: cooldown,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+	if cfg.Headroom <= 0 {
+		cfg.Headroom = 0.7
 	}
+	if cfg.MaxReplicas < 1 {
+		cfg.MaxReplicas = 8
+	}
+	if cfg.PauseBudget <= 0 {
+		cfg.PauseBudget = 100 * time.Millisecond
+	}
+	c := &Controller{
+		eng:  eng,
+		cfg:  cfg,
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
+	}
+	c.propose = c.plan
+	return c
 }
 
 // Start launches the control loop; call Stop to end it. Calling Start
@@ -161,7 +165,7 @@ func (c *Controller) Start() {
 	c.mu.Unlock()
 	go func() {
 		defer close(c.done)
-		tick := time.NewTicker(c.period)
+		tick := time.NewTicker(c.cfg.Period)
 		defer tick.Stop()
 		for {
 			select {
@@ -193,59 +197,40 @@ func (c *Controller) Stop() {
 // Step runs one evaluation immediately (exposed for deterministic tests).
 // It returns the first action attempted, or None.
 //
-// The cooldown gate is snapshotted once per step: either the whole step is
+// The cooldown gate is read once per step: either the whole step is
 // cooling — every proposal is recorded as a Dropped event and nothing
-// executes — or none of it is, and every proposal from every policy
-// executes. Evaluating all policies either way means an early chatty
-// policy (a Rebalance that fires each period, say) cannot silence a later
-// ShedOff for the length of its cooldown storm, which is exactly how the
-// pre-fix controller wedged sources in permanent shed.
+// executes — or none of it is, and every proposal executes. The planner
+// runs either way, so a chatty decision (a Rebalance each period, say)
+// cannot silence a later ShedOff for the length of its cooldown storm,
+// and a dropped proposal is proposed again once its condition still
+// holds after the cooldown.
 func (c *Controller) Step() Action {
 	c.stepMu.Lock()
 	defer c.stepMu.Unlock()
 	m := c.eng.Metrics()
 	c.mu.Lock()
-	cooling := time.Since(c.last) < c.cooldown
+	cooling := time.Since(c.last) < c.cfg.Cooldown
 	c.mu.Unlock()
 
 	first := None
 	executed := false
-	for _, p := range c.policies {
-		var prs []Proposal
-		if adv, ok := p.(Advisor); ok {
-			prs = adv.Propose(m)
-		} else if act := p.Evaluate(m); act != None {
-			prs = []Proposal{{Act: act}}
-		}
-		for _, pr := range prs {
-			if pr.Act == None {
-				continue
-			}
-			if cooling {
-				c.record(Event{At: time.Now(), Policy: p.Name(), Action: pr.Act,
-					Region: pr.Region, Shards: pr.Shards, Dropped: true})
-				continue
-			}
-			err := c.execute(pr)
-			// Commit runs strictly after the action, so policy state
-			// (an engaged flag, a persist counter) reflects what the
-			// engine actually did — never a proposal that was dropped.
-			if cm, ok := p.(Committer); ok {
-				cm.Commit(pr, err)
-			}
+	for _, pr := range c.propose(m) {
+		ev := Event{At: time.Now(), Trigger: pr.by, Action: pr.act,
+			Region: pr.region, Shards: pr.shards, Dropped: cooling}
+		if !cooling {
+			ev.Err = c.execute(pr)
 			if first == None {
-				first = pr.Act
+				first = pr.act
 			}
-			if err == nil {
-				executed = true
-			}
-			c.record(Event{At: time.Now(), Policy: p.Name(), Action: pr.Act,
-				Region: pr.Region, Shards: pr.Shards, Err: err})
+			executed = executed || ev.Err == nil
+			c.settle(pr)
 		}
+		c.record(ev)
 	}
 	// A failed action did no re-planning, so it must not burn the cooldown
-	// and silence every policy for a full window; the errors are still
-	// recorded as events.
+	// and silence every decision for a full window; the errors are still
+	// recorded as events, and settle made the failed trigger wait a fresh
+	// persist window before it is retried.
 	if executed {
 		c.mu.Lock()
 		c.last = time.Now()
@@ -254,8 +239,8 @@ func (c *Controller) Step() Action {
 	return first
 }
 
-func (c *Controller) execute(pr Proposal) error {
-	switch pr.Act {
+func (c *Controller) execute(pr proposal) error {
+	switch pr.act {
 	case ShedOn:
 		c.eng.Shed(true)
 	case ShedOff:
@@ -265,22 +250,34 @@ func (c *Controller) execute(pr Proposal) error {
 	case SwitchHMTS:
 		return c.eng.SwitchMode(hmts.ModeHMTS, "")
 	case Reshard:
-		return c.eng.Reshard(pr.Region, pr.Shards)
+		return c.eng.Reshard(pr.region, pr.shards)
 	}
 	return nil
 }
 
+// record appends ev, evicting the oldest event past maxEvents.
 func (c *Controller) record(ev Event) {
 	c.mu.Lock()
 	c.events = append(c.events, ev)
+	if len(c.events) > maxEvents {
+		c.events = c.events[1:]
+	}
 	c.mu.Unlock()
 }
 
-// Events returns a copy of the decisions taken so far.
+// Events returns a copy of the newest decisions, oldest first; at most
+// 1024 are kept.
 func (c *Controller) Events() []Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]Event, len(c.events))
 	copy(out, c.events)
 	return out
+}
+
+// Vetoes reports how many reshards the planner held back because one
+// replica absorbed most of the input (skew) or because the state handoff
+// would pause the region past the budget (pause).
+func (c *Controller) Vetoes() (skew, pause int64) {
+	return c.skewVetoes.Load(), c.pauseVetoes.Load()
 }

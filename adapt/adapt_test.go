@@ -1,6 +1,7 @@
 package adapt
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -8,22 +9,44 @@ import (
 	"github.com/dsms/hmts/internal/simtime"
 )
 
-// fakePolicy returns a scripted sequence of actions.
-type fakePolicy struct {
-	name string
-	acts []Action
-	i    int
+// script replaces the controller's planner with one that proposes the
+// given actions, one per step.
+func script(c *Controller, acts ...Action) {
+	i := 0
+	c.propose = func(hmts.Metrics) []proposal {
+		if i >= len(acts) {
+			return nil
+		}
+		a := acts[i]
+		i++
+		return []proposal{{act: a, by: "scripted"}}
+	}
 }
 
-func (f *fakePolicy) Name() string { return f.name }
-
-func (f *fakePolicy) Evaluate(hmts.Metrics) Action {
-	if f.i >= len(f.acts) {
+// only returns the single action among prs, or None.
+func only(t *testing.T, prs []proposal) Action {
+	t.Helper()
+	switch len(prs) {
+	case 0:
 		return None
+	case 1:
+		return prs[0].act
 	}
-	a := f.acts[f.i]
-	f.i++
-	return a
+	t.Fatalf("want at most one proposal, got %+v", prs)
+	return None
+}
+
+// persisted plans m on c persist times: the first persist-1
+// observations must propose nothing, and it returns the proposals of the
+// last.
+func persisted(t *testing.T, c *Controller, m hmts.Metrics) []proposal {
+	t.Helper()
+	for i := 1; i < persist; i++ {
+		if prs := c.plan(m); len(prs) != 0 {
+			t.Fatalf("observation %d of %d proposed %+v", i, persist, prs)
+		}
+	}
+	return c.plan(m)
 }
 
 // runningEngine returns an engine processing a long stamped stream.
@@ -40,12 +63,13 @@ func runningEngine(t *testing.T, n int) (*hmts.Engine, *hmts.Counter) {
 
 func TestControllerAppliesRebalance(t *testing.T) {
 	eng, sink := runningEngine(t, 500_000)
-	c := New(eng, time.Hour, 0, &fakePolicy{name: "scripted", acts: []Action{Rebalance}})
+	c := New(eng, Config{Period: time.Hour})
+	script(c, Rebalance)
 	if got := c.Step(); got != Rebalance {
 		t.Fatalf("Step = %v", got)
 	}
 	evs := c.Events()
-	if len(evs) != 1 || evs[0].Action != Rebalance || evs[0].Err != nil {
+	if len(evs) != 1 || evs[0].Action != Rebalance || evs[0].Err != nil || evs[0].Trigger != "scripted" {
 		t.Fatalf("events %+v", evs)
 	}
 	eng.Wait()
@@ -57,8 +81,8 @@ func TestControllerAppliesRebalance(t *testing.T) {
 
 func TestControllerCooldown(t *testing.T) {
 	eng, sink := runningEngine(t, 200_000)
-	p := &fakePolicy{name: "greedy", acts: []Action{Rebalance, Rebalance, Rebalance}}
-	c := New(eng, time.Hour, time.Hour, p)
+	c := New(eng, Config{Period: time.Hour, Cooldown: time.Hour})
+	script(c, Rebalance, Rebalance, Rebalance)
 	if c.Step() != Rebalance {
 		t.Fatal("first action should pass")
 	}
@@ -71,7 +95,7 @@ func TestControllerCooldown(t *testing.T) {
 
 func TestControllerLoopStartStop(t *testing.T) {
 	eng, sink := runningEngine(t, 300_000)
-	c := New(eng, time.Millisecond, 0, &QueueGrowth{Threshold: 1})
+	c := New(eng, Config{Period: time.Millisecond, Rebalance: true, Shed: true, Switch: true, Reshard: true})
 	c.Start()
 	eng.Wait()
 	sink.Wait()
@@ -79,57 +103,68 @@ func TestControllerLoopStartStop(t *testing.T) {
 	c.Stop() // idempotent
 }
 
+// queues is a snapshot holding one queue "q" of length l.
+func queues(l int) hmts.Metrics {
+	return hmts.Metrics{Queues: []hmts.QueueMetrics{{Name: "q", Len: l}}}
+}
+
 func TestQueueGrowthPolicy(t *testing.T) {
-	p := &QueueGrowth{Threshold: 100, Persist: 2}
-	mk := func(l int) hmts.Metrics {
-		return hmts.Metrics{Queues: []hmts.QueueMetrics{{Name: "q", Len: l}}}
+	p := New(nil, Config{Rebalance: true})
+	if a := only(t, p.plan(queues(20_000))); a != None { // first sight: baseline only
+		t.Fatalf("no growth measurable on first observation: %v", a)
 	}
-	if p.Evaluate(mk(500)) != None { // first sight: baseline only
-		t.Fatal("no growth measurable on first observation")
+	for i, l := range []int{21_000, 22_000} {
+		if a := only(t, p.plan(queues(l))); a != None {
+			t.Fatalf("growth %d of %d triggered: %v", i+1, persist, a)
+		}
 	}
-	if p.Evaluate(mk(600)) != None { // growing once
-		t.Fatal("persist=2 requires two growths")
-	}
-	if p.Evaluate(mk(700)) != Rebalance {
-		t.Fatal("persistent growth should trigger")
+	prs := p.plan(queues(23_000))
+	if len(prs) != 1 || prs[0].act != Rebalance || prs[0].by != "queue-growth" {
+		t.Fatalf("persistent growth should trigger: %+v", prs)
 	}
 	// Shrinking resets.
-	if p.Evaluate(mk(200)) != None || p.Evaluate(mk(250)) != None {
-		t.Fatal("reset after shrink")
+	for _, l := range []int{15_000, 16_000, 17_000} {
+		if a := only(t, p.plan(queues(l))); a != None {
+			t.Fatal("reset after shrink")
+		}
 	}
-	// Below threshold never triggers.
-	small := &QueueGrowth{Threshold: 1000, Persist: 1}
-	small.Evaluate(mk(10))
-	if small.Evaluate(mk(20)) != None {
-		t.Fatal("below-threshold growth should not trigger")
+	// Below the floor growth never triggers.
+	small := New(nil, Config{Rebalance: true})
+	for l := 10; l < 100; l += 10 {
+		if a := only(t, small.plan(queues(l))); a != None {
+			t.Fatal("below-floor growth should not trigger")
+		}
 	}
 }
 
+// planned is a snapshot of one operator "f" measured at cost and planned
+// with plannedCost.
+func planned(cost, plannedCost float64) hmts.Metrics {
+	return hmts.Metrics{Ops: []hmts.OpMetrics{{Name: "f", CostNS: cost, PlannedCostNS: plannedCost, In: 1000}}}
+}
+
 func TestCostDriftPolicy(t *testing.T) {
-	p := &CostDrift{Factor: 2}
-	mk := func(cost float64) hmts.Metrics {
-		return hmts.Metrics{Ops: []hmts.OpMetrics{{Name: "f", CostNS: cost, In: 1000}}}
+	p := New(nil, Config{Rebalance: true})
+	if a := only(t, persisted(t, p, planned(350, 100))); a != None {
+		t.Fatalf("drift within the factor triggered: %v", a)
 	}
-	if p.Evaluate(mk(100)) != None { // baseline
-		t.Fatal("baseline should not trigger")
+	if prs := persisted(t, p, planned(500, 100)); len(prs) != 1 || prs[0].by != "cost-drift" {
+		t.Fatalf("5x drift persisting should trigger: %+v", prs)
 	}
-	if p.Evaluate(mk(150)) != None { // within factor 2
-		t.Fatal("small drift should not trigger")
+	// A Rebalance plans with the measured cost; the drift then clears.
+	if a := only(t, persisted(t, p, planned(500, 500))); a != None {
+		t.Fatalf("within factor of the new plan: %v", a)
 	}
-	if p.Evaluate(mk(500)) != Rebalance {
-		t.Fatal("5x drift should trigger")
-	}
-	// New baseline adopted: 500.
-	if p.Evaluate(mk(400)) != None {
-		t.Fatal("within factor of new baseline")
-	}
-	if p.Evaluate(mk(100)) != Rebalance {
+	if a := only(t, persisted(t, p, planned(100, 500))); a != Rebalance {
 		t.Fatal("downward drift should trigger too")
 	}
-	// Too few samples: ignored.
-	few := &CostDrift{Factor: 2}
-	if few.Evaluate(hmts.Metrics{Ops: []hmts.OpMetrics{{Name: "f", CostNS: 100, In: 5}}}) != None {
+	// Too few samples, or no planned cost: ignored.
+	few := hmts.Metrics{Ops: []hmts.OpMetrics{{Name: "f", CostNS: 1e5, PlannedCostNS: 100, In: 99}}}
+	if a := only(t, persisted(t, p, few)); a != None {
 		t.Fatal("unreliable measurements must be ignored")
+	}
+	if a := only(t, persisted(t, p, planned(1e5, 0))); a != None {
+		t.Fatal("an operator planned without an estimate cannot drift")
 	}
 }
 
@@ -152,58 +187,97 @@ func TestAdaptiveRebalanceFixesStaleHints(t *testing.T) {
 	sink := heavy.CountSink("out")
 	eng.MustRun(hmts.RunConfig{Mode: hmts.ModeHMTS})
 
-	before := len(eng.Metrics().Queues)
-	ctl := New(eng, time.Hour, 0, &CostDrift{Factor: 2})
-	ctl.Step() // adopt baselines from measurements
-	act := ctl.Step()
+	ctl := New(eng, Config{Period: time.Hour, Rebalance: true})
+	// The drift shows once the operator has a reliable measurement, and
+	// fires once it persisted.
+	rebalanced := false
+	for i := 0; i < 200 && !rebalanced; i++ {
+		rebalanced = ctl.Step() == Rebalance
+		if !rebalanced {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if !rebalanced {
+		t.Fatalf("no step rebalanced the mis-hinted plan: %+v", eng.Metrics().Ops)
+	}
+	// The measured cost is a smoothed wall-clock figure that a preempted
+	// batch can spike for a snapshot; judge the plan against the median of
+	// several snapshots.
+	var planned float64
+	var costs []float64
+	for i := 0; i < 9; i++ {
+		for _, o := range eng.Metrics().Ops {
+			if o.Name == "actually-heavy" {
+				planned = o.PlannedCostNS
+				costs = append(costs, o.CostNS)
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	slices.Sort(costs)
+	measured := costs[len(costs)/2]
+	evs := ctl.Events()
+	last := evs[len(evs)-1]
 	eng.Wait()
 	sink.Wait()
+	if last.Action != Rebalance || last.Err != nil || last.Trigger != "cost-drift" {
+		t.Fatalf("rebalance event %+v", last)
+	}
+	if r := measured / planned; r > driftFactor || r < 1/driftFactor {
+		t.Fatalf("plan still stale after the rebalance: planned %v, measured %v", planned, costs)
+	}
 	if sink.Count() != 400_000 {
 		t.Fatalf("lost elements: %d", sink.Count())
 	}
-	_ = before
-	_ = act // the placement may or may not change cut count; the key
-	// property is zero loss and no deadlock, asserted above.
 	if err := eng.Err(); err != nil {
 		t.Fatalf("engine error: %v", err)
 	}
 }
 
+// ops returns n reliably measured, unnamed-cost operators under mode.
+func ops(mode hmts.Mode, n int, costNS float64, in uint64) hmts.Metrics {
+	m := hmts.Metrics{Mode: mode}
+	for i := 0; i < n; i++ {
+		m.Ops = append(m.Ops, hmts.OpMetrics{Name: string(rune('a' + i)), CostNS: costNS, In: in})
+	}
+	return m
+}
+
 func TestArchitectureFitOTSWithManyOps(t *testing.T) {
-	p := &ArchitectureFit{MinOpsForOTS: 3}
-	m := hmts.Metrics{Mode: hmts.ModeOTS, Ops: []hmts.OpMetrics{{}, {}, {}}}
-	if p.Evaluate(m) != SwitchHMTS {
-		t.Fatal("OTS with many ops should switch to HMTS")
+	p := New(nil, Config{Switch: true})
+	if prs := persisted(t, p, ops(hmts.ModeOTS, otsMaxOps, 100, 500)); len(prs) != 1 ||
+		prs[0].act != SwitchHMTS || prs[0].by != "ots-width" {
+		t.Fatalf("OTS with %d ops should switch to HMTS: %+v", otsMaxOps, prs)
 	}
-	if p.Evaluate(m) != None {
-		t.Fatal("policy must fire at most once")
+	// Once the engine runs HMTS, the snapshot's mode says so.
+	if a := only(t, persisted(t, p, ops(hmts.ModeHMTS, otsMaxOps, 100, 500))); a != None {
+		t.Fatal("already on HMTS: nothing to do")
 	}
-	fresh := &ArchitectureFit{MinOpsForOTS: 5}
-	if fresh.Evaluate(m) != None {
+	if a := only(t, persisted(t, p, ops(hmts.ModeOTS, otsMaxOps-1, 100, 500))); a != None {
 		t.Fatal("below the op threshold nothing should fire")
 	}
 }
 
 func TestArchitectureFitGTSWithExpensiveOp(t *testing.T) {
-	p := &ArchitectureFit{StallCostNS: 1000}
-	slow := hmts.Metrics{Mode: hmts.ModeGTS, Ops: []hmts.OpMetrics{{Name: "x", CostNS: 5000, In: 500}}}
-	if p.Evaluate(slow) != SwitchHMTS {
+	p := New(nil, Config{Switch: true})
+	if a := only(t, persisted(t, p, ops(hmts.ModeGTS, 1, 2*gtsStallNS, 500))); a != SwitchHMTS {
 		t.Fatal("GTS with an expensive op should switch")
 	}
-	p2 := &ArchitectureFit{StallCostNS: 1000}
-	few := hmts.Metrics{Mode: hmts.ModeGTS, Ops: []hmts.OpMetrics{{Name: "x", CostNS: 5000, In: 5}}}
-	if p2.Evaluate(few) != None {
+	if a := only(t, persisted(t, p, ops(hmts.ModeGTS, 1, 2*gtsStallNS, 5))); a != None {
 		t.Fatal("unreliable measurements must not trigger")
 	}
-	hm := hmts.Metrics{Mode: hmts.ModeHMTS, Ops: []hmts.OpMetrics{{Name: "x", CostNS: 5000, In: 500}}}
-	if p2.Evaluate(hm) != None {
+	if a := only(t, persisted(t, p, ops(hmts.ModeGTS, 3, gtsStallNS/2, 500))); a != None {
+		t.Fatal("cheap operators do not stall GTS")
+	}
+	if a := only(t, persisted(t, p, ops(hmts.ModeHMTS, 1, 2*gtsStallNS, 500))); a != None {
 		t.Fatal("already on HMTS: nothing to do")
 	}
 }
 
 func TestControllerAppliesSwitchHMTS(t *testing.T) {
 	eng, sink := runningEngine(t, 400_000)
-	c := New(eng, time.Hour, 0, &fakePolicy{name: "scripted", acts: []Action{SwitchHMTS}})
+	c := New(eng, Config{Period: time.Hour})
+	script(c, SwitchHMTS)
 	if got := c.Step(); got != SwitchHMTS {
 		t.Fatalf("Step = %v", got)
 	}
@@ -221,7 +295,7 @@ func TestControllerAppliesSwitchHMTS(t *testing.T) {
 }
 
 func TestControllerStopWithoutStart(t *testing.T) {
-	c := New(hmts.New(), time.Hour, 0, &fakePolicy{name: "idle"})
+	c := New(hmts.New(), Config{Period: time.Hour})
 	done := make(chan struct{})
 	go func() {
 		c.Stop() // must not wait for a loop that never started
@@ -237,7 +311,7 @@ func TestControllerStopWithoutStart(t *testing.T) {
 
 func TestControllerDoubleStart(t *testing.T) {
 	eng, sink := runningEngine(t, 100_000)
-	c := New(eng, time.Millisecond, 0, &fakePolicy{name: "idle"})
+	c := New(eng, Config{Period: time.Millisecond})
 	c.Start()
 	c.Start() // must not spawn a second loop over the same done channel
 	eng.Wait()
@@ -248,8 +322,8 @@ func TestControllerDoubleStart(t *testing.T) {
 func TestControllerCooldownNotChargedOnError(t *testing.T) {
 	// The engine is not running, so Rebalance fails; Shed always succeeds.
 	eng := hmts.New()
-	p := &fakePolicy{name: "scripted", acts: []Action{Rebalance, ShedOn, ShedOn}}
-	c := New(eng, time.Hour, time.Hour, p)
+	c := New(eng, Config{Period: time.Hour, Cooldown: time.Hour})
+	script(c, Rebalance, ShedOn, ShedOn)
 	if got := c.Step(); got != Rebalance {
 		t.Fatalf("step 1 = %v", got)
 	}
@@ -278,86 +352,164 @@ func TestControllerCooldownNotChargedOnError(t *testing.T) {
 	}
 }
 
+// TestFailedProposalWaitsFreshPersistWindow: an action that fails (here
+// because the engine is not running) is not retried every period while
+// its condition stands; its trigger waits a fresh persist window, so a
+// failing deployment cannot flood the event log or take the engine lock
+// each step.
+func TestFailedProposalWaitsFreshPersistWindow(t *testing.T) {
+	c := New(hmts.New(), Config{Period: time.Hour, Switch: true})
+	c.propose = func(hmts.Metrics) []proposal { return c.plan(ops(hmts.ModeOTS, otsMaxOps, 100, 500)) }
+	for round := 1; round <= 2; round++ {
+		for i := 1; i < persist; i++ {
+			if got := c.Step(); got != None {
+				t.Fatalf("round %d, observation %d = %v", round, i, got)
+			}
+		}
+		if got := c.Step(); got != SwitchHMTS {
+			t.Fatalf("round %d: step = %v, want the SwitchHMTS attempt", round, got)
+		}
+		if evs := c.Events(); len(evs) != round || evs[round-1].Err == nil || evs[round-1].Trigger != "ots-width" {
+			t.Fatalf("round %d: events %+v", round, evs)
+		}
+	}
+}
+
+// TestEventsKeepNewest: the event log is bounded, and the event past the
+// bound evicts the oldest.
+func TestEventsKeepNewest(t *testing.T) {
+	c := New(nil, Config{})
+	for i := 1; i <= maxEvents+1; i++ {
+		c.record(Event{Shards: i})
+	}
+	evs := c.Events()
+	if len(evs) != maxEvents {
+		t.Fatalf("kept %d events, want %d", len(evs), maxEvents)
+	}
+	if evs[0].Shards != 2 || evs[maxEvents-1].Shards != maxEvents+1 {
+		t.Fatalf("want events 2..%d, got %d..%d", maxEvents+1, evs[0].Shards, evs[maxEvents-1].Shards)
+	}
+}
+
 func TestUtilization(t *testing.T) {
 	op := func(c, d float64, in uint64) hmts.OpMetrics {
 		return hmts.OpMetrics{CostNS: c, InterarrivalNS: d, In: in}
 	}
-	if u := Utilization(hmts.Metrics{}, 100); u != 0 {
+	util := func(m hmts.Metrics) float64 { return utilization(loads(m.Ops), m.Executors) }
+	if u := util(hmts.Metrics{}); u != 0 {
 		t.Fatalf("empty metrics: %v", u)
 	}
 	// Unreliable measurements are ignored.
-	m := hmts.Metrics{Ops: []hmts.OpMetrics{op(2000, 1000, 5)}, Executors: 1}
-	if u := Utilization(m, 100); u != 0 {
+	m := hmts.Metrics{Ops: []hmts.OpMetrics{op(2000, 1000, minSamples-1)}, Executors: 1}
+	if u := util(m); u != 0 {
 		t.Fatalf("few samples must be ignored: %v", u)
 	}
 	// One op at 2x capacity.
 	m = hmts.Metrics{Ops: []hmts.OpMetrics{op(2000, 1000, 500)}, Executors: 4}
-	if u := Utilization(m, 100); u != 2 {
+	if u := util(m); u != 2 {
 		t.Fatalf("busiest op sets the floor: %v", u)
 	}
 	// Many cheap ops on one executor: the sum matters.
 	m = hmts.Metrics{Ops: []hmts.OpMetrics{op(600, 1000, 500), op(600, 1000, 500)}, Executors: 1}
-	if u := Utilization(m, 100); u != 1.2 {
+	if u := util(m); u != 1.2 {
 		t.Fatalf("aggregate over one executor: %v", u)
 	}
 	// Same ops spread over plenty of executors: busiest dominates.
 	m.Executors = 4
-	if u := Utilization(m, 100); u != 0.6 {
+	if u := util(m); u != 0.6 {
 		t.Fatalf("spread over executors: %v", u)
+	}
+	// Operator names are not unique (ql names every key projection
+	// "select key"): operators sharing a name each count, and their sum
+	// still sheds.
+	m = hmts.Metrics{Executors: 1, Ingest: []hmts.IngestMetrics{{Name: "ext"}}}
+	for i := 0; i < 2; i++ {
+		o := op(600, 1000, 500)
+		o.Name = "select key"
+		m.Ops = append(m.Ops, o)
+	}
+	if u := util(m); u != 1.2 {
+		t.Fatalf("equal-named operators: %v, want 1.2", u)
+	}
+	if prs := persisted(t, New(nil, Config{Shed: true}), m); len(prs) != 1 || prs[0].act != ShedOn {
+		t.Fatalf("equal-named operators overloading one executor must shed: %+v", prs)
+	}
+}
+
+// shedSim plays the engine's side of the shed decision: it runs the
+// planner over a snapshot carrying the sources' shedding state and
+// applies the proposed action as an uncooled step would.
+type shedSim struct {
+	c  *Controller
+	on bool
+}
+
+func newShedSim() *shedSim { return &shedSim{c: New(nil, Config{Shed: true})} }
+
+func (s *shedSim) step(m hmts.Metrics) Action {
+	m.Ingest = []hmts.IngestMetrics{{Name: "ext", Shedding: s.on}}
+	a := None
+	for _, pr := range s.c.plan(m) {
+		a = pr.act
+		s.on = a == ShedOn
+		s.c.settle(pr)
+	}
+	return a
+}
+
+// loaded is a one-executor snapshot whose single operator runs at util.
+func loaded(util float64) hmts.Metrics {
+	return hmts.Metrics{
+		Executors: 1,
+		Ops:       []hmts.OpMetrics{{Name: "op", CostNS: util * 1000, InterarrivalNS: 1000, In: 500}},
 	}
 }
 
 func TestShedOnOverloadPolicy(t *testing.T) {
-	mk := func(util float64) hmts.Metrics {
-		return hmts.Metrics{
-			Executors: 1,
-			Ops:       []hmts.OpMetrics{{CostNS: util * 1000, InterarrivalNS: 1000, In: 500}},
-		}
-	}
-	p := &ShedOnOverload{Engage: 1, Release: 0.5, Persist: 2, MinSamples: 10}
-	if a := p.Evaluate(mk(2)); a != None {
-		t.Fatalf("one overloaded observation must not trigger: %v", a)
-	}
-	if a := p.Evaluate(mk(0.3)); a != None {
+	s := newShedSim()
+	s.step(loaded(2))
+	s.step(loaded(2))
+	if a := s.step(loaded(0.3)); a != None {
 		t.Fatal("dip must reset the persist counter")
 	}
-	p.Evaluate(mk(2))
-	if a := p.Evaluate(mk(2)); a != ShedOn {
+	s.step(loaded(2))
+	s.step(loaded(2))
+	if s.on {
+		t.Fatal("two overloaded observations after a dip must not engage")
+	}
+	if a := s.step(loaded(2)); a != ShedOn || !s.on {
 		t.Fatalf("persistent overload must engage: %v", a)
 	}
-	if p.Engaged() {
-		t.Fatal("engaged must not flip before the action executed")
+	if a := s.step(loaded(2)); a != None {
+		t.Fatal("already shedding: no repeat action")
 	}
-	// The controller executes the action and reports back.
-	p.Commit(Proposal{Act: ShedOn}, nil)
-	if !p.Engaged() {
-		t.Fatal("policy should report engaged after commit")
+	// Hysteresis: between release and engage nothing changes.
+	if a := s.step(loaded(0.9)); a != None {
+		t.Fatal("above the release threshold shedding must hold")
 	}
-	if a := p.Evaluate(mk(2)); a != None {
-		t.Fatal("already engaged: no repeat action")
+	s.step(loaded(0.3))
+	s.step(loaded(0.3))
+	s.step(loaded(0.9)) // resets the calm streak
+	s.step(loaded(0.3))
+	if a := s.step(loaded(0.3)); a != None {
+		t.Fatal("two calm observations after a rise must not release")
 	}
-	// Hysteresis: between Release and Engage nothing changes.
-	if a := p.Evaluate(mk(0.8)); a != None {
-		t.Fatal("above release threshold shedding must hold")
+	if a := s.step(loaded(0.3)); a != ShedOff || s.on {
+		t.Fatalf("persistent calm must release: %v", a)
 	}
-	if a := p.Evaluate(mk(0.3)); a != None {
-		t.Fatal("one calm observation must not release")
-	}
-	p.Evaluate(mk(0.8)) // resets the under counter
-	p.Evaluate(mk(0.3))
-	if a := p.Evaluate(mk(0.3)); a != ShedOff {
-		t.Fatal("persistent calm must release")
-	}
-	p.Commit(Proposal{Act: ShedOff}, nil)
-	if p.Engaged() {
-		t.Fatal("policy should report released")
+	// No external source: nothing to shed, whatever the load.
+	bare := New(nil, Config{Shed: true})
+	for i := 0; i < 5; i++ {
+		if a := only(t, bare.plan(loaded(2))); a != None {
+			t.Fatalf("shed proposed without an external source: %v", a)
+		}
 	}
 }
 
 // End-to-end: an External source feeding an operator that cannot keep pace
 // with the producer's event rate drives measured utilization above 1, the
-// ShedOnOverload policy fires ShedOn through the controller, and the
-// source reports the emergency override.
+// planner fires ShedOn through the controller, and the source reports the
+// emergency override.
 func TestShedOnOverloadEndToEnd(t *testing.T) {
 	const (
 		n      = 2000
@@ -386,14 +538,16 @@ func TestShedOnOverloadEndToEnd(t *testing.T) {
 		t.Fatalf("Block policy must not lose elements: %d", sink.Count())
 	}
 
-	ctl := New(eng, time.Hour, 0, &ShedOnOverload{Persist: 2, MinSamples: 100})
-	if a := ctl.Step(); a != None {
-		t.Fatalf("first observation: %v", a)
+	ctl := New(eng, Config{Period: time.Hour, Shed: true})
+	for i := 1; i < persist; i++ {
+		if a := ctl.Step(); a != None {
+			t.Fatalf("observation %d: %v", i, a)
+		}
 	}
 	if a := ctl.Step(); a != ShedOn {
 		m := eng.Metrics()
 		t.Fatalf("persistent overload should shed (util=%v): %+v",
-			Utilization(m, 100), m.Ops)
+			utilization(loads(m.Ops), m.Executors), m.Ops)
 	}
 	if !ext.Shedding() {
 		t.Fatal("source should report the shed override")

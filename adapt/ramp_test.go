@@ -14,27 +14,18 @@ import (
 func metricsAtRate(costNS, hz float64) hmts.Metrics {
 	return hmts.Metrics{
 		Executors: 1,
-		Ops:       []hmts.OpMetrics{{CostNS: costNS, InterarrivalNS: 1e9 / hz, In: 1000}},
+		Ops:       []hmts.OpMetrics{{Name: "op", CostNS: costNS, InterarrivalNS: 1e9 / hz, In: 1000}},
 	}
 }
 
-// evalCommit evaluates p and, like an uncooled controller step, commits
-// any proposed action as successfully executed.
-func evalCommit(p *ShedOnOverload, m hmts.Metrics) Action {
-	a := p.Evaluate(m)
-	if a != None {
-		p.Commit(Proposal{Act: a}, nil)
-	}
-	return a
-}
-
-// TestShedOnOverloadRampTrace drives the shed policy with the utilization
-// trajectory of a ramp-and-decay workload — the scenario the hysteresis
-// exists for. A 100µs operator saturates at 10k elements/s; the trace
-// ramps 2k→20k, holds, and decays back. The policy must engage exactly
-// once (shortly after crossing capacity, not at first wobble), hold
-// through the whole overloaded plateau including the 8k–10k hysteresis
-// band on the way down, and release exactly once after the decay.
+// TestShedOnOverloadRampTrace drives the shed decision with the
+// utilization trajectory of a ramp-and-decay workload — the scenario the
+// hysteresis exists for. A 100µs operator saturates at 10k elements/s;
+// the trace ramps 2k→20k, holds, and decays back. The planner must engage
+// exactly once (shortly after crossing capacity, not at first wobble),
+// hold through the whole overloaded plateau including the 8k–10k
+// hysteresis band on the way down, and release exactly once after the
+// decay.
 func TestShedOnOverloadRampTrace(t *testing.T) {
 	const costNS = 100_000 // capacity: 10_000 elements/s
 	shape := workload.RampDecayShape{
@@ -44,7 +35,7 @@ func TestShedOnOverloadRampTrace(t *testing.T) {
 		HoldNS:  int64(8 * time.Second),
 		DecayNS: int64(12 * time.Second),
 	}
-	p := &ShedOnOverload{Engage: 1, Release: 0.8, Persist: 3, MinSamples: 100}
+	s := newShedSim()
 
 	type step struct {
 		tick   int
@@ -54,7 +45,7 @@ func TestShedOnOverloadRampTrace(t *testing.T) {
 	var actions []step
 	for tick := 0; tick < 40; tick++ {
 		hz := shape.HzAt(int64(tick) * int64(time.Second))
-		if a := evalCommit(p, metricsAtRate(costNS, hz)); a != None {
+		if a := s.step(metricsAtRate(costNS, hz)); a != None {
 			actions = append(actions, step{tick, a, costNS * hz / 1e9})
 		}
 	}
@@ -66,7 +57,7 @@ func TestShedOnOverloadRampTrace(t *testing.T) {
 		t.Fatalf("want ShedOn then ShedOff, got %+v", actions)
 	}
 	// The rate crosses capacity at tick 6 (2000 + 18000*6/12 = 11000);
-	// with Persist=3 the engage lands at tick 8. Allow a tick of slack for
+	// with persist 3 the engage lands at tick 8. Allow a tick of slack for
 	// the shape's integer arithmetic, but it must not wait for the peak.
 	if on.tick < 7 || on.tick > 9 {
 		t.Errorf("engage at tick %d (util %.2f), want 7..9", on.tick, on.util)
@@ -75,7 +66,7 @@ func TestShedOnOverloadRampTrace(t *testing.T) {
 		t.Errorf("engaged below capacity: util %.2f", on.util)
 	}
 	// Decay runs ticks 20..32 from 20k down to 2k; the release threshold
-	// (0.8 => 8k elements/s) is crossed at tick 28, so Persist=3 releases
+	// (0.8 => 8k elements/s) is crossed at tick 28, so persist 3 releases
 	// at tick 30 — after the hysteresis band, never inside it.
 	if off.tick < 29 || off.tick > 32 {
 		t.Errorf("release at tick %d (util %.2f), want 29..32", off.tick, off.util)
@@ -83,62 +74,66 @@ func TestShedOnOverloadRampTrace(t *testing.T) {
 	if off.util >= 0.8 {
 		t.Errorf("released inside the hysteresis band: util %.2f", off.util)
 	}
-	if p.Engaged() {
-		t.Error("policy still engaged after the trace")
+	if s.on {
+		t.Error("still shedding after the trace")
 	}
 }
 
-// TestShedOnOverloadHoverNoFlap: a rate hovering between Release and
-// Engage after an overload must keep the override engaged indefinitely —
+// TestShedOnOverloadHoverNoFlap: a rate hovering between release and
+// engage after an overload must keep the override engaged indefinitely —
 // the flap the hysteresis is designed out of.
 func TestShedOnOverloadHoverNoFlap(t *testing.T) {
 	const costNS = 100_000
-	p := &ShedOnOverload{Engage: 1, Release: 0.8, Persist: 2, MinSamples: 100}
-	for i := 0; i < 2; i++ {
-		evalCommit(p, metricsAtRate(costNS, 15_000))
+	s := newShedSim()
+	for i := 0; i < persist; i++ {
+		s.step(metricsAtRate(costNS, 15_000))
 	}
-	if !p.Engaged() {
+	if !s.on {
 		t.Fatal("setup: overload did not engage")
 	}
 	// 50 ticks oscillating across the band's interior: 8.5k and 9.5k both
-	// sit between Release (8k) and Engage (10k).
+	// sit between release (8k) and engage (10k).
 	for i := 0; i < 50; i++ {
 		hz := 8_500.0
 		if i%2 == 1 {
 			hz = 9_500.0
 		}
-		if a := evalCommit(p, metricsAtRate(costNS, hz)); a != None {
+		if a := s.step(metricsAtRate(costNS, hz)); a != None {
 			t.Fatalf("tick %d: action %v inside the hysteresis band", i, a)
 		}
 	}
-	if !p.Engaged() {
+	if !s.on {
 		t.Fatal("hovering load released the override")
 	}
-	// A brief dip below Release shorter than Persist must not release.
-	evalCommit(p, metricsAtRate(costNS, 5_000))
-	if a := evalCommit(p, metricsAtRate(costNS, 9_000)); a != None || !p.Engaged() {
-		t.Fatal("one-tick dip released the override")
+	// A dip below release shorter than persist must not release.
+	s.step(metricsAtRate(costNS, 5_000))
+	s.step(metricsAtRate(costNS, 5_000))
+	if a := s.step(metricsAtRate(costNS, 9_000)); a != None || !s.on {
+		t.Fatal("a short dip released the override")
 	}
 }
 
-// TestShedOnOverloadDefaults: the zero value engages at utilization 1
-// with Persist 3 and ignores operators under 100 samples.
+// TestShedOnOverloadDefaults: the planner engages at utilization 1 after
+// persist (3) observations and ignores operators under 100 samples.
 func TestShedOnOverloadDefaults(t *testing.T) {
-	p := &ShedOnOverload{}
+	s := newShedSim()
 	few := hmts.Metrics{
 		Executors: 1,
-		Ops:       []hmts.OpMetrics{{CostNS: 5e6, InterarrivalNS: 1e3, In: 99}},
+		Ops:       []hmts.OpMetrics{{Name: "op", CostNS: 5e6, InterarrivalNS: 1e3, In: 99}},
 	}
 	for i := 0; i < 10; i++ {
-		if a := p.Evaluate(few); a != None {
+		if a := s.step(few); a != None {
 			t.Fatalf("under-sampled overload engaged: %v", a)
 		}
 	}
-	hot := metricsAtRate(100_000, 15_000) // util 1.5, In 1000
-	if a1, a2 := p.Evaluate(hot), p.Evaluate(hot); a1 != None || a2 != None {
-		t.Fatal("default Persist must be 3")
+	if a := s.step(metricsAtRate(100_000, 10_000)); a != None {
+		t.Fatal("a load of exactly 1 is not overload")
 	}
-	if a := p.Evaluate(hot); a != ShedOn {
+	hot := metricsAtRate(100_000, 15_000) // util 1.5, In 1000
+	if a1, a2 := s.step(hot), s.step(hot); a1 != None || a2 != None {
+		t.Fatal("persist must be 3")
+	}
+	if a := s.step(hot); a != ShedOn {
 		t.Fatal("third consecutive overload must engage")
 	}
 }
@@ -151,14 +146,24 @@ func TestUtilizationIgnoresBrokenMeasurements(t *testing.T) {
 	m := hmts.Metrics{
 		Executors: 0,
 		Ops: []hmts.OpMetrics{
-			{CostNS: 0, InterarrivalNS: 1000, In: 1000},
-			{CostNS: -5, InterarrivalNS: 1000, In: 1000},
-			{CostNS: 500, InterarrivalNS: 0, In: 1000},
-			{CostNS: 500, InterarrivalNS: -1, In: 1000},
-			{CostNS: 500, InterarrivalNS: 1000, In: 1000}, // the only valid one
+			{Name: "a", CostNS: 0, InterarrivalNS: 1000, In: 1000},
+			{Name: "b", CostNS: -5, InterarrivalNS: 1000, In: 1000},
+			{Name: "c", CostNS: 500, InterarrivalNS: 0, In: 1000},
+			{Name: "d", CostNS: 500, InterarrivalNS: -1, In: 1000},
+			{Name: "e", CostNS: 500, InterarrivalNS: 1000, In: 1000}, // the only valid one
 		},
 	}
-	if u := Utilization(m, 100); u != 0.5 {
+	if u := utilization(loads(m.Ops), m.Executors); u != 0.5 {
 		t.Fatalf("utilization %v, want 0.5 from the single valid op", u)
+	}
+	// Nor do they count as drift or as a stalling operator.
+	m.Mode = hmts.ModeGTS
+	for i := range m.Ops {
+		m.Ops[i].PlannedCostNS = 500
+		m.Ops[i].CostNS = min(m.Ops[i].CostNS, 0)
+	}
+	p := New(nil, Config{Rebalance: true, Switch: true})
+	if prs := p.plan(m); len(prs) != 0 {
+		t.Fatalf("broken measurements proposed %+v", prs)
 	}
 }

@@ -38,103 +38,226 @@ func overloadedExtEngine(t *testing.T) (*hmts.Engine, *hmts.ExternalSource) {
 	return eng, ext
 }
 
-// TestShedEngagedMatchesEngineAcrossCooldownDrop is the regression test
-// for the state-desync bug: the pre-fix ShedOnOverload flipped engaged
-// inside Evaluate, so when the controller dropped the returned ShedOn at
-// its cooldown gate the policy believed the sources were shedding while
-// Engine.Shed(true) never ran — and, believing itself engaged, it would
-// never propose ShedOn again. Engaged() must track executed actions only.
+// charge executes one scripted ShedOff through c, starting its cooldown,
+// and restores c's planner.
+func charge(t *testing.T, c *Controller) {
+	t.Helper()
+	plan := c.propose
+	script(c, ShedOff)
+	if got := c.Step(); got != ShedOff {
+		t.Fatalf("charging step = %v, want the scripted ShedOff", got)
+	}
+	c.propose = plan
+}
+
+// lastEvent returns c's newest event.
+func lastEvent(t *testing.T, c *Controller) Event {
+	t.Helper()
+	evs := c.Events()
+	if len(evs) == 0 {
+		t.Fatal("no events recorded")
+	}
+	return evs[len(evs)-1]
+}
+
+// TestShedEngagedMatchesEngineAcrossCooldownDrop: a ShedOn that the
+// cooldown gate drops leaves the sources unshed, and once the cooldown
+// ends the standing overload proposes it again and it executes. The
+// planner reads whether sources shed from the snapshot, so it cannot
+// believe in an engagement the gate dropped.
 func TestShedEngagedMatchesEngineAcrossCooldownDrop(t *testing.T) {
 	eng, ext := overloadedExtEngine(t)
 	const cooldown = 300 * time.Millisecond
+	c := New(eng, Config{Period: time.Hour, Cooldown: cooldown, Shed: true})
 
-	shed := &ShedOnOverload{Persist: 2, MinSamples: 100}
-	// A policy ahead of the shedder that acts on the first step, charging
-	// the cooldown right before the shedder's persist window fills.
-	chatty := &fakePolicy{name: "chatty", acts: []Action{ShedOff}}
-	c := New(eng, time.Hour, cooldown, chatty, shed)
-
-	// Step 1: chatty's ShedOff executes and charges the cooldown; the
-	// shedder sees overload once (persist 2 → no proposal yet).
-	if got := c.Step(); got != ShedOff {
-		t.Fatalf("step 1 = %v, want chatty's ShedOff", got)
+	// The persist window runs cooled.
+	charge(t, c)
+	for i := 1; i < persist; i++ {
+		if got := c.Step(); got != None {
+			t.Fatalf("observation %d = %v", i, got)
+		}
 	}
-	// Step 2: the shedder's persist fills and it proposes ShedOn, which
-	// the cooldown gate drops.
+	// The streak fills and ShedOn is proposed, which the gate drops.
 	if got := c.Step(); got != None {
-		t.Fatalf("step 2 = %v, want None (cooldown)", got)
+		t.Fatalf("cooled step = %v, want None", got)
 	}
-	if shed.Engaged() != ext.Shedding() {
-		t.Fatalf("policy state desynced from engine: Engaged=%v Shedding=%v",
-			shed.Engaged(), ext.Shedding())
+	if ev := lastEvent(t, c); !ev.Dropped || ev.Action != ShedOn || ev.Trigger != "overload" {
+		t.Fatalf("cooldown drop not recorded: %+v", ev)
 	}
-	if shed.Engaged() {
-		t.Fatal("dropped ShedOn must not mark the policy engaged")
-	}
-	// The drop is observable: the last event records the suppressed
-	// proposal (the pre-fix controller returned silently).
-	evs := c.Events()
-	if len(evs) == 0 || !evs[len(evs)-1].Dropped || evs[len(evs)-1].Action != ShedOn {
-		t.Fatalf("cooldown drop not recorded: %+v", evs)
+	if ext.Shedding() || eng.Metrics().Ingest[0].Shedding {
+		t.Fatal("a dropped ShedOn engaged shedding")
 	}
 
-	// Step 3, past the cooldown: the still-standing overload re-proposes
-	// ShedOn (the persist streak saturates instead of resetting), it
-	// executes, and policy and engine agree again.
+	// Past the cooldown the still-standing overload re-proposes ShedOn
+	// (the streak saturates instead of resetting) and it executes.
 	time.Sleep(cooldown + 50*time.Millisecond)
 	if got := c.Step(); got != ShedOn {
-		t.Fatalf("step 3 = %v, want ShedOn once the cooldown expired", got)
+		t.Fatalf("step past the cooldown = %v, want ShedOn", got)
 	}
-	if !shed.Engaged() || !ext.Shedding() {
-		t.Fatalf("after execution both must report shedding: Engaged=%v Shedding=%v",
-			shed.Engaged(), ext.Shedding())
+	if !ext.Shedding() || !eng.Metrics().Ingest[0].Shedding {
+		t.Fatal("executed ShedOn did not engage shedding")
+	}
+	// The engine now sheds, so the planner does not propose it again.
+	time.Sleep(cooldown + 50*time.Millisecond)
+	if got := c.Step(); got != None {
+		t.Fatalf("step while shedding = %v, want None", got)
 	}
 }
 
-// countingPolicy records how often it was evaluated and always proposes.
-type countingPolicy struct {
-	act   Action
-	evals int
+// openEngine returns a running engine whose external source stays open
+// until the returned close function runs. Its one operator costs about
+// 20µs per element but is hinted at 10ns, and it has processed enough
+// elements for a reliable measurement.
+func openEngine(t *testing.T) (*hmts.Engine, func()) {
+	t.Helper()
+	ext := hmts.External("ext", hmts.ExternalConfig{Policy: hmts.Block, Buffer: 256})
+	eng := hmts.New()
+	sink := eng.Source("ext", ext.Spec()).
+		Map("actually-heavy", func(e hmts.Element) hmts.Element {
+			simtime.Busy(20_000)
+			return e
+		}).
+		Hint(10, 1).
+		CountSink("out")
+	eng.MustRun(hmts.RunConfig{Mode: hmts.ModeHMTS})
+	const n = 2 * minSamples
+	for i := 0; i < n; i++ {
+		ext.Push(hmts.Element{TS: hmts.Time((i + 1) * 100_000), Key: int64(i)})
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for eng.Metrics().Ops[0].Out < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("setup: operator never processed its input: %+v", eng.Metrics().Ops)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return eng, func() {
+		ext.Close()
+		eng.Wait()
+		sink.Wait()
+		if sink.Count() != n {
+			t.Fatalf("lost elements: %d of %d", sink.Count(), n)
+		}
+		if err := eng.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
-func (p *countingPolicy) Name() string { return "counting" }
-func (p *countingPolicy) Evaluate(hmts.Metrics) Action {
-	p.evals++
-	return p.act
+// TestDroppedDriftRebalanceIsProposedAgain: a cost-drift Rebalance that
+// the cooldown gate drops is proposed again once the cooldown ends, and
+// executes. The drift is measured against the cost the running plan was
+// built with, so it stands until a Rebalance actually ran.
+func TestDroppedDriftRebalanceIsProposedAgain(t *testing.T) {
+	eng, done := openEngine(t)
+	defer done()
+	const cooldown = 200 * time.Millisecond
+	c := New(eng, Config{Period: time.Hour, Cooldown: cooldown, Rebalance: true})
+	script(c, ShedOff) // charge the cooldown before the planner runs
+	if got := c.Step(); got != ShedOff {
+		t.Fatalf("charging step = %v", got)
+	}
+	c.propose = c.plan
+
+	for i := 1; i < persist; i++ {
+		if got := c.Step(); got != None || len(c.Events()) != 1 {
+			t.Fatalf("observation %d = %v, events %+v", i, got, c.Events())
+		}
+	}
+	if got := c.Step(); got != None {
+		t.Fatalf("cooled step = %v, want None", got)
+	}
+	if ev := lastEvent(t, c); !ev.Dropped || ev.Action != Rebalance || ev.Trigger != "cost-drift" {
+		t.Fatalf("cooldown drop not recorded: %+v", ev)
+	}
+	time.Sleep(cooldown + 50*time.Millisecond)
+	if got := c.Step(); got != Rebalance {
+		t.Fatalf("step past the cooldown = %v, want the dropped Rebalance again", got)
+	}
+	if ev := lastEvent(t, c); ev.Dropped || ev.Err != nil {
+		t.Fatalf("rebalance did not execute: %+v", ev)
+	}
+	o := eng.Metrics().Ops[0]
+	if r := o.CostNS / o.PlannedCostNS; r > driftFactor || r < 1/driftFactor {
+		t.Fatalf("plan still stale: planned %v, measured %v", o.PlannedCostNS, o.CostNS)
+	}
+}
+
+// TestDroppedQueueGrowthIsProposedAgain: a queue-growth Rebalance that
+// the cooldown gate drops is proposed again on the next step while the
+// backlog keeps growing, not after a whole new persist window.
+func TestDroppedQueueGrowthIsProposedAgain(t *testing.T) {
+	eng, done := openEngine(t)
+	defer done()
+	const cooldown = 200 * time.Millisecond
+	c := New(eng, Config{Period: time.Hour, Cooldown: cooldown, Rebalance: true})
+	charge(t, c)
+	l := 20_000
+	c.propose = func(hmts.Metrics) []proposal {
+		l += 1_000
+		return c.plan(queues(l))
+	}
+	for i := 0; i < persist; i++ { // the baseline, then growth short of persist
+		if got := c.Step(); got != None || len(c.Events()) != 1 {
+			t.Fatalf("observation %d = %v, events %+v", i+1, got, c.Events())
+		}
+	}
+	if got := c.Step(); got != None {
+		t.Fatalf("cooled step = %v, want None", got)
+	}
+	if ev := lastEvent(t, c); !ev.Dropped || ev.Action != Rebalance || ev.Trigger != "queue-growth" {
+		t.Fatalf("cooldown drop not recorded: %+v", ev)
+	}
+	time.Sleep(cooldown + 50*time.Millisecond)
+	if got := c.Step(); got != Rebalance {
+		t.Fatalf("step past the cooldown = %v, want the dropped Rebalance again", got)
+	}
+	if ev := lastEvent(t, c); ev.Dropped || ev.Err != nil {
+		t.Fatalf("rebalance did not execute: %+v", ev)
+	}
+	// The executed Rebalance reset the streak: further growth needs a
+	// fresh persist window.
+	if prs := c.plan(queues(l + 1_000)); len(prs) != 0 {
+		t.Fatalf("growth right after an executed rebalance proposed %+v", prs)
+	}
 }
 
 // TestCooldownDoesNotSilenceLaterPolicies is the regression test for the
-// starvation bug: the pre-fix Step returned None as soon as any policy's
-// proposal hit the cooldown gate (and returned right after the first
-// executed action), so a chatty early policy starved every later one
-// indefinitely. All policies must be evaluated every step, and dropped
-// proposals must surface as events.
+// starvation bug: a controller that returned as soon as one proposal hit
+// the cooldown gate let a chatty early decision starve every later one.
+// Every step must consult the planner, execute all of its proposals or
+// record all of them as dropped.
 func TestCooldownDoesNotSilenceLaterPolicies(t *testing.T) {
 	eng, sink := runningEngine(t, 200_000)
-	chatty := &countingPolicy{act: Rebalance}
-	late := &countingPolicy{act: ShedOff}
-	c := New(eng, time.Hour, time.Hour, chatty, late)
+	c := New(eng, Config{Period: time.Hour, Cooldown: time.Hour})
+	calls := 0
+	c.propose = func(hmts.Metrics) []proposal {
+		calls++
+		return []proposal{{act: Rebalance, by: "chatty"}, {act: ShedOff, by: "late"}}
+	}
 
-	// Step 1 (uncooled): both policies run and both actions execute.
+	// Step 1 (uncooled): both actions execute.
 	if got := c.Step(); got != Rebalance {
 		t.Fatalf("step 1 = %v", got)
 	}
-	// Step 2 (cooling): both proposals drop, but both policies must still
-	// have been consulted.
+	// Step 2 (cooling): both proposals drop, but the planner still ran.
 	if got := c.Step(); got != None {
 		t.Fatalf("step 2 = %v, want None under cooldown", got)
 	}
-	if late.evals != 2 {
-		t.Fatalf("late policy evaluated %d times, want 2 — cooldown starved it", late.evals)
+	if calls != 2 {
+		t.Fatalf("planner consulted %d times, want 2 — cooldown starved it", calls)
 	}
-	var dropped []Action
-	for _, ev := range c.Events() {
-		if ev.Dropped {
-			dropped = append(dropped, ev.Action)
+	evs := c.Events()
+	if len(evs) != 4 {
+		t.Fatalf("events %+v", evs)
+	}
+	for i, ev := range evs {
+		if ev.Dropped != (i >= 2) || ev.Err != nil {
+			t.Fatalf("event %d: %+v", i, ev)
 		}
 	}
-	if len(dropped) != 2 || dropped[0] != Rebalance || dropped[1] != ShedOff {
-		t.Fatalf("dropped proposals not recorded: %v (events %+v)", dropped, c.Events())
+	if evs[2].Action != Rebalance || evs[3].Action != ShedOff || evs[3].Trigger != "late" {
+		t.Fatalf("dropped proposals not recorded: %+v", evs)
 	}
 	eng.Wait()
 	sink.Wait()
@@ -145,61 +268,61 @@ func TestCooldownDoesNotSilenceLaterPolicies(t *testing.T) {
 // under the same name must start with a clean growth streak, not inherit
 // the dead queue's.
 func TestQueueGrowthForgetsRemovedQueues(t *testing.T) {
-	p := &QueueGrowth{Threshold: 100, Persist: 3}
-	mk := func(l int) hmts.Metrics {
-		return hmts.Metrics{Queues: []hmts.QueueMetrics{{Name: "q", Len: l}}}
-	}
-	p.Evaluate(mk(200)) // baseline
-	p.Evaluate(mk(300)) // streak 1
-	p.Evaluate(mk(400)) // streak 2
+	p := New(nil, Config{Rebalance: true})
+	p.plan(queues(20_000)) // baseline
+	p.plan(queues(21_000)) // streak 1
+	p.plan(queues(22_000)) // streak 2
 	// The queue disappears for one snapshot (resharded away)...
-	p.Evaluate(hmts.Metrics{})
+	p.plan(hmts.Metrics{})
 	// ...and a new queue reuses the name. This observation can only be a
-	// baseline; on the pre-fix code the stale streak plus the stale
-	// lastLens entry made it the triggering third growth.
-	if a := p.Evaluate(mk(500)); a != None {
+	// baseline; with a stale streak and length it would be the triggering
+	// third growth.
+	if a := only(t, p.plan(queues(23_000))); a != None {
 		t.Fatalf("recreated queue inherited the dead queue's streak: %v", a)
 	}
 	// From the clean slate the full persist window is required again.
-	if a := p.Evaluate(mk(600)); a != None {
+	if a := only(t, p.plan(queues(24_000))); a != None {
 		t.Fatal("streak 1 must not trigger")
 	}
-	if a := p.Evaluate(mk(700)); a != None {
+	if a := only(t, p.plan(queues(25_000))); a != None {
 		t.Fatal("streak 2 must not trigger")
 	}
-	if a := p.Evaluate(mk(800)); a != Rebalance {
+	if a := only(t, p.plan(queues(26_000))); a != Rebalance {
 		t.Fatal("persistent growth on the new queue must trigger")
 	}
 }
 
-// TestCostDriftForgetsRemovedOps: same leak for the drift baselines — an
-// operator removed by a reshard and re-created under the same name (shard
-// replicas do exactly this) must re-baseline, not be judged against the
-// dead operator's plan.
+// TestCostDriftForgetsRemovedOps: an operator removed by a reshard and
+// re-created under the same name (shard replicas do exactly this) starts
+// with a clean drift streak, and is judged against the cost its own plan
+// was built with, never against a dead operator's.
 func TestCostDriftForgetsRemovedOps(t *testing.T) {
-	p := &CostDrift{Factor: 2}
-	mk := func(cost float64) hmts.Metrics {
-		return hmts.Metrics{Ops: []hmts.OpMetrics{{Name: "agg#1", CostNS: cost, In: 1000}}}
+	p := New(nil, Config{Rebalance: true})
+	op := func(cost, plannedCost float64) hmts.Metrics {
+		return hmts.Metrics{Ops: []hmts.OpMetrics{{Name: "agg#1", CostNS: cost, PlannedCostNS: plannedCost, In: 1000}}}
 	}
-	if a := p.Evaluate(mk(100)); a != None { // baseline 100
-		t.Fatalf("baseline: %v", a)
+	for i := 1; i < persist; i++ { // a drift streak one short of firing
+		if a := only(t, p.plan(op(5000, 1000))); a != None {
+			t.Fatalf("observation %d: %v", i, a)
+		}
 	}
 	// Replica removed by a downscale...
-	p.Evaluate(hmts.Metrics{})
-	// ...then a new replica reuses the name with a 10x different cost.
-	// Pre-fix this compared 1000 against the dead baseline and fired.
-	if a := p.Evaluate(mk(1000)); a != None {
-		t.Fatalf("recreated op judged against dead baseline: %v", a)
+	p.plan(hmts.Metrics{})
+	// ...then a new replica reuses the name. Its drift needs a full
+	// persist window; the dead replica's streak would fire at once.
+	if a := only(t, persisted(t, p, op(5000, 1000))); a != Rebalance {
+		t.Fatalf("drift against the new plan must trigger: %v", a)
 	}
-	// The fresh baseline is live: drifting from it still triggers.
-	if a := p.Evaluate(mk(5000)); a != Rebalance {
-		t.Fatalf("drift against the new baseline must trigger: %v", a)
+	// A replica with a 10x different cost, planned with that cost, does
+	// not drift.
+	if a := only(t, persisted(t, p, op(1000, 1000))); a != None {
+		t.Fatalf("recreated op judged against the dead op: %v", a)
 	}
 }
 
 // TestQueueGrowthPrunesAcrossLiveReshard drives the pruning through the
 // real thing: a live Engine.Reshard removes a replica and its queues, and
-// the policy's memory must shrink with the deployment.
+// the planner's memory must shrink with the deployment.
 func TestQueueGrowthPrunesAcrossLiveReshard(t *testing.T) {
 	ext := hmts.External("ext", hmts.ExternalConfig{Policy: hmts.Block, Buffer: 256})
 	eng := hmts.New()
@@ -212,23 +335,23 @@ func TestQueueGrowthPrunesAcrossLiveReshard(t *testing.T) {
 		ext.Push(hmts.Element{TS: hmts.Time((i + 1) * 1e6), Key: int64(i % 8)})
 	}
 
-	p := &QueueGrowth{Threshold: 1 << 30} // watch its memory, never trigger
-	p.Evaluate(eng.Metrics())
+	p := New(eng, Config{Rebalance: true})
+	p.plan(eng.Metrics())
 	had := false
-	for name := range p.lastLens {
+	for name := range p.lastLen {
 		if strings.Contains(name, "agg#1") {
 			had = true
 		}
 	}
 	if !had {
-		t.Fatalf("setup: replica-1 queues missing from the snapshot: %v", p.lastLens)
+		t.Fatalf("setup: replica-1 queues missing from the snapshot: %v", p.lastLen)
 	}
 
 	if err := eng.Reshard("agg", 1); err != nil {
 		t.Fatal(err)
 	}
-	p.Evaluate(eng.Metrics())
-	for name := range p.lastLens {
+	p.plan(eng.Metrics())
+	for name := range p.lastLen {
 		if strings.Contains(name, "agg#1") {
 			t.Fatalf("stale queue state survived the live reshard: %q", name)
 		}
@@ -242,13 +365,12 @@ func TestQueueGrowthPrunesAcrossLiveReshard(t *testing.T) {
 	}
 }
 
-// TestEngagedAndEventsConcurrentWithLoop exercises the reader-facing
-// surfaces (-race catches unsynchronized state): Engaged() and Events()
-// are read from other goroutines while the control loop steps.
-func TestEngagedAndEventsConcurrentWithLoop(t *testing.T) {
+// TestEventsConcurrentWithLoop exercises the reader-facing surfaces
+// (-race catches unsynchronized state): Events() and Vetoes() are read
+// from other goroutines while the control loop steps.
+func TestEventsConcurrentWithLoop(t *testing.T) {
 	eng, sink := runningEngine(t, 300_000)
-	shed := &ShedOnOverload{Persist: 1, MinSamples: 1}
-	c := New(eng, time.Millisecond, 0, shed, &QueueGrowth{Threshold: 1})
+	c := New(eng, Config{Period: time.Millisecond, Rebalance: true, Shed: true, Switch: true, Reshard: true})
 	c.Start()
 
 	stop := make(chan struct{})
@@ -262,8 +384,8 @@ func TestEngagedAndEventsConcurrentWithLoop(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					_ = shed.Engaged()
 					_ = c.Events()
+					_, _ = c.Vetoes()
 				}
 			}
 		}()

@@ -44,10 +44,11 @@ func main() {
 	interesting.Into("recorder", rec)
 
 	eng.MustRun(hmts.RunConfig{Mode: hmts.ModeHMTS})
-	ctl := adapt.New(eng, 20*time.Millisecond, 50*time.Millisecond,
-		&adapt.CostDrift{Factor: 3},
-		&adapt.QueueGrowth{Threshold: 10_000},
-	)
+	ctl := adapt.New(eng, adapt.Config{
+		Period:    20 * time.Millisecond,
+		Cooldown:  50 * time.Millisecond,
+		Rebalance: true,
+	})
 	ctl.Start()
 	eng.Wait()
 	rec.Wait()
@@ -59,7 +60,7 @@ func main() {
 	fmt.Printf("recorded %d elements (%d bytes, %.1f B/elem)\n",
 		w.Count(), buf.Len(), float64(buf.Len())/float64(w.Count()))
 	for _, ev := range ctl.Events() {
-		fmt.Printf("controller: %s -> %s (err=%v)\n", ev.Policy, ev.Action, ev.Err)
+		fmt.Printf("controller: %s -> %s (err=%v)\n", ev.Trigger, ev.Action, ev.Err)
 	}
 
 	// Phase 2: replay the trace into an offline analysis query.

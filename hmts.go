@@ -256,7 +256,7 @@ func (e *Engine) Reshard(name string, n int) error {
 // while demand exceeds capacity; releasing restores each source's
 // configured policy. Unlike SwitchMode/Rebalance it never pauses the
 // world — it only flips per-source policy flags — so the adaptive
-// controller can engage it cheaply (adapt.ShedOnOverload). Sources other
+// controller can engage it cheaply (adapt.Config.Shed). Sources other
 // than external ones are unaffected. Safe before and during a run.
 func (e *Engine) Shed(on bool) {
 	for _, n := range e.g.Sources() {

@@ -10,8 +10,8 @@
 // backpressure to the pusher (and, through TCP, to the remote client),
 // DropNewest rejects the incoming element, DropOldest evicts the oldest
 // buffered element to admit the new one. The policy is switchable at
-// runtime, which is how adapt.ShedOnOverload engages emergency shedding on
-// a live deployment.
+// runtime, which is how the adapt planner's shed decision engages
+// emergency shedding on a live deployment.
 package ingest
 
 import (

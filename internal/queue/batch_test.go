@@ -245,11 +245,12 @@ func TestProcessBatchBoundedSplitsAcrossSpace(t *testing.T) {
 	case <-time.After(10 * time.Millisecond):
 	}
 	scratch := make([]stream.Element, 8)
+	wait := awaitWork(q)
 	for {
 		if _, open := q.DrainBatch(scratch, 8); !open {
 			break
 		}
-		q.WaitWork(nil)
+		wait()
 	}
 	<-enqDone
 	if len(rec.els) != 20 {
@@ -352,11 +353,12 @@ func TestConcurrentBatchedProducersBatchedDrainer(t *testing.T) {
 	go func() {
 		defer close(consumerDone)
 		scratch := make([]stream.Element, 64)
+		wait := awaitWork(q)
 		for {
 			if _, open := q.DrainBatch(scratch, 64); !open {
 				return
 			}
-			q.WaitWork(nil)
+			wait()
 		}
 	}()
 	wg.Wait()
@@ -405,11 +407,12 @@ func TestBoundedBackpressureReleaseBatched(t *testing.T) {
 	go func() {
 		defer close(done)
 		scratch := make([]stream.Element, 16)
+		wait := awaitWork(q)
 		for {
 			if _, open := q.DrainBatch(scratch, 16); !open {
 				return
 			}
-			q.WaitWork(nil)
+			wait()
 		}
 	}()
 	wg.Wait()

@@ -38,7 +38,6 @@ type Queue struct {
 	producers int
 	doneProds int
 	outClosed bool
-	wake      chan struct{} // closed+replaced when work appears or input closes
 	space     chan struct{} // closed+replaced when room appears (bounded only)
 
 	subs   []sub
@@ -47,7 +46,7 @@ type Queue struct {
 
 	// Gauges: the queue state strategies and samplers consult, published
 	// atomically inside the locked mutation sections so that readers
-	// (FrontTS, Len, HasWork, InputClosed, Closed) never touch mu. The
+	// (Gauges, Len, InputClosed, Closed) never touch mu. The
 	// seqlock pairs frontTS with the length so a reader cannot observe a
 	// front timestamp from a different occupancy state: writers bump gSeq
 	// to odd, store the fields, and bump it back to even; readers retry
@@ -92,7 +91,6 @@ func New(name string, bound int) *Queue {
 		st:        stats.NewOpStats(),
 		bound:     bound,
 		producers: 1,
-		wake:      make(chan struct{}),
 		space:     make(chan struct{}),
 		poison:    make(chan struct{}),
 		buf:       make([]stream.Element, 16),
@@ -265,18 +263,6 @@ func (q *Queue) loadGauges() (ts int64, n int, flags uint32) {
 	}
 }
 
-// FrontTS returns the event timestamp of the oldest buffered element, or
-// false if the queue is empty. FIFO strategies use it to process elements
-// in global arrival order. It reads the published gauges and never blocks
-// on the queue lock.
-func (q *Queue) FrontTS() (int64, bool) {
-	ts, n, _ := q.loadGauges()
-	if n == 0 {
-		return 0, false
-	}
-	return ts, true
-}
-
 // Len returns the number of buffered elements; it is the gauge the memory
 // sampler reads for Figure 9. Lock-free.
 func (q *Queue) Len() int { return int(q.gLen.Load()) }
@@ -284,8 +270,8 @@ func (q *Queue) Len() int { return int(q.gLen.Load()) }
 // Gauges returns one coherent lock-free snapshot of everything a
 // scheduling strategy consults: the front element's event timestamp
 // (meaningful only when n > 0), the buffered length, and the input/output
-// closed flags. Strategies prefer this over separate FrontTS/Len/Closed
-// calls — one seqlock round instead of three.
+// closed flags, in one seqlock round. FIFO strategies use the front
+// timestamp to process elements in global arrival order.
 func (q *Queue) Gauges() (frontTS int64, n int, inClosed, outClosed bool) {
 	ts, n, flags := q.loadGauges()
 	return ts, n, flags&gInClosed != 0, flags&gOutClosed != 0
@@ -355,19 +341,11 @@ func (q *Queue) ProcessBatch(_ int, es []stream.Element) {
 		// gauge lines against the drainer for each push.
 		q.gLen.Store(int64(q.n))
 	}
-	var wake chan struct{}
-	if wasEmpty {
-		wake = q.wake
-		q.wake = make(chan struct{})
-	}
 	notify := q.notify
 	q.mu.Unlock()
 
 	q.enq.Add(uint64(len(es)))
 	q.st.RecordInBatch(es[0].TS, es[len(es)-1].TS, len(es))
-	if wake != nil {
-		close(wake)
-	}
 	q.ping(notify)
 }
 
@@ -378,17 +356,11 @@ func (q *Queue) Done(int) {
 	q.mu.Lock()
 	q.doneProds++
 	q.publishLocked()
-	var wake chan struct{}
 	var notify func()
 	if q.doneProds >= q.producers {
-		wake = q.wake
-		q.wake = make(chan struct{})
 		notify = q.notify
 	}
 	q.mu.Unlock()
-	if wake != nil {
-		close(wake)
-	}
 	q.ping(notify)
 }
 
@@ -491,40 +463,4 @@ func (q *Queue) DrainBatch(scratch []stream.Element, max int) (n int, open bool)
 		return take, false
 	}
 	return take, true
-}
-
-// HasWork reports whether a DrainBatch call would deliver at least one element
-// or propagate the final Done right now. It reads the published gauges and
-// never blocks on the queue lock, so strategies can consult every unit per
-// decision without serializing against producers.
-func (q *Queue) HasWork() bool {
-	_, n, flags := q.loadGauges()
-	if n > 0 {
-		return true
-	}
-	return flags&gInClosed != 0 && flags&gOutClosed == 0
-}
-
-// WaitWork blocks until the queue has work (elements buffered, or a final
-// Done to propagate) or stop is closed. It returns false when the queue is
-// finished or the wait was aborted via stop, true when work is available.
-func (q *Queue) WaitWork(stop <-chan struct{}) bool {
-	for {
-		q.mu.Lock()
-		if q.n > 0 || (q.doneProds >= q.producers && !q.outClosed) {
-			q.mu.Unlock()
-			return true
-		}
-		if q.outClosed {
-			q.mu.Unlock()
-			return false
-		}
-		ch := q.wake
-		q.mu.Unlock()
-		select {
-		case <-ch:
-		case <-stop:
-			return false
-		}
-	}
 }

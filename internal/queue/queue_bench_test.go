@@ -54,11 +54,12 @@ func BenchmarkProducerConsumer(b *testing.B) {
 	go func() {
 		defer close(done)
 		scratch := make([]stream.Element, 64)
+		wait := awaitWork(q)
 		for {
 			if _, open := q.DrainBatch(scratch, 64); !open {
 				return
 			}
-			q.WaitWork(nil)
+			wait()
 		}
 	}()
 	one := make([]stream.Element, 1)
@@ -103,6 +104,7 @@ func benchTransfer(b *testing.B, nprod, bound int, batchedEnq, batchedDrain bool
 	go func() {
 		defer close(done)
 		scratch := make([]stream.Element, 256)
+		wait := awaitWork(q)
 		for {
 			take := 1
 			if batchedDrain {
@@ -111,7 +113,7 @@ func benchTransfer(b *testing.B, nprod, bound int, batchedEnq, batchedDrain bool
 			if _, open := q.DrainBatch(scratch, take); !open {
 				return
 			}
-			q.WaitWork(nil)
+			wait()
 		}
 	}()
 	per := b.N / nprod

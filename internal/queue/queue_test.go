@@ -232,65 +232,34 @@ func TestStatsCounters(t *testing.T) {
 func TestFrontTS(t *testing.T) {
 	q := New("q", 0)
 	q.Subscribe(&recorder{}, 0)
-	if _, ok := q.FrontTS(); ok {
-		t.Fatal("empty queue has a front timestamp")
+	if _, n, _, _ := q.Gauges(); n != 0 {
+		t.Fatalf("empty queue reports %d elements", n)
 	}
 	testutil.Push(q, 0, stream.Element{TS: 42})
 	testutil.Push(q, 0, stream.Element{TS: 43})
-	if ts, ok := q.FrontTS(); !ok || ts != 42 {
-		t.Fatalf("FrontTS = (%d, %v)", ts, ok)
+	if ts, n, _, _ := q.Gauges(); n != 2 || ts != 42 {
+		t.Fatalf("Gauges = (front %d, len %d), want (42, 2)", ts, n)
 	}
 }
 
-func TestWaitWorkWakesOnEnqueue(t *testing.T) {
-	q := New("q", 0)
-	q.Subscribe(&recorder{}, 0)
-	stop := make(chan struct{})
-	got := make(chan bool, 1)
-	go func() { got <- q.WaitWork(stop) }()
-	time.Sleep(5 * time.Millisecond)
-	testutil.Push(q, 0, stream.Element{})
-	select {
-	case v := <-got:
-		if !v {
-			t.Fatal("WaitWork returned false with work available")
+// awaitWork installs a notify callback on q, the way an executor does,
+// and returns a function that blocks until q has elements buffered or
+// its input has closed.
+func awaitWork(q *Queue) func() {
+	ping := make(chan struct{}, 1)
+	q.SetNotify(func() {
+		select {
+		case ping <- struct{}{}:
+		default:
 		}
-	case <-time.After(time.Second):
-		t.Fatal("WaitWork missed the wakeup")
-	}
-}
-
-func TestWaitWorkWakesOnClose(t *testing.T) {
-	q := New("q", 0)
-	q.Subscribe(&recorder{}, 0)
-	stop := make(chan struct{})
-	got := make(chan bool, 1)
-	go func() { got <- q.WaitWork(stop) }()
-	time.Sleep(5 * time.Millisecond)
-	q.Done(0)
-	if v := <-got; !v {
-		t.Fatal("WaitWork should report the pending Done as work")
-	}
-	drain(q, 1)
-	if q.WaitWork(stop) {
-		t.Fatal("WaitWork on a finished queue should return false")
-	}
-}
-
-func TestWaitWorkAbortsOnStop(t *testing.T) {
-	q := New("q", 0)
-	stop := make(chan struct{})
-	got := make(chan bool, 1)
-	go func() { got <- q.WaitWork(stop) }()
-	time.Sleep(5 * time.Millisecond)
-	close(stop)
-	select {
-	case v := <-got:
-		if v {
-			t.Fatal("aborted WaitWork returned true")
+	})
+	return func() {
+		for {
+			if _, n, inClosed, _ := q.Gauges(); n > 0 || inClosed {
+				return
+			}
+			<-ping
 		}
-	case <-time.After(time.Second):
-		t.Fatal("WaitWork ignored stop")
 	}
 }
 
@@ -329,29 +298,28 @@ func TestGaugesTrackQueueState(t *testing.T) {
 	q := New("q", 0)
 	rec := &recorder{}
 	q.Subscribe(rec, 0)
-	if q.HasWork() || q.InputClosed() || q.Closed() {
-		t.Fatal("fresh queue reports work or closure")
+	gauges := func(wantTS int64, wantN int, wantIn, wantOut bool) {
+		t.Helper()
+		ts, n, in, out := q.Gauges()
+		if n != wantN || (n > 0 && ts != wantTS) || in != wantIn || out != wantOut {
+			t.Fatalf("Gauges = (front %d, len %d, in %v, out %v), want (%d, %d, %v, %v)",
+				ts, n, in, out, wantTS, wantN, wantIn, wantOut)
+		}
+		if q.Len() != n || q.InputClosed() != in || q.Closed() != out {
+			t.Fatalf("Len/InputClosed/Closed = %d/%v/%v disagree with Gauges",
+				q.Len(), q.InputClosed(), q.Closed())
+		}
 	}
+	gauges(0, 0, false, false)
 	testutil.Push(q, 0, stream.Element{TS: 7})
 	testutil.Push(q, 0, stream.Element{TS: 8})
-	if ts, ok := q.FrontTS(); !ok || ts != 7 {
-		t.Fatalf("FrontTS = (%d, %v), want (7, true)", ts, ok)
-	}
-	if q.Len() != 2 || !q.HasWork() {
-		t.Fatalf("len=%d hasWork=%v", q.Len(), q.HasWork())
-	}
+	gauges(7, 2, false, false)
 	drain(q, 1)
-	if ts, ok := q.FrontTS(); !ok || ts != 8 {
-		t.Fatalf("FrontTS after pop = (%d, %v), want (8, true)", ts, ok)
-	}
+	gauges(8, 1, false, false)
 	q.Done(0)
-	if !q.InputClosed() || q.Closed() {
-		t.Fatalf("inputClosed=%v closed=%v after Done", q.InputClosed(), q.Closed())
-	}
+	gauges(8, 1, true, false)
 	drain(q, 4) // deliver the remaining element and propagate Done
-	if !q.Closed() || q.HasWork() || q.Len() != 0 {
-		t.Fatalf("closed=%v hasWork=%v len=%d after final drain", q.Closed(), q.HasWork(), q.Len())
-	}
+	gauges(0, 0, true, true)
 }
 
 // TestConcurrentProducersConservation: elements in == elements out, no
@@ -377,11 +345,12 @@ func TestConcurrentProducersConservation(t *testing.T) {
 	consumerDone := make(chan struct{})
 	go func() {
 		defer close(consumerDone)
+		wait := awaitWork(q)
 		for {
 			if _, open := drain(q, 64); !open {
 				return
 			}
-			q.WaitWork(nil)
+			wait()
 		}
 	}()
 	wg.Wait()

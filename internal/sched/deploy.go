@@ -179,11 +179,7 @@ func Build(g *graph.Graph, plan Plan, opts Options) (*Deployment, error) {
 		if maxc < 1 {
 			maxc = runtime.GOMAXPROCS(0)
 		}
-		age := opts.TS.AgePerMS
-		if age == 0 {
-			age = 1
-		}
-		d.ts = NewTS(maxc, age)
+		d.ts = NewTS(maxc, agePerMS)
 	}
 	if err := d.analyze(plan.Groups, plan.SingleGroup); err != nil {
 		return nil, err
@@ -481,8 +477,7 @@ func (d *Deployment) buildExecs() {
 	for _, gi := range groups {
 		us := byGroup[gi]
 		sort.Slice(us, func(i, j int) bool { return us[i].Q.Name() < us[j].Q.Name() })
-		prio := d.opts.Priority[gi]
-		x := newExec(fmt.Sprintf("exec-g%d", gi), us, d.opts.strategyFor(gi), d.opts.batch(), d.opts.quantum(), d.ts, prio, d.fail)
+		x := newExec(fmt.Sprintf("exec-g%d", gi), us, NewStrategy(d.opts.Strategy), d.opts.batch(), d.opts.quantum(), d.ts, d.fail)
 		d.execs = append(d.execs, x)
 	}
 }

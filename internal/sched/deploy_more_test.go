@@ -90,21 +90,26 @@ func TestBuildRejectsInvalidGraph(t *testing.T) {
 	}
 }
 
+// TestGroupStrategyAndPriority: one executor group per operator under a
+// one-permit TS and a non-default strategy, each group at a different
+// priority set through its Proc, still runs everything to completion.
 func TestGroupStrategyAndPriority(t *testing.T) {
 	g, sink := chainGraph(50_000)
 	d, err := Build(g, OTS(g), Options{
-		Strategy:      "fifo",
-		GroupStrategy: map[int]string{0: "roundrobin", 1: "maxqueue"},
-		Priority:      map[int]int{0: 5, 1: 1},
-		TS:            &TSConfig{MaxConcurrent: 1, AgePerMS: 10},
+		Strategy: "maxqueue",
+		TS:       &TSConfig{MaxConcurrent: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, x := range d.Execs() {
+	if len(d.Execs()) < 2 {
+		t.Fatalf("OTS built %d executor groups, want one per operator", len(d.Execs()))
+	}
+	for i, x := range d.Execs() {
 		if x.Proc() == nil {
 			t.Fatal("TS enabled but executor has no proc")
 		}
+		x.Proc().SetPriority(5 * i)
 	}
 	d.Start()
 	d.Wait()

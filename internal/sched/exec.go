@@ -60,7 +60,7 @@ type Exec struct {
 
 // newExec wires an executor over units. A nil ts disables level 3 (the
 // executor runs whenever it has work, like plain OTS/GTS threads).
-func newExec(name string, units []*Unit, strat Strategy, batch int, quantum time.Duration, ts *TS, prio int, onFail func(error)) *Exec {
+func newExec(name string, units []*Unit, strat Strategy, batch int, quantum time.Duration, ts *TS, onFail func(error)) *Exec {
 	if batch < 1 {
 		batch = 1
 	}
@@ -80,7 +80,6 @@ func newExec(name string, units []*Unit, strat Strategy, batch int, quantum time
 	}
 	if ts != nil {
 		x.proc = &Proc{Name: name}
-		x.proc.SetPriority(prio)
 	}
 	for i, u := range units {
 		if !u.closed {

@@ -61,11 +61,9 @@ func HMTS(g *graph.Graph) Plan {
 
 // Options tunes a deployment.
 type Options struct {
-	// Strategy names the default level-2 strategy ("fifo", "roundrobin",
+	// Strategy names the level-2 strategy ("fifo", "roundrobin",
 	// "chain", "maxqueue"); empty means FIFO.
 	Strategy string
-	// GroupStrategy overrides the strategy per executor group index.
-	GroupStrategy map[int]string
 	// Batch is the maximum number of elements drained from one queue per
 	// strategy decision (default 64).
 	Batch int
@@ -82,9 +80,6 @@ type Options struct {
 	// output that does not fit waits in the producer; same-executor edges
 	// and live mutations overshoot it instead of self-deadlocking.
 	QueueBound int
-	// Priority sets the base priority per executor group index (higher
-	// runs first at the TS).
-	Priority map[int]int
 }
 
 // TSConfig configures the level-3 thread scheduler.
@@ -92,10 +87,11 @@ type TSConfig struct {
 	// MaxConcurrent bounds how many executors run simultaneously
 	// (values < 1 become GOMAXPROCS at Build time).
 	MaxConcurrent int
-	// AgePerMS is the priority gained per millisecond an executor waits;
-	// it prevents starvation. 0 selects a sane default.
-	AgePerMS float64
 }
+
+// agePerMS is the priority an executor waiting at the TS gains per
+// millisecond; it prevents starvation.
+const agePerMS = 1
 
 func (o Options) batch() int {
 	if o.Batch < 1 {
@@ -109,11 +105,4 @@ func (o Options) quantum() time.Duration {
 		return 2 * time.Millisecond
 	}
 	return o.Quantum
-}
-
-func (o Options) strategyFor(group int) Strategy {
-	if name, ok := o.GroupStrategy[group]; ok {
-		return NewStrategy(name)
-	}
-	return NewStrategy(o.Strategy)
 }

@@ -157,7 +157,7 @@ func benchExecThroughput(b *testing.B, nq, nprod, batch int) {
 		qs[i] = q
 		units[i] = &Unit{Q: q}
 	}
-	x := newExec("bench", units, &RoundRobin{}, batch, time.Millisecond, nil, 0, nil)
+	x := newExec("bench", units, &RoundRobin{}, batch, time.Millisecond, nil, nil)
 	per := b.N / (nq * nprod)
 	b.ReportAllocs()
 	b.ResetTimer()

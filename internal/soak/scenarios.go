@@ -188,12 +188,13 @@ func Scenarios() map[string]Scenario {
 
 	// autoscale: the closed control loop — a 10x ramp-hold-decay against a
 	// sharded aggregation whose group function costs real CPU, with NO
-	// scripted reshards: the adapt.Autoscaler must grow the replica count
-	// from measured c(v)/d(v) on the ramp and shrink it back on the decay,
-	// within a reshard budget that forbids flapping. The thresholds are
-	// tuned to the shape: per-replica pressure at the peak (~0.2 with one
-	// replica) sits far above ScaleUpAt, the floor (~0.02) far below
-	// ScaleDownAt, and the solved targets land at 3 on the ramp and 1 on
+	// scripted reshards: the adapt planner's reshard decision must grow the
+	// replica count from measured c(v)/d(v) on the ramp and shrink it back
+	// on the decay, within a reshard budget that forbids flapping. The
+	// headroom is sized to the shape: per-replica pressure at the peak
+	// (~0.2 with one replica) sits far above the grow threshold
+	// (1.25 x 0.07), the floor (~0.02) below the shrink threshold
+	// (0.5 x 0.07), and the solved targets land at 3 on the ramp and 1 on
 	// the decay.
 	add(Scenario{
 		Name:        "autoscale",
@@ -221,11 +222,7 @@ func Scenarios() map[string]Scenario {
 			Period:        400 * time.Millisecond,
 			Cooldown:      time.Second,
 			Headroom:      0.07,
-			ScaleUpAt:     0.09,
-			ScaleDownAt:   0.035,
 			MaxReplicas:   4,
-			Persist:       3,
-			MinSamples:    200,
 			PauseBudget:   250 * time.Millisecond,
 			MaxReshards:   6,
 			RequireGrow:   true,

@@ -123,7 +123,7 @@ type Scenario struct {
 	// divides it.
 	AggCostNS int64
 	// Autoscale, when set, closes the control loop: an adapt.Controller
-	// running an adapt.Autoscaler grows and shrinks the aggregation's
+	// running its reshard decision grows and shrinks the aggregation's
 	// replica count from measured c(v)/d(v), with no faults scripting
 	// the reshards.
 	Autoscale *AutoscaleSpec
@@ -146,14 +146,10 @@ type AutoscaleSpec struct {
 	// between executed actions (0 = none).
 	Period   time.Duration
 	Cooldown time.Duration
-	// Headroom through PauseBudget map onto adapt.Autoscaler fields
+	// Headroom, MaxReplicas and PauseBudget map onto adapt.Config
 	// (zero values take the planner's defaults).
 	Headroom    float64
-	ScaleUpAt   float64
-	ScaleDownAt float64
 	MaxReplicas int
-	Persist     int
-	MinSamples  uint64
 	PauseBudget time.Duration
 	// MaxReshards bounds how many reshards may execute over the run
 	// (flap guard; 0 = unbounded). RequireGrow and RequireShrink assert
@@ -318,22 +314,19 @@ func Run(sc Scenario, w io.Writer) *Result {
 	// adapt.Controller stepping a real planner against live metrics. It
 	// stops before the drain so teardown is not resharded under.
 	var ctl *adapt.Controller
-	var scaler *adapt.Autoscaler
 	if as := sc.Autoscale; as != nil {
-		scaler = &adapt.Autoscaler{
-			Headroom:      as.Headroom,
-			ScaleUpAt:     as.ScaleUpAt,
-			ScaleDownAt:   as.ScaleDownAt,
-			MaxReplicas:   as.MaxReplicas,
-			Persist:       as.Persist,
-			MinSamples:    as.MinSamples,
-			PauseBudgetNS: as.PauseBudget.Nanoseconds(),
-		}
 		period := as.Period
 		if period <= 0 {
 			period = 500 * time.Millisecond
 		}
-		ctl = adapt.New(eng, period, as.Cooldown, scaler)
+		ctl = adapt.New(eng, adapt.Config{
+			Period:      period,
+			Cooldown:    as.Cooldown,
+			Reshard:     true,
+			Headroom:    as.Headroom,
+			MaxReplicas: as.MaxReplicas,
+			PauseBudget: as.PauseBudget,
+		})
 		ctl.Start()
 	}
 
@@ -458,8 +451,9 @@ collect:
 			cur = ev.Shards
 			logf("autoscale: resharded %s -> %d replicas", ev.Region, ev.Shards)
 		}
+		skew, pause := ctl.Vetoes()
 		logf("autoscale: reshards=%d grew=%d shrank=%d skew-vetoes=%d pause-vetoes=%d",
-			res.Reshards, grew, shrank, scaler.SkewVetoes(), scaler.PauseVetoes())
+			res.Reshards, grew, shrank, skew, pause)
 		if as.MaxReshards > 0 && res.Reshards > as.MaxReshards {
 			res.Violations = append(res.Violations, fmt.Errorf(
 				"autoscale: %d reshards exceed the budget of %d (flapping)", res.Reshards, as.MaxReshards))
