@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet build test race saturation bench benchsmoke bounded soakshort soakshard soakautoscale soakchurn benchdiff fuzzsmoke
+.PHONY: ci vet build test e2etest race saturation bench benchsmoke bounded soakshort soakshard soakautoscale soakchurn benchdiff fuzzsmoke
 
 # The gate every PR must pass. benchsmoke compiles and runs every benchmark
 # once so a PR cannot rot the measurement harness silently; soakshort runs
@@ -9,10 +9,11 @@ GO ?= go
 # with live replica-count changes; soakautoscale closes the control loop
 # (the adapt planner must grow and shrink the region on its own); soakchurn
 # registers and drops 50 standing queries live mid-burst through the
-# multi-query subsumption path with a zero-drop SLO; benchdiff re-measures
+# multi-query subsumption path with a zero-drop SLO; e2etest vets and tests
+# the end-to-end benchmark, which is its own module; benchdiff re-measures
 # the tracked benchmarks and fails on regressions beyond the tolerance
 # band.
-ci: vet build test race saturation benchsmoke bounded soakshort soakshard soakautoscale soakchurn benchdiff
+ci: vet build test e2etest race saturation benchsmoke bounded soakshort soakshard soakautoscale soakchurn benchdiff
 
 # Covers cmd/ as well as internal/ — ./... is the whole module.
 vet:
@@ -23,6 +24,10 @@ build:
 
 test:
 	$(GO) test ./...
+
+# e2ebench has its own go.mod, so the root ./... never reaches it.
+e2etest:
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
 
 # The whole module under the data-race detector: the batched queues,
 # ingress buffer, executors, adaptive controller, hmtsd sessions and the

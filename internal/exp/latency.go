@@ -22,7 +22,6 @@ type LatencyConfig struct {
 	RateHz      float64
 	HeavyFrac   float64 // fraction of elements reaching the heavy operator
 	HeavyCostNS int64
-	Reservoir   int
 }
 
 // DefaultLatency maps a scale to the configuration: the heavy path
@@ -34,7 +33,6 @@ func DefaultLatency(s Scale) LatencyConfig {
 		RateHz:      20_000,
 		HeavyFrac:   0.02,
 		HeavyCostNS: int64(1e6), // 1ms
-		Reservoir:   4096,
 	}
 	if s.TimeScale > 40 {
 		cfg.Elements = 20_000
@@ -70,7 +68,7 @@ func runLatency(cfg LatencyConfig, mode string) (p50, p99, max float64, n uint64
 		return hashFrac(uint64(e.Key), 0x8EAF) < cfg.HeavyFrac
 	})
 	heavy := op.NewCostSim("analytics", cfg.HeavyCostNS, nil)
-	lat := op.NewLatencySink(1, cfg.Reservoir, 7, clock.Now)
+	lat := op.NewLatencySink(1, clock.Now)
 	null := op.NewNull(1)
 
 	g := graph.New()
@@ -109,5 +107,5 @@ func runLatency(cfg LatencyConfig, mode string) (p50, p99, max float64, n uint64
 	d.Start()
 	d.Wait()
 	lat.Wait()
-	return lat.Quantile(0.5), lat.Quantile(0.99), lat.Quantile(1), lat.Count()
+	return lat.Quantile(0.5), lat.Quantile(0.99), float64(lat.Max()), lat.Count()
 }

@@ -1,6 +1,7 @@
 package op
 
 import (
+	"sync"
 	"testing"
 
 	"github.com/dsms/hmts/internal/stream"
@@ -315,7 +316,7 @@ func TestCounterRecordsSeries(t *testing.T) {
 
 func TestLatencySink(t *testing.T) {
 	now := int64(1000)
-	l := NewLatencySink(1, 100, 1, func() int64 { return now })
+	l := NewLatencySink(1, func() int64 { return now })
 	testutil.Push(l, 0, stream.Element{TS: 900})
 	testutil.Push(l, 0, stream.Element{TS: 800})
 	l.Done(0)
@@ -325,6 +326,41 @@ func TestLatencySink(t *testing.T) {
 	}
 	if q := l.Quantile(1); q != 200 {
 		t.Fatalf("max latency %v, want 200", q)
+	}
+	if q := l.Quantile(0); q != 100 {
+		t.Fatalf("min latency %v, want 100", q)
+	}
+}
+
+// TestLatencySinkConcurrentPorts feeds a two-port sink from two
+// goroutines at once, as two upstream executors do; every observation
+// counts, so Count and Max are exact. Run with -race.
+func TestLatencySinkConcurrentPorts(t *testing.T) {
+	const perPort = 20_000
+	l := NewLatencySink(2, func() int64 { return 1 << 30 })
+	var wg sync.WaitGroup
+	for port := 0; port < 2; port++ {
+		wg.Add(1)
+		go func(port int) {
+			defer wg.Done()
+			batch := make([]stream.Element, 16)
+			for i := 0; i < perPort; i += len(batch) {
+				for j := range batch {
+					// Latencies 1..2*perPort, interleaved across ports.
+					batch[j].TS = 1<<30 - int64(2*(i+j)+port+1)
+				}
+				l.ProcessBatch(port, batch)
+			}
+			l.Done(port)
+		}(port)
+	}
+	wg.Wait()
+	l.Wait()
+	if l.Count() != 2*perPort {
+		t.Fatalf("count %d, want %d", l.Count(), 2*perPort)
+	}
+	if l.Max() != 2*perPort {
+		t.Fatalf("max %d, want %d", l.Max(), 2*perPort)
 	}
 }
 

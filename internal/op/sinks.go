@@ -130,10 +130,11 @@ func (c *Counter) Wait() { <-c.done }
 func (c *Counter) Count() uint64 { return c.n.Load() }
 
 // LatencySink measures per-element latency as (arrival wall time − element
-// event time) and folds it into a reservoir for quantile reporting. It
-// assumes event timestamps share the engine clock's epoch.
+// event time) and records every one into a histogram for quantile
+// reporting. It assumes event timestamps share the engine clock's epoch.
 type LatencySink struct {
-	res  *stats.Reservoir
+	mu   sync.Mutex
+	hist stats.Hist
 	now  func() int64
 	done chan struct{}
 	ins  int32
@@ -141,23 +142,25 @@ type LatencySink struct {
 	once sync.Once
 }
 
-// NewLatencySink returns a latency-measuring sink with a reservoir of the
-// given size.
-func NewLatencySink(ins, size int, seed uint64, now func() int64) *LatencySink {
+// NewLatencySink returns a latency-measuring sink with ins input ports.
+func NewLatencySink(ins int, now func() int64) *LatencySink {
 	if ins < 1 {
 		panic("op: latency sink needs at least one input")
 	}
-	return &LatencySink{res: stats.NewReservoir(size, seed), now: now, done: make(chan struct{}), ins: int32(ins)}
+	return &LatencySink{now: now, done: make(chan struct{}), ins: int32(ins)}
 }
 
 // ProcessBatch implements Sink: the arrival instant is read once for
 // the burst — the elements genuinely arrived together, so one clock read
-// is the honest timestamp for all of them.
+// is the honest timestamp for all of them — and the burst is recorded
+// under one lock.
 func (l *LatencySink) ProcessBatch(_ int, es []stream.Element) {
 	now := l.now()
+	l.mu.Lock()
 	for _, e := range es {
-		l.res.Observe(float64(now - e.TS))
+		l.hist.Record(now - e.TS)
 	}
+	l.mu.Unlock()
 }
 
 // Done implements Sink.
@@ -171,10 +174,25 @@ func (l *LatencySink) Done(int) {
 func (l *LatencySink) Wait() { <-l.done }
 
 // Quantile returns the q-quantile of observed latencies in nanoseconds.
-func (l *LatencySink) Quantile(q float64) float64 { return l.res.Quantile(q) }
+func (l *LatencySink) Quantile(q float64) float64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.hist.Quantile(q)
+}
+
+// Max returns the largest observed latency in nanoseconds, exactly.
+func (l *LatencySink) Max() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.hist.Max()
+}
 
 // Count returns the number of latency observations.
-func (l *LatencySink) Count() uint64 { return l.res.Count() }
+func (l *LatencySink) Count() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.hist.Count()
+}
 
 // Null discards everything; handy as a load sink in benches.
 type Null struct {

@@ -16,10 +16,10 @@ package slo
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
-	"github.com/dsms/hmts/internal/xrand"
+	"github.com/dsms/hmts/internal/stats"
+	"github.com/dsms/hmts/internal/stream"
 )
 
 // Second is one completed per-second sample of the run.
@@ -28,9 +28,6 @@ type Second struct {
 	Index int
 	// Count is how many latency observations landed in the second.
 	Count uint64
-	// Sampled is how many of them the quantiles below are computed from
-	// (bounded by the monitor's per-second reservoir).
-	Sampled int
 	// P50, P90, P99 and Max are latency quantiles in nanoseconds over the
 	// second's observations; zero when Count is zero.
 	P50, P90, P99, Max float64
@@ -78,42 +75,33 @@ func fmtNS(ns float64) string {
 // number of goroutines may Observe concurrently; one goroutine (the
 // scenario runner) calls Roll to close a second and start the next.
 //
-// Each second keeps a bounded uniform sample (reservoir) of its
-// observations, so a multi-hundred-kHz stream costs a fixed amount of
-// memory per second while the per-second quantiles stay unbiased.
+// The open second is a fixed-size histogram that counts every
+// observation, so a multi-hundred-kHz stream costs a fixed amount of
+// memory per second and the per-second quantiles carry no sampling error.
 type Monitor struct {
 	mu     sync.Mutex
-	rng    *xrand.Rand
-	sample []float64 // reservoir of the current second
-	cap    int
-	seen   uint64  // observations in the current second
-	max    float64 // exact max of the current second (never sampled away)
+	hist   stats.Hist // the open second
 	events []string
 	secs   []Second
 }
 
-// NewMonitor returns a monitor sampling at most sample latency
-// observations per second (sample < 1 selects 4096), seeded
-// deterministically.
-func NewMonitor(sample int, seed uint64) *Monitor {
-	if sample < 1 {
-		sample = 4096
-	}
-	return &Monitor{rng: xrand.New(seed), cap: sample, sample: make([]float64, 0, sample)}
-}
+// NewMonitor returns a monitor with an empty open second.
+func NewMonitor() *Monitor { return &Monitor{} }
 
 // Observe records one end-to-end latency, in nanoseconds, into the
 // current second. Safe for concurrent callers.
-func (m *Monitor) Observe(latencyNS float64) {
+func (m *Monitor) Observe(latencyNS int64) {
 	m.mu.Lock()
-	m.seen++
-	if latencyNS > m.max {
-		m.max = latencyNS
-	}
-	if len(m.sample) < m.cap {
-		m.sample = append(m.sample, latencyNS)
-	} else if j := m.rng.Int64n(int64(m.seen)); j < int64(m.cap) {
-		m.sample[j] = latencyNS
+	m.hist.Record(latencyNS)
+	m.mu.Unlock()
+}
+
+// ObserveBatch records the latency now − e.TS of every element of es into
+// the current second under one lock. Safe for concurrent callers.
+func (m *Monitor) ObserveBatch(now int64, es []stream.Element) {
+	m.mu.Lock()
+	for _, e := range es {
+		m.hist.Record(now - e.TS)
 	}
 	m.mu.Unlock()
 }
@@ -133,24 +121,18 @@ func (m *Monitor) Roll(gauges Gauges) Second {
 	m.mu.Lock()
 	s := Second{
 		Index:     len(m.secs),
-		Count:     m.seen,
-		Sampled:   len(m.sample),
-		Max:       m.max,
+		Count:     m.hist.Count(),
+		P50:       m.hist.Quantile(0.50),
+		P90:       m.hist.Quantile(0.90),
+		P99:       m.hist.Quantile(0.99),
+		Max:       float64(m.hist.Max()),
 		Dropped:   gauges.Dropped,
 		Backlog:   gauges.Backlog,
 		QueueLen:  gauges.QueueLen,
 		Overshoot: gauges.Overshoot,
 		Events:    m.events,
 	}
-	if len(m.sample) > 0 {
-		sort.Float64s(m.sample)
-		s.P50 = quantileSorted(m.sample, 0.50)
-		s.P90 = quantileSorted(m.sample, 0.90)
-		s.P99 = quantileSorted(m.sample, 0.99)
-	}
-	m.sample = m.sample[:0]
-	m.seen = 0
-	m.max = 0
+	m.hist = stats.Hist{}
 	m.events = nil
 	m.secs = append(m.secs, s)
 	m.mu.Unlock()
@@ -173,18 +155,4 @@ func (m *Monitor) Series() []Second {
 	copy(out, m.secs)
 	m.mu.Unlock()
 	return out
-}
-
-// quantileSorted reads the q-quantile from an ascending slice.
-func quantileSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	return sorted[int(q*float64(len(sorted)-1))]
 }

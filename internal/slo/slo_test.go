@@ -5,21 +5,22 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/dsms/hmts/internal/stream"
 )
 
 func TestMonitorRollQuantiles(t *testing.T) {
-	m := NewMonitor(0, 1)
+	m := NewMonitor()
 	for i := 1; i <= 1000; i++ {
-		m.Observe(float64(i))
+		m.Observe(int64(i))
 	}
 	s := m.Roll(Gauges{Dropped: 5, Backlog: 7, QueueLen: 9, Overshoot: 2})
-	if s.Count != 1000 || s.Sampled != 1000 {
-		t.Fatalf("count=%d sampled=%d, want 1000/1000", s.Count, s.Sampled)
+	if s.Count != 1000 {
+		t.Fatalf("count=%d, want 1000", s.Count)
 	}
 	if s.Max != 1000 {
 		t.Fatalf("max=%v, want 1000", s.Max)
 	}
-	// Exact sample (reservoir not exceeded): quantiles are order statistics.
 	if s.P50 < 480 || s.P50 > 520 {
 		t.Fatalf("p50=%v, want ~500", s.P50)
 	}
@@ -44,35 +45,33 @@ func TestMonitorRollQuantiles(t *testing.T) {
 }
 
 func TestMonitorReservoirBoundsMemory(t *testing.T) {
-	m := NewMonitor(64, 1)
+	// A second of 100k observations fits the fixed-size histogram; every
+	// one counts, so p99 is off by the bucket resolution (1/64) only.
+	m := NewMonitor()
 	for i := 0; i < 100_000; i++ {
-		m.Observe(float64(i))
+		m.Observe(int64(i))
 	}
 	s := m.Roll(Gauges{})
 	if s.Count != 100_000 {
 		t.Fatalf("count=%d", s.Count)
 	}
-	if s.Sampled != 64 {
-		t.Fatalf("sampled=%d, want capped at 64", s.Sampled)
-	}
 	if s.Max != 99_999 {
-		t.Fatalf("max must be exact even when sampled: %v", s.Max)
+		t.Fatalf("max must be exact: %v", s.Max)
 	}
-	// A uniform 64-sample of 0..1e5: p50 must land mid-range.
-	if s.P50 < 20_000 || s.P50 > 80_000 {
-		t.Fatalf("p50=%v implausible for uniform input", s.P50)
+	if want := 98_999.0; s.P99 < want || s.P99 > want*(1+1.0/64) {
+		t.Fatalf("p99=%v, want %v within one bucket", s.P99, want)
 	}
 }
 
 func TestMonitorConcurrentObserve(t *testing.T) {
-	m := NewMonitor(1024, 9)
+	m := NewMonitor()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 10_000; i++ {
-				m.Observe(float64(w*10_000 + i))
+				m.Observe(int64(w*10_000 + i))
 			}
 		}(w)
 	}
@@ -83,8 +82,20 @@ func TestMonitorConcurrentObserve(t *testing.T) {
 	}
 }
 
+func TestMonitorObserveBatch(t *testing.T) {
+	m := NewMonitor()
+	es := []stream.Element{{TS: 900}, {TS: 500}, {TS: 990}}
+	if n := testing.AllocsPerRun(100, func() { m.ObserveBatch(1000, es) }); n != 0 {
+		t.Fatalf("ObserveBatch allocates %v times per batch", n)
+	}
+	s := m.Roll(Gauges{})
+	if s.Count != 3*101 || s.Max != 500 || s.P50 != 100 {
+		t.Fatalf("count=%d max=%v p50=%v, want %d 500 100", s.Count, s.Max, s.P50, 3*101)
+	}
+}
+
 func TestMonitorEventTagsCurrentSecond(t *testing.T) {
-	m := NewMonitor(0, 1)
+	m := NewMonitor()
 	m.Observe(1)
 	m.Event("stall+")
 	s := m.Roll(Gauges{})

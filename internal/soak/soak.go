@@ -131,8 +131,6 @@ type Scenario struct {
 	// ingress stream mid-run through Engine.AddQuery/DropQuery — the
 	// multi-query subsumption path spliced live under load.
 	Churn *ChurnSpec
-	// Sample bounds the per-second latency reservoir (0 = default).
-	Sample int
 	// Faults is the injection timeline.
 	Faults []Fault
 	// SLOs are the assertions that decide pass/fail.
@@ -218,10 +216,7 @@ func (k *monitorSink) ProcessBatch(_ int, es []stream.Element) {
 	if d := k.stallNS.Load(); d > 0 {
 		time.Sleep(time.Duration(d) * time.Duration(len(es)))
 	}
-	now := ingest.Now()
-	for _, e := range es {
-		k.mon.Observe(float64(now - e.TS))
-	}
+	k.mon.ObserveBatch(ingest.Now(), es)
 	k.seen.Add(uint64(len(es)))
 }
 
@@ -254,7 +249,7 @@ func Run(sc Scenario, w io.Writer) *Result {
 	// analytics stage, and the monitor sink. A stateful windowed
 	// aggregation rides the same source so mode switches migrate real
 	// operator state.
-	mon := slo.NewMonitor(sc.Sample, sc.Seed+1)
+	mon := slo.NewMonitor()
 	sink := newMonitorSink(mon)
 	cost := op.NewCostSim("analytics", sc.OpCostNS, nil)
 	mapped := src.

@@ -4,10 +4,7 @@
 // result latencies.
 package stats
 
-import (
-	"math"
-	"sync"
-)
+import "sync"
 
 // EWMA is an exponentially weighted moving average. It is the estimator the
 // engine uses for c(v) and d(v) (paper §5.1.3 assumes the DSMS provides
@@ -53,35 +50,4 @@ func (e *EWMA) Count() uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.n
-}
-
-// Welford accumulates mean and variance in one pass; used by tests and the
-// experiment harness to summarize measured series.
-type Welford struct {
-	n    uint64
-	mean float64
-	m2   float64
-}
-
-// Observe adds a sample.
-func (w *Welford) Observe(v float64) {
-	w.n++
-	d := v - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (v - w.mean)
-}
-
-// Count returns the number of samples.
-func (w *Welford) Count() uint64 { return w.n }
-
-// Mean returns the sample mean, or 0 with no samples.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Stddev returns the sample standard deviation, or 0 with fewer than two
-// samples.
-func (w *Welford) Stddev() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return math.Sqrt(w.m2 / float64(w.n-1))
 }

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -51,16 +50,6 @@ func (s *Series) Len() int {
 	return len(s.pts)
 }
 
-// Last returns the most recent sample and whether one exists.
-func (s *Series) Last() (Point, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.pts) == 0 {
-		return Point{}, false
-	}
-	return s.pts[len(s.pts)-1], true
-}
-
 // Max returns the maximum value observed, or 0 for an empty series.
 func (s *Series) Max() float64 {
 	s.mu.Lock()
@@ -87,18 +76,6 @@ func (s *Series) Mean() float64 {
 		sum += p.V
 	}
 	return sum / float64(len(s.pts))
-}
-
-// At returns the value in force at time t (the last sample with T <= t),
-// or 0 if t precedes the first sample.
-func (s *Series) At(t int64) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	i := sort.Search(len(s.pts), func(i int) bool { return s.pts[i].T > t })
-	if i == 0 {
-		return 0
-	}
-	return s.pts[i-1].V
 }
 
 // CSV renders the series as "t_seconds,value" lines.

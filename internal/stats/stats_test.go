@@ -82,26 +82,6 @@ func TestEWMABoundedByExtremes(t *testing.T) {
 	}
 }
 
-func TestWelford(t *testing.T) {
-	var w Welford
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		w.Observe(v)
-	}
-	if w.Count() != 8 {
-		t.Fatalf("count %d", w.Count())
-	}
-	if math.Abs(w.Mean()-5) > 1e-9 {
-		t.Fatalf("mean %v, want 5", w.Mean())
-	}
-	if sd := w.Stddev(); math.Abs(sd-2.138089935) > 1e-6 {
-		t.Fatalf("stddev %v", sd)
-	}
-	var empty Welford
-	if empty.Stddev() != 0 || empty.Mean() != 0 {
-		t.Fatal("empty Welford should be zero")
-	}
-}
-
 func TestOpStatsCountsAndSelectivity(t *testing.T) {
 	s := NewOpStats()
 	if s.Selectivity() != 1 {
@@ -210,9 +190,6 @@ func TestOpStatsConcurrentReaders(t *testing.T) {
 
 func TestSeriesBasics(t *testing.T) {
 	s := NewSeries("x")
-	if _, ok := s.Last(); ok {
-		t.Fatal("empty series has a last point")
-	}
 	if s.Max() != 0 || s.Mean() != 0 {
 		t.Fatal("empty series aggregates should be 0")
 	}
@@ -227,15 +204,6 @@ func TestSeriesBasics(t *testing.T) {
 	}
 	if math.Abs(s.Mean()-3) > 1e-9 {
 		t.Fatalf("mean %v", s.Mean())
-	}
-	if last, _ := s.Last(); last.V != 3 || last.T != 30 {
-		t.Fatalf("last %v", last)
-	}
-	if got := s.At(25); got != 5 {
-		t.Fatalf("At(25) = %v, want 5", got)
-	}
-	if got := s.At(5); got != 0 {
-		t.Fatalf("At(5) = %v, want 0", got)
 	}
 	csv := s.CSV()
 	if csv == "" || csv[:4] != "t_s," {
@@ -280,56 +248,4 @@ func TestSamplerStartStop(t *testing.T) {
 		t.Fatal("double Start did not panic")
 	}()
 	s.Stop()
-}
-
-func TestReservoirSmallStreamKeepsAll(t *testing.T) {
-	r := NewReservoir(100, 1)
-	for i := 0; i < 50; i++ {
-		r.Observe(float64(i))
-	}
-	if r.Count() != 50 {
-		t.Fatalf("count %d", r.Count())
-	}
-	if q := r.Quantile(0); q != 0 {
-		t.Fatalf("q0 = %v", q)
-	}
-	if q := r.Quantile(1); q != 49 {
-		t.Fatalf("q1 = %v", q)
-	}
-	if q := r.Quantile(0.5); math.Abs(q-24) > 1.5 {
-		t.Fatalf("median %v", q)
-	}
-}
-
-func TestReservoirLargeStreamQuantiles(t *testing.T) {
-	r := NewReservoir(1000, 2)
-	const n = 100_000
-	for i := 0; i < n; i++ {
-		r.Observe(float64(i))
-	}
-	if r.Count() != n {
-		t.Fatalf("count %d", r.Count())
-	}
-	med := r.Quantile(0.5)
-	if med < n*0.42 || med > n*0.58 {
-		t.Fatalf("sampled median %v far from %v", med, n/2)
-	}
-}
-
-func TestReservoirConcurrent(t *testing.T) {
-	r := NewReservoir(64, 3)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 10_000; i++ {
-				r.Observe(float64(w*10_000 + i))
-			}
-		}(w)
-	}
-	wg.Wait()
-	if r.Count() != 40_000 {
-		t.Fatalf("count %d", r.Count())
-	}
 }
