@@ -17,8 +17,11 @@ import (
 // cap(P), which counts each member's input as its own arrival stream, and
 // still keep up. Before Run it explains the graph as one would-be plan;
 // after Run it reflects the live deployment (including runtime
-// re-partitioning).
+// re-partitioning). It holds the engine lock, as a live mutation does:
+// deriving the rates it prints writes every node's rate estimate.
 func (e *Engine) Explain() string {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	var b strings.Builder
 	b.WriteString("plan:\n")
 	if e.d == nil {

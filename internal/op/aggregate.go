@@ -317,14 +317,14 @@ func (a *WindowAgg) ProcessBatch(_ int, es []stream.Element) {
 	if len(es) == 0 {
 		return
 	}
-	t := a.BeginWorkBatch(es)
+	a.BeginWorkBatch(es)
 	out := a.scratch(len(es))
 	for _, e := range es {
 		out = append(out, a.step(e))
 	}
 	a.heldPub.Store(int64(a.held))
 	a.flush(out)
-	a.EndWorkBatch(t, len(es))
+	a.EndWorkBatch()
 }
 
 // Done implements Sink.

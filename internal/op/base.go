@@ -19,12 +19,22 @@ type edge struct {
 // statistics. Embed it and implement ProcessBatch/Done.
 type Base struct {
 	name   string
-	st     *stats.OpStats
+	st     stats.OpStats
 	edges  []edge
 	ins    int
 	doneIn []bool
 	closed atomic.Bool
-	meterN uint64
+	// Metering state (see meterEvery), touched only by the goroutine
+	// driving the operator. meterN counts elements since the last metered
+	// batch and meterTS is that batch's last event time (valid once
+	// meterOK). While a metered batch runs, timedN is its length, t0 its
+	// start and downNS the time its deliveries spent downstream.
+	meterN  uint64
+	meterTS int64
+	meterOK bool
+	timedN  int
+	t0      int64
+	downNS  int64
 	// obuf is the operator's reusable batch output buffer (see scratch/
 	// flush). It holds at most one batch's worth of emitted elements
 	// between ProcessBatch calls — bounded retention, unlike a leaked
@@ -48,14 +58,13 @@ func (b *Base) InitBase(name string, ins int) {
 	b.name = name
 	b.ins = ins
 	b.doneIn = make([]bool, ins)
-	b.st = stats.NewOpStats()
 }
 
 // Name implements Operator.
 func (b *Base) Name() string { return b.name }
 
 // Stats implements Operator.
-func (b *Base) Stats() *stats.OpStats { return b.st }
+func (b *Base) Stats() *stats.OpStats { return &b.st }
 
 // Ins implements Operator.
 func (b *Base) Ins() int { return b.ins }
@@ -84,16 +93,38 @@ func (b *Base) Fanout() int { return len(b.edges) }
 // update and one ProcessBatch call per edge. The slice is handed to every
 // edge in turn, so subscribers must neither retain nor mutate it (the Sink
 // contract). Ordering is preserved per edge; across edges the fan-out
-// interleaving coarsens to batch granularity.
+// interleaving coarsens to batch granularity. On a metered batch the
+// deliveries are timed and left out of this operator's c(v): they are the
+// downstream operators' (or an outgoing queue's) cost.
 func (b *Base) EmitBatch(es []stream.Element) {
 	if len(es) == 0 {
 		return
 	}
 	b.st.RecordOut(len(es))
+	var t int64
+	if b.timedN > 0 {
+		t = monotime()
+	}
 	for i := range b.edges {
 		ed := &b.edges[i]
 		ed.sink.ProcessBatch(ed.port, es)
 	}
+	if b.timedN > 0 {
+		b.downNS += monotime() - t
+	}
+}
+
+// deliver hands es to one edge outside EmitBatch, with the same metering:
+// time spent downstream is not this operator's cost. The caller counts
+// the elements with RecordOut.
+func (b *Base) deliver(ed *edge, es []stream.Element) {
+	if b.timedN == 0 {
+		ed.sink.ProcessBatch(ed.port, es)
+		return
+	}
+	t := monotime()
+	ed.sink.ProcessBatch(ed.port, es)
+	b.downNS += monotime() - t
 }
 
 // scratch returns the operator's output buffer, emptied, with capacity at
@@ -153,33 +184,47 @@ func (b *Base) EnableShardProgress() *ShardProgress {
 	return b.prog
 }
 
-// BeginWorkBatch records a whole arriving batch with one stats update (one
-// counter add and one d(v) observation instead of len(es) of each) and, on
-// sampled batches — once meterEvery elements have arrived since the last
-// timed one — returns a start time for cost metering; otherwise -1. Pair
-// with EndWorkBatch. es must be non-empty.
-func (b *Base) BeginWorkBatch(es []stream.Element) int64 {
-	b.st.RecordInBatch(es[0].TS, es[len(es)-1].TS, len(es))
+// BeginWorkBatch counts an arriving batch with one atomic add. On a
+// metered batch — once meterEvery elements have arrived since the last
+// one — it also samples d(v) and starts the clock for c(v): the mean
+// event-time gap since the previous metered batch's last element (inside
+// the batch, for the first metered batch) is folded into d(v) here, and
+// EndWorkBatch folds in the batch's per-element cost. Pair every call with
+// EndWorkBatch. es must be non-empty.
+func (b *Base) BeginWorkBatch(es []stream.Element) {
+	b.st.RecordIn(len(es))
+	last := es[len(es)-1].TS
 	if b.prog != nil {
 		b.curSeq = es[len(es)-1].Seq
 	}
 	b.meterN += uint64(len(es))
-	if b.meterN >= meterEvery {
-		b.meterN = 0
-		return monotime()
+	if b.meterN < meterEvery {
+		return
 	}
-	return -1
+	switch {
+	case b.meterOK:
+		if last >= b.meterTS {
+			b.st.ObserveInterarrival(float64(last-b.meterTS) / float64(b.meterN))
+		}
+	case len(es) > 1 && last >= es[0].TS:
+		b.st.ObserveInterarrival(float64(last-es[0].TS) / float64(len(es)-1))
+	}
+	b.meterN, b.meterTS, b.meterOK = 0, last, true
+	b.timedN, b.downNS = len(es), 0
+	b.t0 = monotime()
 }
 
-// EndWorkBatch completes cost metering begun by BeginWorkBatch over n
-// elements; the c(v) estimator receives the amortized per-element cost.
-// Shard progress, when enabled, advances to the batch's last Seq here,
-// after all of the batch's outputs have been emitted.
-func (b *Base) EndWorkBatch(start int64, n int) {
+// EndWorkBatch closes the batch BeginWorkBatch opened. On a metered batch
+// c(v) receives the operator's own time per element: the span since
+// BeginWorkBatch minus what its deliveries spent downstream. Shard
+// progress, when enabled, advances to the batch's last Seq here, after all
+// of the batch's outputs have been emitted.
+func (b *Base) EndWorkBatch() {
 	if b.prog != nil {
 		b.prog.done.Store(b.curSeq)
 	}
-	if start >= 0 {
-		b.st.RecordBusyBatch(monotime()-start, n)
+	if b.timedN > 0 {
+		b.st.ObserveCost(float64(monotime()-b.t0-b.downNS) / float64(b.timedN))
+		b.timedN = 0
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dsms/hmts/internal/stats"
 	"github.com/dsms/hmts/internal/stream"
 	"github.com/dsms/hmts/internal/xrand"
 )
@@ -94,7 +95,7 @@ func driveSplit(s Sink, seq []portedElem, pattern []byte, maxB int) {
 
 // equivCase builds one operator instance per invocation so the reference
 // and the batched runs start from identical state. A case with branches > 0
-// builds a *Switch and captures each branch separately.
+// builds a *Split and captures each shard separately.
 type equivCase struct {
 	name     string
 	ports    int
@@ -140,20 +141,16 @@ func equivCases() []equivCase {
 	}
 }
 
-// switchCases covers the router: its outputs fan across branches, so
-// invariance is checked per branch.
-func switchCases() []equivCase {
-	preds := []func(stream.Element) bool{
-		func(e stream.Element) bool { return e.Key < 5 },
-		func(e stream.Element) bool { return e.Key < 11 },
-		nil, // catch-all
-	}
+// splitCases covers the shard splitter: its outputs fan across shards, so
+// invariance is checked per shard, Seq stamps included.
+func splitCases() []equivCase {
+	key := func(_ int, e stream.Element) int64 { return e.Key }
 	var cs []equivCase
-	for _, routeAll := range []bool{false, true} {
-		routeAll := routeAll
+	for _, shards := range []int{2, 3} {
+		shards := shards
 		cs = append(cs, equivCase{
-			name: fmt.Sprintf("switch-routeAll=%v", routeAll), ports: 1, branches: len(preds),
-			mk: func() Operator { return NewSwitch("sw", preds, routeAll) },
+			name: fmt.Sprintf("split-%d", shards), ports: 1, branches: shards,
+			mk: func() Operator { return NewSplit("sp", 1, shards, key) },
 		})
 	}
 	return cs
@@ -174,7 +171,7 @@ func (tc equivCase) run(seq []portedElem, pattern []byte, maxB int) equivRun {
 	if tc.branches > 0 {
 		for i := 0; i < tc.branches; i++ {
 			caps = append(caps, &captureSink{})
-			o.(*Switch).SubscribeBranch(i, caps[i], 0)
+			o.(*Split).SubscribeShard(i, 0, caps[i], 0)
 		}
 	} else {
 		caps = []*captureSink{{}}
@@ -231,10 +228,10 @@ func trunc(es []stream.Element) string {
 	return fmt.Sprint(es)
 }
 
-// TestBatchScalarEquivalenceSwitch covers the router separately: its
-// outputs fan across branches, so invariance is per branch.
-func TestBatchScalarEquivalenceSwitch(t *testing.T) {
-	for _, tc := range switchCases() {
+// TestBatchScalarEquivalenceSplit covers the shard splitter separately:
+// its outputs fan across shards, so invariance is per shard.
+func TestBatchScalarEquivalenceSplit(t *testing.T) {
+	for _, tc := range splitCases() {
 		for seed := uint64(1); seed <= 5; seed++ {
 			seq := genSeq(xrand.New(seed), 400, 1, false)
 			checkInvariance(t, tc, seq, splitPattern(xrand.New(seed+100)), 33)
@@ -249,7 +246,7 @@ func TestBatchScalarEquivalenceSwitch(t *testing.T) {
 // element arrives alone or the sequence is cut as pattern says. The seed
 // corpus is exactly the harness's cases: every operator, seeds 1..5.
 func FuzzBatchSplit(f *testing.F) {
-	cases := append(equivCases(), switchCases()...)
+	cases := append(equivCases(), splitCases()...)
 	n := uint64(len(cases))
 	for seed := uint64(1); seed <= 5; seed++ {
 		for i := range cases {
@@ -325,14 +322,12 @@ func TestBatchMeteringFeedsEstimators(t *testing.T) {
 	if d := st.InterarrivalNS(); d < gap*0.5 || d > gap*1.5 {
 		t.Fatalf("InterarrivalNS = %v, want ≈ %d", d, gap)
 	}
-	if st.BusyNS() <= 0 {
-		t.Fatal("BusyNS must accumulate on the batch path")
-	}
 }
 
-// TestMeteringCountsElements pins the sampling rule: a batch is timed once
-// meterEvery elements have arrived since the last timed one, so batches of
-// one are metered one in meterEvery, and a batch of meterEvery every time.
+// TestMeteringCountsElements pins the sampling rule: a batch is metered
+// once meterEvery elements have arrived since the last metered one, so
+// batches of one are metered one in meterEvery, and a batch of meterEvery
+// every time.
 func TestMeteringCountsElements(t *testing.T) {
 	f := NewCostSim("c", int64(time.Microsecond), nil)
 	f.Subscribe(NewNull(1), 0)
@@ -340,16 +335,72 @@ func TestMeteringCountsElements(t *testing.T) {
 	for i := 1; i < meterEvery; i++ {
 		f.ProcessBatch(0, one)
 	}
-	if busy := f.Stats().BusyNS(); busy != 0 {
-		t.Fatalf("BusyNS = %d after %d batches of one, want 0 (none timed yet)", busy, meterEvery-1)
+	if c := f.Stats().CostNS(); c != 0 {
+		t.Fatalf("CostNS = %v after %d batches of one, want 0 (none metered yet)", c, meterEvery-1)
 	}
 	f.ProcessBatch(0, one)
-	first := f.Stats().BusyNS()
+	first := f.Stats().CostNS()
 	if first <= 0 {
-		t.Fatalf("BusyNS = %d after %d batches of one, want > 0", first, meterEvery)
+		t.Fatalf("CostNS = %v after %d batches of one, want > 0", first, meterEvery)
 	}
+	f.SetCost(int64(100 * time.Microsecond))
 	f.ProcessBatch(0, make([]stream.Element, meterEvery))
-	if f.Stats().BusyNS() <= first {
-		t.Fatal("a batch of meterEvery elements must be timed")
+	if f.Stats().CostNS() <= first {
+		t.Fatal("a batch of meterEvery elements must be metered")
+	}
+}
+
+// TestMeteringFirstBatchSeedsInterarrival pins d(v): the first metered
+// batch seeds it from the mean gap inside the batch, and each later one
+// observes the mean gap since the previous metered batch's last element,
+// over every element that arrived in between.
+func TestMeteringFirstBatchSeedsInterarrival(t *testing.T) {
+	m := NewMap("m", func(e stream.Element) stream.Element { return e })
+	var ts int64
+	batch := func(n int, gap int64) []stream.Element {
+		es := make([]stream.Element, n)
+		for i := range es {
+			ts += gap
+			es[i].TS = ts
+		}
+		return es
+	}
+	m.ProcessBatch(0, batch(meterEvery, 100))
+	if d := m.Stats().InterarrivalNS(); d != 100 {
+		t.Fatalf("intra-batch seed %v, want 100", d)
+	}
+	for i := 0; i < meterEvery; i++ {
+		m.ProcessBatch(0, batch(1, 300)) // the last of these is metered
+	}
+	var ref stats.OpStats // the samples d(v) must have folded in
+	ref.ObserveInterarrival(100)
+	ref.ObserveInterarrival(300)
+	if d, want := m.Stats().InterarrivalNS(), ref.InterarrivalNS(); d != want {
+		t.Fatalf("gap since previous metered batch: d(v) = %v, want %v", d, want)
+	}
+	if m.Stats().In() != 2*meterEvery {
+		t.Fatalf("In = %d, want %d", m.Stats().In(), 2*meterEvery)
+	}
+}
+
+// TestMeteringExcludesDownstream pins c(v) as the operator's own time: a
+// cheap operator fused in front of an expensive one must not be charged
+// for it.
+func TestMeteringExcludesDownstream(t *testing.T) {
+	const cheap, costly = time.Microsecond, 100 * time.Microsecond
+	head := NewCostSim("head", int64(cheap), nil)
+	tail := NewCostSim("tail", int64(costly), nil)
+	head.Subscribe(tail, 0)
+	tail.Subscribe(NewNull(1), 0)
+	es := make([]stream.Element, meterEvery)
+	for i := 0; i < 10; i++ {
+		head.ProcessBatch(0, es)
+	}
+	h, tl := head.Stats().CostNS(), tail.Stats().CostNS()
+	if h < float64(cheap) || tl < float64(costly) {
+		t.Fatalf("c(head) = %v, c(tail) = %v, want at least %v and %v", h, tl, cheap, costly)
+	}
+	if h > float64(costly)/5 {
+		t.Fatalf("c(head) = %v includes the fused tail (own cost %v, tail %v)", h, cheap, tl)
 	}
 }

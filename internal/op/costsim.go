@@ -53,7 +53,7 @@ func (c *CostSim) ProcessBatch(_ int, es []stream.Element) {
 	if len(es) == 0 {
 		return
 	}
-	t := c.BeginWorkBatch(es)
+	c.BeginWorkBatch(es)
 	simtime.Busy(c.costNS.Load() * int64(len(es)))
 	out := c.scratch(len(es))
 	for _, e := range es {
@@ -62,7 +62,7 @@ func (c *CostSim) ProcessBatch(_ int, es []stream.Element) {
 		}
 	}
 	c.flush(out)
-	c.EndWorkBatch(t, len(es))
+	c.EndWorkBatch()
 }
 
 // Done implements Sink.

@@ -75,7 +75,7 @@ func (d *Distinct) ProcessBatch(_ int, es []stream.Element) {
 	if len(es) == 0 {
 		return
 	}
-	t := d.BeginWorkBatch(es)
+	d.BeginWorkBatch(es)
 	out := d.scratch(len(es))
 	for _, e := range es {
 		if d.step(e) {
@@ -84,7 +84,7 @@ func (d *Distinct) ProcessBatch(_ int, es []stream.Element) {
 	}
 	d.heldPub.Store(int64(d.order.len()))
 	d.flush(out)
-	d.EndWorkBatch(t, len(es))
+	d.EndWorkBatch()
 }
 
 // Done implements Sink.

@@ -44,7 +44,7 @@ func (f *Filter) ProcessBatch(_ int, es []stream.Element) {
 	if len(es) == 0 {
 		return
 	}
-	t := f.BeginWorkBatch(es)
+	f.BeginWorkBatch(es)
 	out := f.scratch(len(es))
 	for _, e := range es {
 		if f.pred(e) {
@@ -52,7 +52,7 @@ func (f *Filter) ProcessBatch(_ int, es []stream.Element) {
 		}
 	}
 	f.flush(out)
-	f.EndWorkBatch(t, len(es))
+	f.EndWorkBatch()
 }
 
 // Done implements Sink.

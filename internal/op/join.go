@@ -161,7 +161,7 @@ func (j *SHJ) ProcessBatch(port int, es []stream.Element) {
 	if len(es) == 0 {
 		return
 	}
-	t := j.BeginWorkBatch(es)
+	j.BeginWorkBatch(es)
 	deadline := es[0].TS - j.window
 	j.sides[0].expire(deadline)
 	j.sides[1].expire(deadline)
@@ -171,7 +171,7 @@ func (j *SHJ) ProcessBatch(port int, es []stream.Element) {
 	}
 	j.heldPub.Store(int64(j.WindowLen()))
 	j.flush(out)
-	j.EndWorkBatch(t, len(es))
+	j.EndWorkBatch()
 }
 
 // Done implements Sink.
@@ -251,14 +251,14 @@ func (j *SNJ) ProcessBatch(port int, es []stream.Element) {
 	if len(es) == 0 {
 		return
 	}
-	t := j.BeginWorkBatch(es)
+	j.BeginWorkBatch(es)
 	j.expire(es[0].TS - j.window)
 	out := j.scratch(len(es))
 	for _, e := range es {
 		out = j.scan(port, e, out)
 	}
 	j.flush(out)
-	j.EndWorkBatch(t, len(es))
+	j.EndWorkBatch()
 }
 
 // Done implements Sink.

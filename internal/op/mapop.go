@@ -35,13 +35,13 @@ func (m *Map) ProcessBatch(_ int, es []stream.Element) {
 	if len(es) == 0 {
 		return
 	}
-	t := m.BeginWorkBatch(es)
+	m.BeginWorkBatch(es)
 	out := m.scratch(len(es))
 	for _, e := range es {
 		out = append(out, m.fn(e))
 	}
 	m.flush(out)
-	m.EndWorkBatch(t, len(es))
+	m.EndWorkBatch()
 }
 
 // Done implements Sink.

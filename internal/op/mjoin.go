@@ -91,7 +91,7 @@ func (j *MJoin) ProcessBatch(port int, es []stream.Element) {
 	if len(es) == 0 {
 		return
 	}
-	t := j.BeginWorkBatch(es)
+	j.BeginWorkBatch(es)
 	deadline := es[0].TS - j.window
 	for i := range j.sides {
 		j.sides[i].expire(deadline)
@@ -101,7 +101,7 @@ func (j *MJoin) ProcessBatch(port int, es []stream.Element) {
 		out = j.arrive(port, e, out)
 	}
 	j.flush(out)
-	j.EndWorkBatch(t, len(es))
+	j.EndWorkBatch()
 }
 
 // Done implements Sink.

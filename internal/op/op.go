@@ -17,7 +17,8 @@
 // Concurrency contract: at any instant, at most one goroutine drives a
 // given operator's ProcessBatch/Done methods. The engine guarantees this by
 // construction — an operator belongs to exactly one partition and each
-// partition is executed by one goroutine at a time. Statistics are atomic
+// partition is executed by one goroutine at a time. That goroutine is the
+// only writer of the operator's statistics, which are published atomically
 // so samplers and planners may read them concurrently.
 package op
 
@@ -79,12 +80,15 @@ type Source interface {
 	Name() string
 }
 
-// meterEvery controls sampled cost metering: a batch is timed end to end
-// once at least meterEvery elements have arrived since the last timed
-// batch, and its amortized per-element cost is recorded as representative.
-// A batch of one is thus metered one in meterEvery, and a batch of
-// meterEvery or more every time, so the two clock reads stay negligible
-// for sub-microsecond operators while c(v) still converges quickly.
+// meterEvery controls sampled metering: a batch is metered once at least
+// meterEvery elements have arrived since the last metered batch. A metered
+// batch samples d(v), the mean event-time gap since the previous metered
+// batch, and c(v), the batch's own time per element: from arrival to
+// return, minus the time its emits spent in downstream operators or
+// outgoing queues, so the costs of a fused chain add up to the chain's
+// cost. A batch of one is thus metered one in meterEvery, and a batch of
+// meterEvery or more every time. Every other batch pays one atomic add; a
+// metered one pays two clock reads, plus two around each emit.
 const meterEvery = 16
 
 var epoch = time.Now()

@@ -128,59 +128,6 @@ func waitCh(c *Collector) chan struct{} {
 	return ch
 }
 
-func TestSwitchFirstMatchRouting(t *testing.T) {
-	s := NewSwitch("s", []func(stream.Element) bool{
-		func(e stream.Element) bool { return e.Key < 10 },
-		func(e stream.Element) bool { return e.Key < 20 },
-		nil, // catch-all
-	}, false)
-	a, b, c := NewCollector(1), NewCollector(1), NewCollector(1)
-	s.SubscribeBranch(0, a, 0)
-	s.SubscribeBranch(1, b, 0)
-	s.SubscribeBranch(2, c, 0)
-	push(s, seq(30, 1)...)
-	a.Wait()
-	b.Wait()
-	c.Wait()
-	if a.Len() != 10 || b.Len() != 10 || c.Len() != 10 {
-		t.Fatalf("routing %d/%d/%d, want 10/10/10", a.Len(), b.Len(), c.Len())
-	}
-}
-
-func TestSwitchRouteAll(t *testing.T) {
-	s := NewSwitch("s", []func(stream.Element) bool{
-		func(e stream.Element) bool { return e.Key%2 == 0 },
-		func(e stream.Element) bool { return e.Key%3 == 0 },
-	}, true)
-	a, b := NewCollector(1), NewCollector(1)
-	s.SubscribeBranch(0, a, 0)
-	s.SubscribeBranch(1, b, 0)
-	push(s, seq(12, 1)...)
-	a.Wait()
-	b.Wait()
-	if a.Len() != 6 || b.Len() != 4 {
-		t.Fatalf("routeAll %d/%d, want 6/4", a.Len(), b.Len())
-	}
-}
-
-func TestSwitchSubscribeDefaultsToBranchZero(t *testing.T) {
-	s := NewSwitch("s", []func(stream.Element) bool{nil}, false)
-	c := NewCollector(1)
-	s.Subscribe(c, 0)
-	push(s, seq(3, 1)...)
-	c.Wait()
-	if c.Len() != 3 {
-		t.Fatalf("got %d", c.Len())
-	}
-	s.Unsubscribe(c, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double unsubscribe should panic")
-		}
-	}()
-	s.Unsubscribe(c, 0)
-}
-
 func TestSampleDeterministicRate(t *testing.T) {
 	s := NewSample("s", 0.25, 7)
 	c := NewCollector(1)

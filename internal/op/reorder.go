@@ -71,13 +71,13 @@ func (r *Reorder) ProcessBatch(_ int, es []stream.Element) {
 	if len(es) == 0 {
 		return
 	}
-	t := r.BeginWorkBatch(es)
+	r.BeginWorkBatch(es)
 	out := r.scratch(len(es))
 	for _, e := range es {
 		out = r.step(e, out)
 	}
 	r.flush(out)
-	r.EndWorkBatch(t, len(es))
+	r.EndWorkBatch()
 }
 
 // Done implements Sink; the buffer is flushed in order before closing.

@@ -32,7 +32,7 @@ func (s *Sample) ProcessBatch(_ int, es []stream.Element) {
 	if len(es) == 0 {
 		return
 	}
-	t := s.BeginWorkBatch(es)
+	s.BeginWorkBatch(es)
 	out := s.scratch(len(es))
 	for _, e := range es {
 		if s.rng.Bool(s.p) {
@@ -40,7 +40,7 @@ func (s *Sample) ProcessBatch(_ int, es []stream.Element) {
 		}
 	}
 	s.flush(out)
-	s.EndWorkBatch(t, len(es))
+	s.EndWorkBatch()
 }
 
 // Done implements Sink.

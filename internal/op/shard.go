@@ -233,7 +233,7 @@ func (sp *Split) ProcessBatch(port int, es []stream.Element) {
 	if len(es) == 0 {
 		return
 	}
-	t := sp.BeginWorkBatch(es)
+	sp.BeginWorkBatch(es)
 	s := sp.seq
 	for _, e := range es {
 		s++
@@ -249,12 +249,11 @@ func (sp *Split) ProcessBatch(port int, es []stream.Element) {
 		}
 		sp.assigned[sh].v.Store(out[len(out)-1].Seq)
 		sp.Stats().RecordOut(len(out))
-		ed := &sp.branches[sh*ins+port]
-		ed.sink.ProcessBatch(ed.port, out)
+		sp.deliver(&sp.branches[sh*ins+port], out)
 		sp.routed[sh] = out[:0]
 	}
 	sp.gseq.Store(s)
-	sp.EndWorkBatch(t, len(es))
+	sp.EndWorkBatch()
 }
 
 // Done implements Sink: end-of-stream on input port p is forwarded to every
@@ -355,14 +354,14 @@ func (m *Merge) ProcessBatch(port int, es []stream.Element) {
 	if len(es) == 0 {
 		return
 	}
-	t := m.BeginWorkBatch(es)
+	m.BeginWorkBatch(es)
 	m.recv[port] += uint64(len(es))
 	m.lastRecv[port] = es[len(es)-1].Seq
 	for _, e := range es {
 		m.bufs[port].push(e)
 	}
 	m.release(false)
-	m.EndWorkBatch(t, len(es))
+	m.EndWorkBatch()
 }
 
 // Done implements Sink. A closed port's frontier becomes +inf (it can never

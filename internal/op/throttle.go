@@ -73,7 +73,7 @@ func (t *Throttle) ProcessBatch(_ int, es []stream.Element) {
 	if len(es) == 0 {
 		return
 	}
-	w := t.BeginWorkBatch(es)
+	t.BeginWorkBatch(es)
 	out := t.scratch(len(es))
 	for _, e := range es {
 		if t.admit(e) {
@@ -81,7 +81,7 @@ func (t *Throttle) ProcessBatch(_ int, es []stream.Element) {
 		}
 	}
 	t.flush(out)
-	t.EndWorkBatch(w, len(es))
+	t.EndWorkBatch()
 }
 
 // Done implements Sink.

@@ -135,14 +135,14 @@ func (t *TopK) ProcessBatch(_ int, es []stream.Element) {
 	if len(es) == 0 {
 		return
 	}
-	w := t.BeginWorkBatch(es)
+	t.BeginWorkBatch(es)
 	out := t.scratch(len(es))
 	for _, e := range es {
 		out = t.step(e, out)
 	}
 	t.heldPub.Store(int64(t.order.len()))
 	t.flush(out)
-	t.EndWorkBatch(w, len(es))
+	t.EndWorkBatch()
 }
 
 // Done implements Sink.

@@ -25,9 +25,9 @@ func (u *Union) ProcessBatch(_ int, es []stream.Element) {
 	if len(es) == 0 {
 		return
 	}
-	t := u.BeginWorkBatch(es)
+	u.BeginWorkBatch(es)
 	u.EmitBatch(es)
-	u.EndWorkBatch(t, len(es))
+	u.EndWorkBatch()
 }
 
 // Done implements Sink.

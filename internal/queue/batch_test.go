@@ -116,12 +116,6 @@ func TestProcessBatchFIFOAndStats(t *testing.T) {
 	if q.Enqueued() != 100 || q.Len() != 100 || q.MaxLen() != 100 {
 		t.Fatalf("enq=%d len=%d max=%d", q.Enqueued(), q.Len(), q.MaxLen())
 	}
-	if in := q.Stats().In(); in != 100 {
-		t.Fatalf("stats in = %d, want 100", in)
-	}
-	if d := q.Stats().InterarrivalNS(); d <= 0 {
-		t.Fatalf("interarrival estimate %v after batched enqueue", d)
-	}
 	q.Done(0)
 	scratch := make([]stream.Element, 256)
 	n, open := q.DrainBatch(scratch, 256)

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"github.com/dsms/hmts/internal/op"
-	"github.com/dsms/hmts/internal/stats"
 	"github.com/dsms/hmts/internal/stream"
 )
 
@@ -29,7 +28,6 @@ import (
 // before it starts work that may enqueue (see WaitSpace).
 type Queue struct {
 	name string
-	st   *stats.OpStats
 
 	mu        sync.Mutex
 	buf       []stream.Element
@@ -88,7 +86,6 @@ func New(name string, bound int) *Queue {
 	}
 	return &Queue{
 		name:      name,
-		st:        stats.NewOpStats(),
 		bound:     bound,
 		producers: 1,
 		space:     make(chan struct{}),
@@ -162,13 +159,6 @@ func (q *Queue) WaitSpace(abort <-chan struct{}) {
 
 // Name returns the queue's display name.
 func (q *Queue) Name() string { return q.name }
-
-// Stats returns the queue's runtime statistics; its interarrival estimate
-// is the input rate of the partition the queue feeds.
-func (q *Queue) Stats() *stats.OpStats { return q.st }
-
-// Ins implements op.Operator; data ports are collapsed, so this is 1.
-func (q *Queue) Ins() int { return 1 }
 
 // SetProducers declares how many producers will call Done before the
 // queue's input counts as closed. Call before processing starts.
@@ -345,7 +335,6 @@ func (q *Queue) ProcessBatch(_ int, es []stream.Element) {
 	q.mu.Unlock()
 
 	q.enq.Add(uint64(len(es)))
-	q.st.RecordInBatch(es[0].TS, es[len(es)-1].TS, len(es))
 	q.ping(notify)
 }
 
@@ -381,9 +370,9 @@ func (q *Queue) push(e stream.Element) {
 // with a single lock acquisition: the elements are copied out of the ring
 // into the caller-owned scratch slice under the lock, and delivered to the
 // subscribers outside it. The space-channel backpressure wakeup is
-// coalesced into one signal per batch, and the queue's output counter is
-// bumped once via the bulk stats path. It reports how many elements were
-// delivered and whether the queue can still yield work in the future
+// coalesced into one signal per batch, and the dequeue counter is bumped
+// once. It reports how many elements were delivered and whether the
+// queue can still yield work in the future
 // (open == false exactly once the queue has closed downstream); when the
 // batch empties the buffer with the input already closed, the final Done
 // is propagated immediately and open is false. Called on an empty queue
@@ -448,7 +437,6 @@ func (q *Queue) DrainBatch(scratch []stream.Element, max int) (n int, open bool)
 		close(space)
 	}
 	q.deq.Add(uint64(take))
-	q.st.RecordOut(take)
 	for _, s := range q.subs {
 		// The whole batch flows into the downstream DI chain in one call;
 		// subscribers must not retain or mutate the slice (the op.Sink

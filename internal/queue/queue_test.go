@@ -224,9 +224,6 @@ func TestStatsCounters(t *testing.T) {
 	if q.Dequeued() != 4 || q.Len() != 6 || q.MaxLen() != 10 {
 		t.Fatalf("after drain: deq=%d len=%d max=%d", q.Dequeued(), q.Len(), q.MaxLen())
 	}
-	if d := q.Stats().InterarrivalNS(); d <= 0 {
-		t.Fatalf("interarrival estimate %v", d)
-	}
 }
 
 func TestFrontTS(t *testing.T) {

@@ -97,11 +97,49 @@ func (s *doneSink) Done(port int) {
 	s.Collector.Done(port)
 }
 
+// relay forwards every batch and every Done it receives to its
+// subscribers, with no once-only guard on Done: a repeated end-of-stream
+// upstream reaches the sink instead of being absorbed.
+type relay struct {
+	op.Base
+	outs []op.Sink
+}
+
+func newRelay(name string) *relay {
+	r := &relay{}
+	r.InitBase(name, 1)
+	return r
+}
+
+func (r *relay) Subscribe(s op.Sink, _ int) { r.outs = append(r.outs, s) }
+
+func (r *relay) Unsubscribe(s op.Sink, _ int) {
+	for i, o := range r.outs {
+		if o == s {
+			r.outs = append(r.outs[:i], r.outs[i+1:]...)
+			return
+		}
+	}
+	panic("relay: Unsubscribe of unknown edge")
+}
+
+func (r *relay) ProcessBatch(_ int, es []stream.Element) {
+	for _, o := range r.outs {
+		o.ProcessBatch(0, es)
+	}
+}
+
+func (r *relay) Done(int) {
+	for _, o := range r.outs {
+		o.Done(0)
+	}
+}
+
 // TestReconfigureAfterSourceFinishedDoneOnce re-cuts a finished
 // deployment (DI → OTS → DI, and the same through PureDI so source edges
 // flip too). Every flipped edge's producer has already sent end-of-stream,
 // so an inserted queue must be born closed and a removed one must not
-// repeat its Done: a Switch downstream forwards every Done it gets, and
+// repeat its Done: a relay downstream forwards every Done it gets, and
 // the sink must see exactly one and the exact output.
 func TestReconfigureAfterSourceFinishedDoneOnce(t *testing.T) {
 	for _, base := range []struct {
@@ -113,7 +151,7 @@ func TestReconfigureAfterSourceFinishedDoneOnce(t *testing.T) {
 			g := graph.New()
 			src := workload.New("src", n, workload.SeqKeys(), workload.FixedRate{Hz: 1e6}, nil)
 			even := op.NewFilter("even", func(e stream.Element) bool { return e.Key%2 == 0 })
-			sw := op.NewSwitch("route", []func(stream.Element) bool{nil}, false)
+			sw := newRelay("route")
 			sink := &doneSink{Collector: op.NewCollector(1)}
 			ns := g.AddSource("src", src, 1e6)
 			nf := g.AddOp("even", even, 100, 0.5)

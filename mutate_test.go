@@ -2,6 +2,7 @@ package hmts_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -134,5 +135,52 @@ func TestRebalanceAndSwitchModeRaceMetrics(t *testing.T) {
 	sink.Wait()
 	if want := uint64(200_000 * 2 / 3 * 4 / 5); sink.Count() < want-2 || sink.Count() > want+2 {
 		t.Fatalf("got %d results, want ~%d", sink.Count(), want)
+	}
+}
+
+// TestExplainDuringAddQuery polls Explain while AddQuery splices queries
+// into the running engine. Explain walks the graph and re-derives every
+// node's rate, so it must hold the engine lock the splice holds (go test
+// -race catches the unsynchronized version).
+func TestExplainDuringAddQuery(t *testing.T) {
+	eng := hmts.New()
+	src := eng.Source("src", hmts.GenerateStamped(200_000, 1e6, hmts.SeqKeys()).Batched(64))
+	query := func(i int) func() (*hmts.Stream, error) {
+		return func() (*hmts.Stream, error) {
+			return src.Where("even", func(e hmts.Element) bool { return e.Key%2 == 0 }).
+				Where(fmt.Sprintf("k%d", i), func(e hmts.Element) bool { return e.Key%10 == int64(i) }), nil
+		}
+	}
+	if err := eng.AddQuery("q0", newMemSink(), query(0)); err != nil {
+		t.Fatal(err)
+	}
+	eng.MustRun(hmts.RunConfig{Mode: hmts.ModeHMTS})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if s := eng.Explain(); !strings.Contains(s, "VO{") {
+					t.Errorf("Explain of a running engine lists no VO:\n%s", s)
+					return
+				}
+			}
+		}
+	}()
+	for i := 1; i < 10; i++ {
+		if err := eng.AddQuery(fmt.Sprintf("q%d", i), newMemSink(), query(i)); err != nil {
+			t.Fatalf("AddQuery q%d: %v", i, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	eng.Wait()
+	if err := eng.Err(); err != nil {
+		t.Fatal(err)
 	}
 }
