@@ -7,6 +7,7 @@ import (
 
 	hmts "github.com/dsms/hmts"
 	"github.com/dsms/hmts/internal/simtime"
+	"github.com/dsms/hmts/internal/testutil"
 )
 
 // script replaces the controller's planner with one that proposes the
@@ -231,6 +232,57 @@ func TestAdaptiveRebalanceFixesStaleHints(t *testing.T) {
 	}
 	if err := eng.Err(); err != nil {
 		t.Fatalf("engine error: %v", err)
+	}
+}
+
+// TestCalibratedHintsRaiseNoCostDrift: the builder's default costs are
+// the operators' measured c(v), so a steady deployment planned with them
+// gives the cost-drift trigger nothing to fire on. With hints several
+// times too high every cheap operator drifted, and the controller
+// re-planned a deployment that had nothing wrong with it.
+func TestCalibratedHintsRaiseNoCostDrift(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector slows every operator several-fold: a real drift from the hints")
+	}
+	const n = 1_000_000
+	eng := hmts.New()
+	src := eng.Source("src", hmts.GenerateStamped(n, 1e6, func(i int) hmts.Element {
+		return hmts.Element{Key: int64(i*7919) % 1000, Val: float64(i%5) - 1}
+	}).Batched(64))
+	sink := src.
+		Where("pos", func(e hmts.Element) bool { return e.Val > 0 }).
+		Map("scale", func(e hmts.Element) hmts.Element { e.Val *= 2; return e }).
+		Aggregate("cnt", hmts.Count, time.Millisecond, func(e hmts.Element) int64 { return e.Key }).
+		CountSink("out")
+	eng.MustRun(hmts.RunConfig{Mode: hmts.ModeHMTS})
+	ctl := New(eng, Config{Rebalance: true})
+	var steps int
+	check := func() {
+		m := eng.Metrics()
+		for _, o := range m.Ops {
+			if o.In < minSamples {
+				return
+			}
+		}
+		steps++
+		for _, pr := range ctl.plan(m) {
+			if pr.by == "cost-drift" {
+				t.Fatalf("step %d proposed a cost-drift %v on a steady deployment: %+v", steps, pr.act, m.Ops)
+			}
+		}
+	}
+	for sink.Count() < n*2/5 {
+		check()
+		time.Sleep(time.Millisecond)
+	}
+	eng.Wait()
+	sink.Wait()
+	// The final estimates, observed persist times, must not fire either.
+	for i := 0; i < persist; i++ {
+		check()
+	}
+	if steps < 2*persist {
+		t.Fatalf("only %d steps saw every operator measured", steps)
 	}
 }
 

@@ -25,6 +25,9 @@ func (s *Stream) Node() *graph.Node { return s.node }
 // Hint overrides the planning estimates of the stream's producing
 // operator: per-element cost in nanoseconds and selectivity. The HMTS
 // placement heuristic consumes these until measurements replace them.
+// The builder's default costs price the operator with a trivial closure,
+// so a predicate or function that does real work needs Hint, or an
+// Engine.Rebalance once it has been measured.
 func (s *Stream) Hint(costNS, selectivity float64) *Stream {
 	s.node.CostNS = costNS
 	s.node.Selectivity = selectivity
@@ -62,16 +65,46 @@ func (e *Engine) Source(name string, src SourceSpec) *Stream {
 	return e.stream(e.g.AddSource(name, src.src, src.rateHint))
 }
 
+// The default planning cost c(v) of each builder method's operator, in
+// nanoseconds per element: what placement assumes until Engine.Rebalance
+// plans with measured costs, and what Stream.Hint overrides. Each is the
+// exclusive c(v) that the engine's own metering (op.Base) reads for the
+// operator with a trivial closure under ModeDI at batch 64: sources
+// stamped at 1 MHz cycling through 1000 keys, windows and slack of 1 ms
+// (so about one row per key), measured on a 2-vCPU x86-64 host (Go 1.24).
+// TestBuilderHintsMatchMeasuredCosts runs exactly these queries and holds
+// each figure within 3x of its reading. Operators that keep window state
+// cost more as it grows: the grouped Count reads about 100 ns with ten
+// rows per group and 500 ns with a hundred.
+const (
+	costWhere         = 8     // e.Key%2 == 0
+	costMap           = 26    // e.Val++
+	costProject       = 18    // a Map with a fixed function
+	costAggregate     = 60    // grouped Count; one state update and one result per element
+	costAggregateRows = 330   // grouped Count over 1000 rows
+	costJoin          = 220   // hash equi-join, about one match per probe
+	costJoinNested    = 5500  // nested loops: one compare per element of the other window
+	costJoinMany      = 220   // two-way; the hash probe dominates as in Join
+	costUnion         = 1     // a pass-through; its emits are the consumer's time
+	costDistinct      = 68    // one hash lookup and one expiry per element
+	costReorder       = 280   // in-order input, a heap push and pop per element
+	costTopK          = 28000 // k=8; rescans every key in the window (all 1000 here) per element
+	costThrottle      = 9     // a token bucket
+	costSample        = 15    // one draw from a seeded generator
+)
+
 // Where appends a selection with the given predicate. Inside an
 // AddQuery registration the operator's canonical identity is its name
 // plus its upstream chain (a predicate function cannot be hashed), so
 // registered queries that reuse a name on the same upstream must mean
 // the same predicate — the contract ql.Plan upholds by deriving names
-// from expression strings.
+// from expression strings. The selection is planned at the cost of a
+// trivial predicate; give a costly one Hint or let Engine.Rebalance
+// adopt its measured cost.
 func (s *Stream) Where(name string, pred func(Element) bool) *Stream {
 	n := s.eng.place("where|"+name, fpIns(s), func() *graph.Node {
 		f := op.NewFilter(name, pred)
-		n := s.eng.addOp(name, f, 200, 0.5)
+		n := s.eng.addOp(name, f, costWhere, 0.5)
 		s.eng.g.Connect(s.node, n, 0)
 		return n
 	})
@@ -82,7 +115,7 @@ func (s *Stream) Where(name string, pred func(Element) bool) *Stream {
 func (s *Stream) Map(name string, fn func(Element) Element) *Stream {
 	n := s.eng.place("map|"+name, fpIns(s), func() *graph.Node {
 		m := op.NewMap(name, fn)
-		n := s.eng.addOp(name, m, 200, 1)
+		n := s.eng.addOp(name, m, costMap, 1)
 		s.eng.g.Connect(s.node, n, 0)
 		return n
 	})
@@ -93,7 +126,7 @@ func (s *Stream) Map(name string, fn func(Element) Element) *Stream {
 func (s *Stream) Project(name string) *Stream {
 	n := s.eng.place("project|"+name, fpIns(s), func() *graph.Node {
 		m := op.NewProject(name)
-		n := s.eng.addOp(name, m, 150, 1)
+		n := s.eng.addOp(name, m, costProject, 1)
 		s.eng.g.Connect(s.node, n, 0)
 		return n
 	})
@@ -107,7 +140,7 @@ func (s *Stream) Aggregate(name string, kind AggKind, window time.Duration, grou
 	params := fmt.Sprintf("agg|%s|k=%d|w=%d|g=%t", name, int(kind), int64(window), groupBy != nil)
 	n := s.eng.place(params, fpIns(s), func() *graph.Node {
 		a := op.NewWindowAgg(name, kind, int64(window), groupBy)
-		n := s.eng.addOp(name, a, 1500, 1)
+		n := s.eng.addOp(name, a, costAggregate, 1)
 		if groupBy != nil {
 			// Grouped aggregates partition by the group key, so they shard.
 			n.Shardable = &graph.ShardSpec{
@@ -130,7 +163,7 @@ func (s *Stream) AggregateRows(name string, kind AggKind, rows int, groupBy func
 	params := fmt.Sprintf("aggrows|%s|k=%d|r=%d|g=%t", name, int(kind), rows, groupBy != nil)
 	n := s.eng.place(params, fpIns(s), func() *graph.Node {
 		a := op.NewCountWindowAgg(name, kind, rows, groupBy)
-		n := s.eng.addOp(name, a, 1200, 1)
+		n := s.eng.addOp(name, a, costAggregateRows, 1)
 		if groupBy != nil {
 			n.Shardable = &graph.ShardSpec{
 				Ins: 1,
@@ -154,7 +187,7 @@ func (s *Stream) Join(name string, other *Stream, window time.Duration, merge fu
 	params := fmt.Sprintf("join|%s|w=%d|m=%t", name, int64(window), merge != nil)
 	n := s.eng.place(params, fpIns(s, other), func() *graph.Node {
 		j := op.NewSHJ(name, int64(window), merge)
-		n := s.eng.addOp(name, j, 2000, 1)
+		n := s.eng.addOp(name, j, costJoin, 1)
 		// An equi-join partitions by its join key on both inputs: matching
 		// tuples always land in the same shard.
 		n.Shardable = &graph.ShardSpec{
@@ -178,7 +211,7 @@ func (s *Stream) JoinNested(name string, other *Stream, window time.Duration, pr
 	params := fmt.Sprintf("joinnested|%s|w=%d|p=%t|m=%t", name, int64(window), pred != nil, merge != nil)
 	n := s.eng.place(params, fpIns(s, other), func() *graph.Node {
 		j := op.NewSNJ(name, int64(window), pred, merge)
-		n := s.eng.addOp(name, j, 5000, 1)
+		n := s.eng.addOp(name, j, costJoinNested, 1)
 		s.eng.g.Connect(s.node, n, 0)
 		s.eng.g.Connect(other.node, n, 1)
 		return n
@@ -198,7 +231,7 @@ func (s *Stream) JoinMany(name string, window time.Duration, others ...*Stream) 
 	params := fmt.Sprintf("joinmany|%s|n=%d|w=%d", name, len(all), int64(window))
 	n := s.eng.place(params, fpIns(all...), func() *graph.Node {
 		j := op.NewMJoin(name, 1+len(others), int64(window), nil)
-		n := s.eng.addOp(name, j, 3000, 1)
+		n := s.eng.addOp(name, j, costJoinMany, 1)
 		s.eng.g.Connect(s.node, n, 0)
 		for i, o := range others {
 			s.mustShareEngine(o)
@@ -218,7 +251,7 @@ func (s *Stream) Union(name string, others ...*Stream) *Stream {
 	params := fmt.Sprintf("union|%s|n=%d", name, len(all))
 	n := s.eng.place(params, fpIns(all...), func() *graph.Node {
 		u := op.NewUnion(name, 1+len(others))
-		n := s.eng.addOp(name, u, 100, 1)
+		n := s.eng.addOp(name, u, costUnion, 1)
 		s.eng.g.Connect(s.node, n, 0)
 		for i, o := range others {
 			s.mustShareEngine(o)
@@ -234,7 +267,7 @@ func (s *Stream) Distinct(name string, window time.Duration) *Stream {
 	params := fmt.Sprintf("distinct|%s|w=%d", name, int64(window))
 	n := s.eng.place(params, fpIns(s), func() *graph.Node {
 		d := op.NewDistinct(name, int64(window))
-		n := s.eng.addOp(name, d, 500, 0.9)
+		n := s.eng.addOp(name, d, costDistinct, 0.9)
 		n.Shardable = &graph.ShardSpec{
 			Ins: 1,
 			Key: func(_ int, e stream.Element) int64 { return e.Key },
@@ -292,7 +325,7 @@ func (s *Stream) Reorder(name string, slack time.Duration) *Stream {
 	params := fmt.Sprintf("reorder|%s|s=%d", name, int64(slack))
 	n := s.eng.place(params, fpIns(s), func() *graph.Node {
 		r := op.NewReorder(name, int64(slack))
-		n := s.eng.addOp(name, r, 400, 1)
+		n := s.eng.addOp(name, r, costReorder, 1)
 		s.eng.g.Connect(s.node, n, 0)
 		return n
 	})
@@ -306,7 +339,7 @@ func (s *Stream) TopK(name string, k int, window time.Duration) *Stream {
 	params := fmt.Sprintf("topk|%s|k=%d|w=%d", name, k, int64(window))
 	n := s.eng.place(params, fpIns(s), func() *graph.Node {
 		t := op.NewTopK(name, k, int64(window))
-		n := s.eng.addOp(name, t, 1000, 0.05)
+		n := s.eng.addOp(name, t, costTopK, 0.05)
 		// Sharded TopK tracks the top k per shard (a union of partition
 		// top-k's), not a global top-k — a superset of the global answer.
 		n.Shardable = &graph.ShardSpec{
@@ -329,7 +362,7 @@ func (s *Stream) Throttle(name string, rateHz, burst float64) *Stream {
 	params := fmt.Sprintf("throttle|%s|r=%g|b=%g", name, rateHz, burst)
 	n := s.eng.place(params, fpIns(s), func() *graph.Node {
 		t := op.NewThrottle(name, rateHz, burst)
-		n := s.eng.addOp(name, t, 100, 0.5)
+		n := s.eng.addOp(name, t, costThrottle, 0.5)
 		s.eng.g.Connect(s.node, n, 0)
 		return n
 	})
@@ -341,7 +374,7 @@ func (s *Stream) Sample(name string, p float64, seed uint64) *Stream {
 	params := fmt.Sprintf("sample|%s|p=%g|seed=%d", name, p, seed)
 	n := s.eng.place(params, fpIns(s), func() *graph.Node {
 		sm := op.NewSample(name, p, seed)
-		n := s.eng.addOp(name, sm, 150, p)
+		n := s.eng.addOp(name, sm, costSample, p)
 		s.eng.g.Connect(s.node, n, 0)
 		return n
 	})

@@ -3,6 +3,8 @@ package exp
 import (
 	"strconv"
 	"testing"
+
+	"github.com/dsms/hmts/internal/testutil"
 )
 
 // cell parses a numeric table cell.
@@ -16,7 +18,7 @@ func cell(t *testing.T, r *Report, row, col int) float64 {
 }
 
 func TestFig6Shape(t *testing.T) {
-	if testing.Short() || raceEnabled {
+	if testing.Short() || testutil.RaceEnabled {
 		t.Skip("timing experiment (skipped under -short and -race)")
 	}
 	rep := Fig6(DefaultFig6(Fast))
@@ -35,7 +37,7 @@ func TestFig6Shape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	if testing.Short() || raceEnabled {
+	if testing.Short() || testutil.RaceEnabled {
 		t.Skip("timing experiment (skipped under -short and -race)")
 	}
 	rep := Fig7(Fast)
@@ -53,7 +55,7 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	if testing.Short() || raceEnabled {
+	if testing.Short() || testutil.RaceEnabled {
 		t.Skip("timing experiment (skipped under -short and -race)")
 	}
 	rep := Fig8(Fast)
@@ -67,7 +69,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	if testing.Short() || raceEnabled {
+	if testing.Short() || testutil.RaceEnabled {
 		t.Skip("timing experiment (skipped under -short and -race)")
 	}
 	rep := Fig9(DefaultFig9(Fast))
@@ -110,7 +112,7 @@ func TestFig9Shape(t *testing.T) {
 }
 
 func TestLatencyShape(t *testing.T) {
-	if testing.Short() || raceEnabled {
+	if testing.Short() || testutil.RaceEnabled {
 		t.Skip("timing experiment (skipped under -short and -race)")
 	}
 	rep := Latency(DefaultLatency(Fast))
@@ -142,7 +144,7 @@ func TestFig11Shape(t *testing.T) {
 }
 
 func TestSaturationShape(t *testing.T) {
-	if testing.Short() || raceEnabled {
+	if testing.Short() || testutil.RaceEnabled {
 		t.Skip("timing experiment (skipped under -short and -race)")
 	}
 	rep := Saturation(DefaultSaturation(Fast))

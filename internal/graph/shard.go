@@ -225,8 +225,11 @@ func (g *Graph) ResizeShard(gr *ShardGroup, n int) ([]*Node, error) {
 }
 
 // Planning estimates for the region's own operators: a split is a hash and
-// a routed push, a merge a buffered compare-and-release.
+// a routed push, a merge a buffered compare-and-release. Like the
+// builder's defaults they are the exclusive c(v) metered for them, here
+// around a two-replica grouped Count under ModeDI at batch 64 over 1000
+// keys, on a 2-vCPU x86-64 host: 16–21 ns and 30–40 ns.
 const (
-	splitCostNS = 50
-	mergeCostNS = 80
+	splitCostNS = 18
+	mergeCostNS = 32
 )

@@ -9,6 +9,16 @@ import (
 // sample moves an estimate 5 % of the way toward itself.
 const alpha = 0.05
 
+// spikeCap bounds a c(v) sample at this multiple of the current estimate.
+// A cost sample is a metered batch's wall-clock time per element, and a
+// batch preempted by the OS reads up to a hundred times its cost: folded
+// in whole it moved the estimate several-fold for a snapshot, and a plan
+// made from that snapshot cut a cheap operator away. Capped, one such
+// sample moves c(v) by at most 15 %, while a real rise still compounds
+// 15 % per sample until the estimate is within the cap. d(v) is not
+// capped: a pause in the input is a real interarrival gap.
+const spikeCap = 4
+
 // OpStats tracks what one operator did: element counts and the smoothed
 // per-element cost c(v) and input interarrival time d(v) (paper §5.1.3
 // assumes the DSMS provides these as runtime metadata). The counters are
@@ -46,8 +56,15 @@ func (s *OpStats) RecordIn(n int) { s.in.Add(uint64(n)) }
 func (s *OpStats) RecordOut(n int) { s.out.Add(uint64(n)) }
 
 // ObserveCost folds one per-element processing cost sample, in
-// nanoseconds, into c(v). Only the operator's driving goroutine may call it.
-func (s *OpStats) ObserveCost(ns float64) { s.cost.observe(ns) }
+// nanoseconds, into c(v), capped at spikeCap times the current estimate
+// (the first sample is taken whole). Only the operator's driving
+// goroutine may call it.
+func (s *OpStats) ObserveCost(ns float64) {
+	if c := s.cost.value(); s.cost.primed && c > 0 {
+		ns = min(ns, spikeCap*c)
+	}
+	s.cost.observe(ns)
+}
 
 // ObserveInterarrival folds one mean input gap, in nanoseconds, into d(v).
 // Only the operator's driving goroutine may call it.

@@ -112,6 +112,34 @@ func TestOpStatsBusy(t *testing.T) {
 	}
 }
 
+// TestCostSpikeBounded: a metered batch the OS preempted reads far above
+// the operator's cost, and one such sample must not move c(v) far. A real
+// rise must still show within a few dozen samples.
+func TestCostSpikeBounded(t *testing.T) {
+	var s OpStats
+	for i := 0; i < 20; i++ {
+		s.ObserveCost(500)
+	}
+	s.ObserveCost(100_000)
+	if c := s.CostNS(); c > 2*500 {
+		t.Fatalf("one 100 µs sample moved c(v) from 500 to %.0f ns", c)
+	}
+	var step OpStats
+	step.ObserveCost(500)
+	for i := 0; i < 30; i++ {
+		step.ObserveCost(5000)
+	}
+	if c := step.CostNS(); c < 5*500 {
+		t.Fatalf("30 samples of a 10x step moved c(v) from 500 to %.0f ns, want at least half the step", c)
+	}
+	var d OpStats
+	d.ObserveInterarrival(500)
+	d.ObserveInterarrival(100_000)
+	if want := 500 + alpha*(100_000-500); d.InterarrivalNS() != want {
+		t.Fatalf("d(v) %.0f, want the uncapped %.0f", d.InterarrivalNS(), want)
+	}
+}
+
 // TestOpStatsConcurrentProducers bumps the counters from several
 // goroutines: they are plain atomics, so no count may be lost. Run with
 // -race.

@@ -51,24 +51,40 @@ func runChain(t *testing.T, mode hmts.Mode, rateHz float64) (*hmts.Engine, []hmt
 }
 
 // minCosts runs costlyChain under each mode in turn, rounds times, and
-// returns each mode's per-Map lowest c(v). A pause on a shared host can
-// only inflate a measurement, so the minimum is the robust reading, and
-// alternating the modes exposes them to the same background load.
+// returns each mode's per-Map lowest c(v).
 func minCosts(t *testing.T, rounds int, modes ...hmts.Mode) [][]float64 {
 	t.Helper()
-	cs := make([][]float64, len(modes))
-	for r := 0; r < rounds; r++ {
-		for m, mode := range modes {
+	runs := make([]func() []float64, len(modes))
+	for m, mode := range modes {
+		runs[m] = func() []float64 {
 			_, ops := runChain(t, mode, 1e6)
+			cs := make([]float64, len(ops))
 			for i, o := range ops {
+				cs[i] = o.CostNS
+			}
+			return cs
+		}
+	}
+	return minOverRounds(rounds, runs...)
+}
+
+// minOverRounds calls each run in turn, rounds times, and returns, per
+// run, the lowest of each reading it returned. A pause on a shared host
+// can only inflate a measurement, so the minimum is the robust reading,
+// and alternating the runs exposes them to the same background load.
+func minOverRounds(rounds int, runs ...func() []float64) [][]float64 {
+	mins := make([][]float64, len(runs))
+	for r := 0; r < rounds; r++ {
+		for k, run := range runs {
+			for i, c := range run() {
 				if r == 0 {
-					cs[m] = append(cs[m], o.CostNS)
+					mins[k] = append(mins[k], c)
 				}
-				cs[m][i] = math.Min(cs[m][i], o.CostNS)
+				mins[k][i] = math.Min(mins[k][i], c)
 			}
 		}
 	}
-	return cs
+	return mins
 }
 
 func mean(xs []float64) float64 {

@@ -90,7 +90,7 @@ type QueryMetrics struct {
 	Shared    int     // operators shared with at least one other query
 	Private   int     // operators exclusively owned (incl. shard regions)
 	Out       uint64  // results delivered to the query's sink
-	OutRateHz float64 // mean delivery rate between first and last result
+	OutRateHz float64 // mean delivery rate from the first result, sampled every few hundred
 }
 
 // Metrics is an engine-wide snapshot.
@@ -172,7 +172,7 @@ func (e *Engine) Metrics() Metrics {
 		qm.Out = reg.tap.out.Load()
 		first, last := reg.tap.firstNS.Load(), reg.tap.lastNS.Load()
 		if first > 0 && last > first {
-			qm.OutRateHz = float64(qm.Out) / (float64(last-first) / 1e9)
+			qm.OutRateHz = float64(reg.tap.lastOut.Load()) / (float64(last-first) / 1e9)
 		}
 		m.Queries = append(m.Queries, qm)
 	}
