@@ -40,10 +40,11 @@ race:
 # The bounded-queue deadlock regression gate: safe-point parking must
 # survive a single OS thread, where a waiting producer that kept its run
 # permit would freeze the whole process rather than just one pipeline.
-# The Backpressured tests mutate the deployment while the source waits.
+# The Backpressured tests mutate the deployment while the source waits;
+# the TS tests check arrival-order grants and stop-abort on one OS thread.
 bounded:
 	GOMAXPROCS=1 $(GO) test -timeout 120s \
-		-run 'Bounded|BlockedProducer|PermitHolding|LeaksNoGoroutines|Reconfigure|Backpressured' \
+		-run 'Bounded|BlockedProducer|PermitHolding|LeaksNoGoroutines|Reconfigure|Backpressured|^TestTS' \
 		./internal/queue ./internal/sched .
 
 # The capacity-model validation is a timing experiment; run it a few times so

@@ -217,3 +217,37 @@ func TestHostileMetricsNeverRead(t *testing.T) {
 	wellBehaved(t, addr)
 	conn.Close()
 }
+
+// TestHostileUnknownStrategy: START and MODE with a strategy name the
+// engine does not know answer ERR — they used to panic the session
+// goroutine and with it the daemon — and the session then starts,
+// switches and finishes normally.
+func TestHostileUnknownStrategy(t *testing.T) {
+	addr := startServer(t)
+	c := dial(t, addr)
+	c.sendLine("SOURCE ext EXTERNAL POLICY block BUFFER 64")
+	c.expect("OK source ext")
+	c.sendLine("QUERY SELECT * FROM ext WHERE key < 3")
+	c.expect("OK 0")
+	for _, cmd := range []string{"START ots warp", "START hmts warp", "START hmts", "MODE ots warp", "MODE ots chain"} {
+		c.sendLine(cmd)
+		want := "OK"
+		if strings.HasSuffix(cmd, "warp") {
+			want = "ERR"
+		}
+		if line := c.readLine(); !strings.HasPrefix(line, want) {
+			t.Fatalf("%s: got %q, want %s", cmd, line, want)
+		}
+	}
+	c.pushb("ext", 99, []int64{1, 2, 3}, 1)
+	c.expectOKCounts()
+	c.sendLine("CLOSE ext")
+	c.sendLine("WAIT")
+	c.waitDone("0")
+	if got := c.results["0"]; got != 66 {
+		t.Fatalf("got %d results, want 66", got)
+	}
+	c.sendLine("QUIT")
+	c.expect("OK bye")
+	wellBehaved(t, addr)
+}

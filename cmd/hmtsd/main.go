@@ -637,26 +637,9 @@ func (s *session) cmdMetrics() {
 
 func parseMode(rest string) (hmts.Mode, string, error) {
 	f := strings.Fields(strings.ToLower(rest))
-	mode := hmts.ModeHMTS
-	strategy := ""
-	if len(f) > 0 {
-		switch f[0] {
-		case "gts":
-			mode = hmts.ModeGTS
-		case "ots":
-			mode = hmts.ModeOTS
-		case "di":
-			mode = hmts.ModeDI
-		case "pure-di", "puredi":
-			mode = hmts.ModePureDI
-		case "hmts":
-			mode = hmts.ModeHMTS
-		default:
-			return 0, "", fmt.Errorf("unknown mode %q", f[0])
-		}
+	if len(f) == 0 {
+		return hmts.ModeHMTS, "", nil
 	}
-	if len(f) > 1 {
-		strategy = f[1]
-	}
-	return mode, strategy, nil
+	mode, err := hmts.ParseMode(f[0])
+	return mode, arg(f, 1), err
 }

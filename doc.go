@@ -16,8 +16,8 @@
 //   - ModeDI     — one queue after each source, operators fully fused.
 //   - ModePureDI — no queues at all; operators run in source threads.
 //   - ModeHMTS   — queues placed by the paper's stall-avoiding heuristic,
-//     one thread per virtual operator, arbitrated by a priority thread
-//     scheduler with aging.
+//     one thread per virtual operator, arbitrated by a thread scheduler
+//     that grants run permits in arrival order.
 //
 // Modes can be switched while a query runs, and Rebalance re-partitions
 // the graph from live cost and rate measurements.

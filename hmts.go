@@ -54,6 +54,21 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
+// ParseMode parses the spelling Mode.String produces ("gts", "ots", "di",
+// "pure-di", "hmts"; "puredi" is accepted too), as used in the hmtsd
+// protocol and ql scripts.
+func ParseMode(s string) (Mode, error) {
+	if s == "puredi" {
+		return ModePureDI, nil
+	}
+	for m := ModeGTS; m <= ModeHMTS; m++ {
+		if s == m.String() {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("hmts: unknown mode %q", s)
+}
+
 // RunConfig tunes a run. The zero value is a valid GTS/FIFO configuration.
 type RunConfig struct {
 	// Mode selects the threading architecture.

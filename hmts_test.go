@@ -243,3 +243,17 @@ func TestMutationsAfterFailStopRejected(t *testing.T) {
 		}
 	}
 }
+
+func TestParseMode(t *testing.T) {
+	for _, m := range []hmts.Mode{hmts.ModeGTS, hmts.ModeOTS, hmts.ModeDI, hmts.ModePureDI, hmts.ModeHMTS} {
+		if got, err := hmts.ParseMode(m.String()); err != nil || got != m {
+			t.Fatalf("ParseMode(%q) = %v, %v", m.String(), got, err)
+		}
+	}
+	if got, err := hmts.ParseMode("puredi"); err != nil || got != hmts.ModePureDI {
+		t.Fatalf("ParseMode(puredi) = %v, %v", got, err)
+	}
+	if _, err := hmts.ParseMode("warp"); err == nil {
+		t.Fatal("ParseMode accepted an unknown mode")
+	}
+}

@@ -49,7 +49,7 @@
 //     which wait on nothing but gates, so the lock is granted.
 //   - A thread parked for space holds nothing. The queue it waits on is
 //     drained by an executor of another group, which can get a permit
-//     (parked executors released theirs, and the TS ages waiters) and the
+//     (parked executors released theirs, and the TS grants FIFO) and the
 //     gate (by the first point). Waits follow the dataflow downstream,
 //     and query graphs are acyclic, so the chain of waits ends at an
 //     executor that can run — provided the executor groups are ordered

@@ -160,6 +160,9 @@ func (a *srcAdapter) entry(es []stream.Element, done bool) bool {
 // Build validates the graph against the plan and constructs a deployment.
 // Nothing runs until Start.
 func Build(g *graph.Graph, plan Plan, opts Options) (*Deployment, error) {
+	if err := CheckStrategy(opts.Strategy); err != nil {
+		return nil, err
+	}
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -179,7 +182,7 @@ func Build(g *graph.Graph, plan Plan, opts Options) (*Deployment, error) {
 		if maxc < 1 {
 			maxc = runtime.GOMAXPROCS(0)
 		}
-		d.ts = NewTS(maxc, agePerMS)
+		d.ts = NewTS(maxc)
 	}
 	if err := d.analyze(plan.Groups, plan.SingleGroup); err != nil {
 		return nil, err

@@ -90,10 +90,10 @@ func TestBuildRejectsInvalidGraph(t *testing.T) {
 	}
 }
 
-// TestGroupStrategyAndPriority: one executor group per operator under a
-// one-permit TS and a non-default strategy, each group at a different
-// priority set through its Proc, still runs everything to completion.
-func TestGroupStrategyAndPriority(t *testing.T) {
+// TestGroupStrategyUnderOnePermit: one executor group per operator under
+// a one-permit TS and a non-default strategy still runs everything to
+// completion.
+func TestGroupStrategyUnderOnePermit(t *testing.T) {
 	g, sink := chainGraph(50_000)
 	d, err := Build(g, OTS(g), Options{
 		Strategy: "maxqueue",
@@ -105,11 +105,8 @@ func TestGroupStrategyAndPriority(t *testing.T) {
 	if len(d.Execs()) < 2 {
 		t.Fatalf("OTS built %d executor groups, want one per operator", len(d.Execs()))
 	}
-	for i, x := range d.Execs() {
-		if x.Proc() == nil {
-			t.Fatal("TS enabled but executor has no proc")
-		}
-		x.Proc().SetPriority(5 * i)
+	if d.TS() == nil || d.TS().MaxConcurrent() != 1 {
+		t.Fatal("TS enabled but the deployment has no one-permit TS")
 	}
 	d.Start()
 	d.Wait()

@@ -31,7 +31,6 @@ type Exec struct {
 	scratch []stream.Element // reused by every DrainBatch; owned by run()
 	quantum time.Duration
 	ts      *TS
-	proc    *Proc
 
 	notify chan int
 	dirty  []atomic.Bool
@@ -77,9 +76,6 @@ func newExec(name string, units []*Unit, strat Strategy, batch int, quantum time
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 		onFail:  onFail,
-	}
-	if ts != nil {
-		x.proc = &Proc{Name: name}
 	}
 	for i, u := range units {
 		if !u.closed {
@@ -134,9 +130,6 @@ func (x *Exec) closeUnit(i int) {
 // Name returns the executor's name.
 func (x *Exec) Name() string { return x.name }
 
-// Proc returns the executor's level-3 process handle, or nil without a TS.
-func (x *Exec) Proc() *Proc { return x.proc }
-
 // Processed returns the number of elements this executor has drained.
 func (x *Exec) Processed() uint64 { return x.processed.Load() }
 
@@ -174,7 +167,7 @@ func (x *Exec) run() {
 		default:
 		}
 		if x.ts != nil {
-			if !x.ts.Acquire(x.proc, x.stop) {
+			if !x.ts.Acquire(x.stop) {
 				return
 			}
 			x.permit = true
@@ -264,7 +257,7 @@ func (x *Exec) waitSpace(q *queue.Queue) bool {
 // releasePermit gives the TS run permit back if the executor holds it.
 func (x *Exec) releasePermit() {
 	if x.permit {
-		x.ts.Release(x.proc)
+		x.ts.Release()
 		x.permit = false
 	}
 }

@@ -89,10 +89,6 @@ type TSConfig struct {
 	MaxConcurrent int
 }
 
-// agePerMS is the priority an executor waiting at the TS gains per
-// millisecond; it prevents starvation.
-const agePerMS = 1
-
 func (o Options) batch() int {
 	if o.Batch < 1 {
 		return 64

@@ -33,9 +33,9 @@ func (d *Deployment) refreshUnits(front map[int]frontier) {
 // cut, exactly as §5.1.3 prescribes ("a queue can be immediately
 // inserted; to remove a queue all remaining elements must be entirely
 // processed before"). The whole plan is validated before anything is
-// touched: an invalid cut or grouping returns an error with the cut, VOs
-// and queues unchanged and processing continuing. An empty strategy keeps
-// the deployment's default.
+// touched: an invalid cut, grouping or strategy name returns an error
+// with the cut, VOs and queues unchanged and processing continuing. An
+// empty strategy keeps the deployment's default.
 //
 // Bounded queues are supported: no thread is ever parked inside an
 // operator (coop.go), so the mutation waits only for the entries in
@@ -43,6 +43,9 @@ func (d *Deployment) refreshUnits(front map[int]frontier) {
 // bounds, and every element reaches its sink.
 func (d *Deployment) Reconfigure(plan Plan, strategy string) error {
 	return d.mutate("Reconfigure", plan.Groups, func(sp *Splicer) error {
+		if err := CheckStrategy(strategy); err != nil {
+			return err
+		}
 		newCut, err := normalizeCut(d.g, plan.Cut)
 		if err != nil {
 			return err

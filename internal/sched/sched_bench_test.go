@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,69 +14,59 @@ import (
 // BenchmarkTSAcquireRelease measures the level-3 arbitration cost per
 // quantum with no contention.
 func BenchmarkTSAcquireRelease(b *testing.B) {
-	ts := NewTS(2, 1)
-	p := &Proc{}
+	ts := NewTS(2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if !ts.Acquire(p, nil) {
+		if !ts.Acquire(nil) {
 			b.Fatal("acquire failed")
 		}
-		ts.Release(p)
+		ts.Release()
 	}
 }
 
-// BenchmarkTSArbitration measures one grant cycle while w other executors
-// keep the wait heap populated on a single permit — the arbitration cost
-// the O(n) grant scan used to dominate at scale. The measuring proc runs
-// at top priority so an op is the grant path (heap maintenance + handoff),
-// not the deliberate aging delay a low-priority waiter sits out; the
-// churners park as waiters rather than churning, so the heap holds ~w
-// entries for every timed grant and the timed goroutine is not starved of
-// the lone CPU.
+// BenchmarkTSArbitration measures one grant handoff on a single permit
+// with about w executors parked in the wait queue: w churners each take
+// the permit, count the grant and release it to the longest waiter, then
+// queue again at the tail. One op is one grant, timed until b.N grants
+// have been handed over.
 func BenchmarkTSArbitration(b *testing.B) {
 	for _, w := range []int{4, 64, 1024} {
 		b.Run(fmt.Sprintf("waiters=%d", w), func(b *testing.B) {
-			ts := NewTS(1, 1)
-			stop := make(chan struct{})
+			ts := NewTS(1)
+			ts.Acquire(nil) // held until every churner has queued
+			stop, done := make(chan struct{}), make(chan struct{})
+			var grants atomic.Int64
 			var wg sync.WaitGroup
 			for i := 0; i < w; i++ {
 				wg.Add(1)
-				go func(k int) {
+				go func() {
 					defer wg.Done()
-					p := &Proc{}
-					p.SetPriority(k % 8)
 					for {
-						// Acquire only observes stop while queued; check it
-						// between quanta too so teardown cannot leave one
+						// Acquire observes stop only while queued; check it
+						// between grants too, so teardown cannot leave one
 						// churner winning the uncontended fast path forever.
 						select {
 						case <-stop:
 							return
 						default:
 						}
-						if !ts.Acquire(p, stop) {
+						if !ts.Acquire(stop) {
 							return
 						}
-						ts.Release(p)
+						if grants.Add(1) == int64(b.N) {
+							close(done)
+						}
+						ts.Release()
 					}
-				}(i)
+				}()
 			}
-			// Let the heap fill before the timer starts, so the b.N
-			// calibration rounds see steady-state cost instead of the
-			// uncontended fast path (which overshoots b.N by ~1000x).
-			for ts.Waiting() < w/2+1 {
+			for ts.Waiting() < w {
 				time.Sleep(time.Millisecond)
 			}
-			p := &Proc{}
-			p.SetPriority(1 << 20) // always the best waiter: granted on the next release
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if !ts.Acquire(p, stop) {
-					b.Fatal("acquire failed")
-				}
-				ts.Release(p)
-			}
+			ts.Release()
+			<-done
 			b.StopTimer()
 			close(stop)
 			wg.Wait()
@@ -98,8 +89,8 @@ func sweepUnits(n int) []*Unit {
 // BenchmarkStrategyPick measures one steady-state scheduling decision —
 // Pick plus the post-drain Update — against the incrementally maintained
 // ready index, sweeping the unit count across the many-query scaling range
-// of Figures 6/7. Compare with BenchmarkStrategyScanPick: the indexed path
-// must hold roughly flat as units grow where the scan degrades linearly.
+// of Figures 6/7: the indexed path must hold roughly flat as units grow,
+// where the O(n) rescan it replaced (scanPick) degraded linearly.
 func BenchmarkStrategyPick(b *testing.B) {
 	for _, n := range []int{8, 64, 512, 4096} {
 		units := sweepUnits(n)
@@ -113,27 +104,6 @@ func BenchmarkStrategyPick(b *testing.B) {
 						b.Fatal("no pick")
 					}
 					s.Update(j)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkStrategyScanPick is the before: the original O(n) selection
-// that rescans every unit per decision (kept in scanPick for
-// cross-checking). Even reading the now-lock-free gauges, it degrades
-// linearly in the unit count; the original additionally paid 1–2 queue
-// mutex acquisitions per unit.
-func BenchmarkStrategyScanPick(b *testing.B) {
-	for _, n := range []int{8, 64, 512, 4096} {
-		units := sweepUnits(n)
-		for _, name := range []string{"fifo", "chain", "maxqueue"} {
-			b.Run(fmt.Sprintf("%s/units=%d", name, n), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if scanPick(name, units) < 0 {
-						b.Fatal("no pick")
-					}
 				}
 			})
 		}

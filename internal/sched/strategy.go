@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"sort"
 )
@@ -324,20 +325,30 @@ func (m *MaxQueue) Pick() int { return m.h.top() }
 // Ready implements Strategy.
 func (m *MaxQueue) Ready() bool { return m.h.size() > 0 }
 
+// strategies builds each level-2 strategy by name; the empty name is FIFO.
+var strategies = map[string]func() Strategy{
+	"":           func() Strategy { return &FIFO{} },
+	"fifo":       func() Strategy { return &FIFO{} },
+	"roundrobin": func() Strategy { return &RoundRobin{} },
+	"chain":      func() Strategy { return &Chain{} },
+	"maxqueue":   func() Strategy { return &MaxQueue{} },
+}
+
+// CheckStrategy returns an error unless NewStrategy knows the name.
+func CheckStrategy(name string) error {
+	if strategies[name] == nil {
+		return fmt.Errorf("sched: unknown strategy %q", name)
+	}
+	return nil
+}
+
 // NewStrategy returns a fresh strategy instance by name ("fifo",
-// "roundrobin", "chain", "maxqueue"); it panics on unknown names.
-// Strategies carry per-executor index state, so each executor needs its
-// own.
+// "roundrobin", "chain", "maxqueue"); it panics on unknown names, which
+// Build and Reconfigure reject up front (CheckStrategy). Strategies carry
+// per-executor index state, so each executor needs its own.
 func NewStrategy(name string) Strategy {
-	switch name {
-	case "fifo", "":
-		return &FIFO{}
-	case "roundrobin":
-		return &RoundRobin{}
-	case "chain":
-		return &Chain{}
-	case "maxqueue":
-		return &MaxQueue{}
+	if mk := strategies[name]; mk != nil {
+		return mk()
 	}
 	panic("sched: unknown strategy " + name)
 }

@@ -1,230 +1,74 @@
 package sched
 
 import (
+	"slices"
 	"sync"
-	"sync/atomic"
-	"time"
 )
 
 // TS is the level-3 thread scheduler: a run-permit arbiter that bounds how
-// many partition executors run simultaneously and picks the next one by
-// priority. Go offers no preemption of goroutines, so preemption is
-// cooperative: executors hold a permit for at most one quantum and then
-// hand it back, which matches the paper's "preemptive priority-based
-// scheduling strategy" at quantum granularity. Waiting executors age —
-// their effective priority rises with waiting time — so starvation is
-// impossible (paper §4.2.2).
-//
-// The wait queue is a priority heap, so a grant costs O(log n) in the
-// number of waiters instead of the former O(n) scan. Aging folds into the
-// heap key for free: every waiter's effective priority prio + age·(now −
-// since) carries the same age·now term at any instant, so ordering by the
-// time-invariant key prio − age·since is identical to ordering by
-// effective priority — the heap never needs rebuilding as time passes.
-// The key goes stale only if SetPriority changes a base priority while
-// the process waits; grantLocked lazily re-scores the top until it is
-// fresh, preserving the aging/starvation guarantee.
+// many partition executors run simultaneously. Go offers no preemption of
+// goroutines, so preemption is cooperative: executors hold a permit for at
+// most one quantum and then hand it back (paper §4.2.2). Waiters are
+// granted in arrival order, so a waiter runs after at most the waiters
+// queued ahead of it and no executor starves.
 type TS struct {
 	mu      sync.Mutex
 	max     int
 	running int
-	waiting waiterHeap
-	seq     uint64  // tie-break: FIFO among equal effective priorities
-	agingNS float64 // priority points gained per nanosecond waited
-	epoch   time.Time
-}
-
-// Proc is one executor's identity at the TS. Priority can be adapted at
-// runtime (higher runs first).
-type Proc struct {
-	Name string
-	prio atomic.Int64
-}
-
-// SetPriority updates the process's base priority.
-func (p *Proc) SetPriority(v int) { p.prio.Store(int64(v)) }
-
-// Priority returns the process's base priority.
-func (p *Proc) Priority() int { return int(p.prio.Load()) }
-
-type waiter struct {
-	p     *Proc
-	since int64
-	key   float64 // prio − agingNS·since at the last (re-)score
-	seq   uint64
-	idx   int // slot in the heap, -1 once granted or removed
-	ch    chan struct{}
-}
-
-// waiterHeap orders waiters by descending key (effective priority with the
-// shared aging term cancelled), breaking ties by arrival order. Slots are
-// tracked in waiter.idx so stop-aborted waiters are removed in O(log n).
-type waiterHeap []*waiter
-
-func (h waiterHeap) before(i, j int) bool {
-	if h[i].key != h[j].key {
-		return h[i].key > h[j].key
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h waiterHeap) swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-
-func (h *waiterHeap) push(w *waiter) {
-	*h = append(*h, w)
-	w.idx = len(*h) - 1
-	h.up(w.idx)
-}
-
-// removeAt deletes the waiter in slot i.
-func (h *waiterHeap) removeAt(i int) *waiter {
-	old := *h
-	w := old[i]
-	last := len(old) - 1
-	old.swap(i, last)
-	old[last] = nil
-	*h = old[:last]
-	w.idx = -1
-	if i < last {
-		h.down(i)
-		h.up(i)
-	}
-	return w
-}
-
-func (h *waiterHeap) up(i int) {
-	hs := *h
-	for i > 0 {
-		p := (i - 1) / 2
-		if !hs.before(i, p) {
-			return
-		}
-		hs.swap(i, p)
-		i = p
-	}
-}
-
-func (h *waiterHeap) down(i int) {
-	hs := *h
-	n := len(hs)
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < n && hs.before(l, best) {
-			best = l
-		}
-		if r < n && hs.before(r, best) {
-			best = r
-		}
-		if best == i {
-			return
-		}
-		hs.swap(i, best)
-		i = best
-	}
+	waiting []chan struct{} // one per queued executor, oldest first; closed on grant
 }
 
 // NewTS returns a thread scheduler allowing maxConcurrent simultaneous
-// permits (values below 1 are raised to 1). agePerMS is the priority gain
-// per millisecond of waiting; 0 disables aging (and with it the starvation
-// guarantee).
-func NewTS(maxConcurrent int, agePerMS float64) *TS {
-	if maxConcurrent < 1 {
-		maxConcurrent = 1
-	}
-	return &TS{max: maxConcurrent, agingNS: agePerMS / 1e6, epoch: time.Now()}
+// permits (values below 1 are raised to 1).
+func NewTS(maxConcurrent int) *TS {
+	return &TS{max: max(maxConcurrent, 1)}
 }
 
 // MaxConcurrent returns the permit bound.
 func (ts *TS) MaxConcurrent() int { return ts.max }
 
-func (ts *TS) now() int64 { return int64(time.Since(ts.epoch)) }
-
-// scoreKey is the time-invariant heap key of a waiter: its effective
-// priority minus the aging term common to all waiters at any instant.
-func (ts *TS) scoreKey(p *Proc, since int64) float64 {
-	return float64(p.prio.Load()) - ts.agingNS*float64(since)
-}
-
-// enqueueLocked adds p to the wait heap. Caller holds mu.
-func (ts *TS) enqueueLocked(p *Proc) *waiter {
-	since := ts.now()
-	w := &waiter{p: p, since: since, key: ts.scoreKey(p, since), seq: ts.seq, ch: make(chan struct{})}
-	ts.seq++
-	ts.waiting.push(w)
-	return w
-}
-
-// Acquire blocks until the process is granted a run permit or stop closes;
+// Acquire blocks until the caller is granted a run permit or stop closes;
 // it reports whether a permit was obtained. Each successful Acquire must be
 // paired with Release.
-func (ts *TS) Acquire(p *Proc, stop <-chan struct{}) bool {
+func (ts *TS) Acquire(stop <-chan struct{}) bool {
 	ts.mu.Lock()
-	if ts.running < ts.max && len(ts.waiting) == 0 {
+	if ts.running < ts.max {
 		ts.running++
 		ts.mu.Unlock()
 		return true
 	}
-	w := ts.enqueueLocked(p)
-	if ts.running < ts.max {
-		// Permits free but others are queued: grant through the heap so
-		// higher-priority waiters go first.
-		ts.grantLocked()
-	}
+	ch := make(chan struct{})
+	ts.waiting = append(ts.waiting, ch)
 	ts.mu.Unlock()
-	return ts.await(w, stop)
-}
-
-func (ts *TS) await(w *waiter, stop <-chan struct{}) bool {
 	select {
-	case <-w.ch:
+	case <-ch:
 		return true
 	case <-stop:
-		ts.mu.Lock()
-		if w.idx >= 0 {
-			ts.waiting.removeAt(w.idx)
-			ts.mu.Unlock()
-			return false
-		}
+	}
+	ts.mu.Lock()
+	if i := slices.Index(ts.waiting, ch); i >= 0 {
+		ts.waiting = slices.Delete(ts.waiting, i, i+1)
 		ts.mu.Unlock()
-		// The grant raced with stop; hand the permit straight back.
-		ts.Release(w.p)
 		return false
 	}
-}
-
-// Release returns a permit, granting it to the best waiter if any.
-func (ts *TS) Release(*Proc) {
-	ts.mu.Lock()
-	ts.running--
-	ts.grantLocked()
 	ts.mu.Unlock()
+	// The grant raced with stop; hand the permit straight back.
+	ts.Release()
+	return false
 }
 
-// grantLocked hands free permits to the highest effective-priority
-// waiters. Caller holds mu. Keys are stale only when SetPriority changed a
-// base priority after enqueue, so the heap top is lazily re-scored until
-// it is fresh; each re-score is one O(log n) fix, and the pass is bounded
-// by the heap size for the pathological case of every key stale.
-func (ts *TS) grantLocked() {
-	for ts.running < ts.max && len(ts.waiting) > 0 {
-		for tries := len(ts.waiting); tries > 0; tries-- {
-			top := ts.waiting[0]
-			fresh := ts.scoreKey(top.p, top.since)
-			if fresh == top.key {
-				break
-			}
-			top.key = fresh
-			ts.waiting.down(0)
-		}
-		w := ts.waiting.removeAt(0)
-		ts.running++
-		close(w.ch)
+// Release hands the permit straight to the oldest waiter, if any: waiters
+// exist only while every permit is held, so Acquire's fast path is fair.
+func (ts *TS) Release() {
+	ts.mu.Lock()
+	if len(ts.waiting) == 0 {
+		ts.running--
+	} else {
+		close(ts.waiting[0])
+		ts.waiting[0] = nil
+		ts.waiting = ts.waiting[1:]
 	}
+	ts.mu.Unlock()
 }
 
 // Running returns the number of permits currently held.

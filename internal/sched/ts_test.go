@@ -8,7 +8,7 @@ import (
 )
 
 func TestTSBoundsConcurrency(t *testing.T) {
-	ts := NewTS(3, 0)
+	ts := NewTS(3)
 	if ts.MaxConcurrent() != 3 {
 		t.Fatalf("max %d", ts.MaxConcurrent())
 	}
@@ -19,9 +19,8 @@ func TestTSBoundsConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p := &Proc{}
 			for j := 0; j < 50; j++ {
-				if !ts.Acquire(p, stop) {
+				if !ts.Acquire(stop) {
 					return
 				}
 				n := cur.Add(1)
@@ -33,7 +32,7 @@ func TestTSBoundsConcurrency(t *testing.T) {
 				}
 				time.Sleep(time.Microsecond * 50)
 				cur.Add(-1)
-				ts.Release(p)
+				ts.Release()
 			}
 		}()
 	}
@@ -46,95 +45,98 @@ func TestTSBoundsConcurrency(t *testing.T) {
 	}
 }
 
-func TestTSPriorityOrder(t *testing.T) {
-	ts := NewTS(1, 0) // no aging: strict priority
-	holder := &Proc{}
-	if !ts.Acquire(holder, nil) {
+// queueWaiters parks one waiter per stop channel behind the held permit,
+// in slice order. A granted waiter sends its index on granted while it
+// holds the permit, so granted lists the grants in order, and then
+// releases; an aborted waiter sends its index on aborted.
+func queueWaiters(t *testing.T, ts *TS, stops []chan struct{}) (granted, aborted chan int) {
+	t.Helper()
+	granted, aborted = make(chan int, len(stops)), make(chan int, len(stops))
+	for i, stop := range stops {
+		before := ts.Waiting()
+		go func() {
+			if !ts.Acquire(stop) {
+				aborted <- i
+				return
+			}
+			granted <- i
+			ts.Release()
+		}()
+		for ts.Waiting() == before {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	return granted, aborted
+}
+
+// recv returns the next index sent on c.
+func recv(t *testing.T, c chan int) int {
+	t.Helper()
+	select {
+	case i := <-c:
+		return i
+	case <-time.After(2 * time.Second):
+		t.Fatal("no waiter reported in time")
+		return -1
+	}
+}
+
+func TestTSGrantsInArrivalOrder(t *testing.T) {
+	ts := NewTS(1)
+	if !ts.Acquire(nil) {
 		t.Fatal("initial acquire failed")
 	}
-	order := make(chan int, 3)
-	var ready sync.WaitGroup
-	for _, prio := range []int{1, 10, 5} {
-		ready.Add(1)
-		go func(prio int) {
-			p := &Proc{}
-			p.SetPriority(prio)
-			ready.Done()
-			if ts.Acquire(p, nil) {
-				order <- prio
-				time.Sleep(time.Millisecond)
-				ts.Release(p)
-			}
-		}(prio)
-	}
-	ready.Wait()
-	for ts.Waiting() < 3 {
-		time.Sleep(time.Millisecond)
-	}
-	ts.Release(holder)
-	want := []int{10, 5, 1}
-	for i, w := range want {
-		select {
-		case got := <-order:
-			if got != w {
-				t.Fatalf("grant %d went to priority %d, want %d", i, got, w)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatal("grant never happened")
+	granted, _ := queueWaiters(t, ts, make([]chan struct{}, 4))
+	ts.Release()
+	for want := 0; want < 4; want++ {
+		if got := recv(t, granted); got != want {
+			t.Fatalf("grant %d went to waiter %d, want arrival order", want, got)
 		}
 	}
 }
 
-func TestTSAgingPreventsStarvation(t *testing.T) {
-	// A low-priority waiter must eventually beat a stream of
-	// high-priority re-acquirers thanks to aging.
-	ts := NewTS(1, 1000) // 1000 priority points per ms: ages fast
-	lowDone := make(chan struct{})
-	stop := make(chan struct{})
-	defer close(stop)
-
-	high := &Proc{}
-	high.SetPriority(100)
-	if !ts.Acquire(high, nil) {
+// TestTSNoStarvation: a holder that keeps releasing and re-acquiring
+// cannot overtake a queued waiter — the waiter gets the permit on the
+// holder's next release, and the re-acquire queues behind it.
+func TestTSNoStarvation(t *testing.T) {
+	ts := NewTS(1)
+	if !ts.Acquire(nil) {
 		t.Fatal("acquire failed")
 	}
+	granted := make(chan struct{})
 	go func() {
-		low := &Proc{}
-		low.SetPriority(0)
-		if ts.Acquire(low, stop) {
-			close(lowDone)
-			ts.Release(low)
+		if ts.Acquire(nil) {
+			close(granted)
+			ts.Release()
 		}
 	}()
-	// High-priority executor churns: release and immediately re-acquire.
-	deadline := time.After(5 * time.Second)
-	for {
-		select {
-		case <-lowDone:
-			ts.Release(high)
-			return
-		case <-deadline:
-			t.Fatal("low-priority proc starved despite aging")
-		default:
-		}
-		ts.Release(high)
-		if !ts.Acquire(high, stop) {
-			return
-		}
+	for ts.Waiting() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	ts.Release()
+	if !ts.Acquire(nil) {
+		t.Fatal("re-acquire failed")
+	}
+	select {
+	case <-granted:
+	default:
+		t.Fatal("waiter not granted on the holder's release")
+	}
+	ts.Release()
+	if ts.Running() != 0 || ts.Waiting() != 0 {
+		t.Fatalf("leaked permits: running=%d waiting=%d", ts.Running(), ts.Waiting())
 	}
 }
 
 func TestTSAcquireAbortsOnStop(t *testing.T) {
-	ts := NewTS(1, 0)
-	p := &Proc{}
-	if !ts.Acquire(p, nil) {
+	ts := NewTS(1)
+	if !ts.Acquire(nil) {
 		t.Fatal("acquire failed")
 	}
 	stop := make(chan struct{})
 	got := make(chan bool, 1)
 	go func() {
-		q := &Proc{}
-		got <- ts.Acquire(q, stop)
+		got <- ts.Acquire(stop)
 	}()
 	for ts.Waiting() == 0 {
 		time.Sleep(time.Millisecond)
@@ -146,112 +148,68 @@ func TestTSAcquireAbortsOnStop(t *testing.T) {
 	if ts.Waiting() != 0 {
 		t.Fatal("aborted waiter leaked")
 	}
-	ts.Release(p)
+	ts.Release()
 	if ts.Running() != 0 {
 		t.Fatal("permit leaked")
 	}
 }
 
+// TestTSStopRacingGrantReturnsPermit closes a waiter's stop right before
+// the release that grants it, so the grant can land between the waiter
+// waking on stop and leaving the queue; it must then hand the permit
+// straight back, and no permit or queue slot may leak.
+func TestTSStopRacingGrantReturnsPermit(t *testing.T) {
+	ts := NewTS(1)
+	for i := 0; i < 200; i++ {
+		if !ts.Acquire(nil) {
+			t.Fatal("acquire failed")
+		}
+		stop := make(chan struct{})
+		granted, aborted := queueWaiters(t, ts, []chan struct{}{stop})
+		close(stop)
+		ts.Release()
+		select {
+		case <-granted:
+		case <-aborted:
+		}
+		for ts.Running() != 0 {
+			time.Sleep(time.Microsecond)
+		}
+		if ts.Waiting() != 0 {
+			t.Fatalf("round %d: waiter leaked", i)
+		}
+	}
+}
+
 func TestTSMinimumOneSlot(t *testing.T) {
-	ts := NewTS(0, 0)
+	ts := NewTS(0)
 	if ts.MaxConcurrent() != 1 {
 		t.Fatalf("max %d, want clamp to 1", ts.MaxConcurrent())
 	}
 }
 
-// TestTSLazyRescoreOnPriorityChange raises a waiting process's priority
-// after it enqueued; the heap key is stale, and the lazy re-score at grant
-// time must still order the grants by the fresh priorities.
-func TestTSLazyRescoreOnPriorityChange(t *testing.T) {
-	ts := NewTS(1, 0)
-	holder := &Proc{}
-	if !ts.Acquire(holder, nil) {
+// TestTSAbortFromMiddleOfQueue aborts a waiter that is neither the oldest
+// nor the newest and checks the remaining waiters still grant in arrival
+// order.
+func TestTSAbortFromMiddleOfQueue(t *testing.T) {
+	ts := NewTS(1)
+	if !ts.Acquire(nil) {
 		t.Fatal("initial acquire failed")
 	}
-	order := make(chan string, 2)
-	procs := map[string]*Proc{}
-	for _, name := range []string{"a", "b"} {
-		p := &Proc{Name: name}
-		p.SetPriority(map[string]int{"a": 10, "b": 1}[name])
-		procs[name] = p
-		go func(name string, p *Proc) {
-			if ts.Acquire(p, nil) {
-				order <- name
-				time.Sleep(time.Millisecond)
-				ts.Release(p)
-			}
-		}(name, p)
-	}
-	for ts.Waiting() < 2 {
-		time.Sleep(time.Millisecond)
-	}
-	// Invert the priorities while both wait: b must now be granted first.
-	procs["a"].SetPriority(0)
-	procs["b"].SetPriority(20)
-	ts.Release(holder)
-	want := []string{"b", "a"}
-	for i, w := range want {
-		select {
-		case got := <-order:
-			if got != w {
-				t.Fatalf("grant %d went to %q, want %q", i, got, w)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatal("grant never happened")
-		}
-	}
-}
-
-// TestTSAbortFromMiddleOfHeap aborts a waiter that is neither the best nor
-// the most recent, exercising indexed heap removal, and checks the
-// remaining waiters still grant in priority order.
-func TestTSAbortFromMiddleOfHeap(t *testing.T) {
-	ts := NewTS(1, 0)
-	holder := &Proc{}
-	if !ts.Acquire(holder, nil) {
-		t.Fatal("initial acquire failed")
-	}
-	order := make(chan int, 2)
-	stopMid := make(chan struct{})
-	aborted := make(chan bool, 1)
-	launch := func(prio int, stop <-chan struct{}, out chan<- int) {
-		before := ts.Waiting()
-		p := &Proc{}
-		p.SetPriority(prio)
-		go func() {
-			got := ts.Acquire(p, stop)
-			if out != nil {
-				if got {
-					order <- prio
-					ts.Release(p)
-				}
-			} else {
-				aborted <- got
-			}
-		}()
-		for ts.Waiting() == before {
-			time.Sleep(time.Millisecond)
-		}
-	}
-	launch(9, nil, order)
-	launch(5, stopMid, nil) // the middle waiter, aborted below
-	launch(1, nil, order)
-	close(stopMid)
-	if got := <-aborted; got {
-		t.Fatal("aborted waiter acquired a permit")
+	stops := make([]chan struct{}, 3)
+	stops[1] = make(chan struct{})
+	granted, aborted := queueWaiters(t, ts, stops)
+	close(stops[1])
+	if got := recv(t, aborted); got != 1 {
+		t.Fatalf("waiter %d aborted, want 1", got)
 	}
 	if ts.Waiting() != 2 {
 		t.Fatalf("waiting %d after abort, want 2", ts.Waiting())
 	}
-	ts.Release(holder)
-	for i, want := range []int{9, 1} {
-		select {
-		case got := <-order:
-			if got != want {
-				t.Fatalf("grant %d went to priority %d, want %d", i, got, want)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatal("grant never happened")
+	ts.Release()
+	for _, want := range []int{0, 2} {
+		if got := recv(t, granted); got != want {
+			t.Fatalf("grant went to waiter %d, want %d", got, want)
 		}
 	}
 }

@@ -6,9 +6,9 @@
 //	level 2 — partition executors: each executor owns a group of queues and
 //	          drains them under a pluggable strategy, like a small
 //	          graph-threaded scheduler,
-//	level 3 — the thread scheduler (TS): a priority arbiter with aging that
-//	          bounds how many executors run concurrently and prevents
-//	          starvation.
+//	level 3 — the thread scheduler (TS): a run-permit queue that bounds
+//	          how many executors run concurrently and grants permits in
+//	          arrival order, so none starves.
 //
 // GTS, OTS and pure DI are degenerate plans of the same machinery, and the
 // deployment can switch between them at runtime.

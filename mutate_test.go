@@ -138,6 +138,47 @@ func TestRebalanceAndSwitchModeRaceMetrics(t *testing.T) {
 	}
 }
 
+// TestUnknownStrategyIsAnError: an unknown strategy name fails Run, and a
+// live SwitchMode, with an error before anything is touched. Both used to
+// panic, SwitchMode with every executor halted and the world lock held,
+// which wedged the sources. After the refused switch the engine drains to
+// exactly the output it would have produced unmutated.
+func TestUnknownStrategyIsAnError(t *testing.T) {
+	const n = 50_000
+	eng := hmts.New()
+	out := eng.Source("src", hmts.GenerateStamped(n, 1e6, hmts.SeqKeys())).
+		Where("even", func(e hmts.Element) bool { return e.Key%2 == 0 }).
+		Map("scale", func(e hmts.Element) hmts.Element { e.Val = float64(e.Key) * 10; return e }).
+		Collect("out")
+	if err := eng.Run(hmts.RunConfig{Mode: hmts.ModeGTS, Strategy: "bogus"}); err == nil || !strings.Contains(err.Error(), "unknown strategy") {
+		t.Fatalf("Run with an unknown strategy: %v", err)
+	}
+	eng.MustRun(hmts.RunConfig{Mode: hmts.ModeHMTS})
+	if err := eng.SwitchMode(hmts.ModeOTS, "bogus"); err == nil || !strings.Contains(err.Error(), "unknown strategy") {
+		t.Fatalf("SwitchMode with an unknown strategy: %v", err)
+	}
+	done := make(chan struct{})
+	go func() {
+		eng.Wait()
+		out.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("engine wedged after a refused SwitchMode")
+	}
+	els := out.Elements()
+	if len(els) != n/2 {
+		t.Fatalf("got %d results, want %d", len(els), n/2)
+	}
+	for i, e := range els {
+		if e.Key != int64(2*i) || e.Val != float64(20*i) {
+			t.Fatalf("result %d = key %d val %v, want key %d val %d", i, e.Key, e.Val, 2*i, 20*i)
+		}
+	}
+}
+
 // TestExplainDuringAddQuery polls Explain while AddQuery splices queries
 // into the running engine. Explain walks the graph and re-derives every
 // node's rate, so it must hold the engine lock the splice holds (go test

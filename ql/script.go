@@ -7,6 +7,7 @@ import (
 	"time"
 
 	hmts "github.com/dsms/hmts"
+	"github.com/dsms/hmts/internal/sched"
 )
 
 // CreateSource is a parsed CREATE SOURCE statement:
@@ -169,33 +170,17 @@ func parseSetMode(stmt string) (SetMode, error) {
 	if len(f) < 3 || f[0] != "set" || f[1] != "mode" {
 		return SetMode{}, fmt.Errorf("ql: malformed SET MODE")
 	}
-	var sm SetMode
-	switch f[2] {
-	case "gts":
-		sm.Mode = hmts.ModeGTS
-	case "ots":
-		sm.Mode = hmts.ModeOTS
-	case "di":
-		sm.Mode = hmts.ModeDI
-	case "pure-di", "puredi":
-		sm.Mode = hmts.ModePureDI
-	case "hmts":
-		sm.Mode = hmts.ModeHMTS
-	default:
-		return SetMode{}, fmt.Errorf("ql: unknown mode %q", f[2])
+	mode, err := hmts.ParseMode(f[2])
+	if err == nil {
+		err = sched.CheckStrategy(arg(f, 3))
 	}
-	if len(f) > 3 {
-		switch f[3] {
-		case "fifo", "chain", "roundrobin", "maxqueue":
-			sm.Strategy = f[3]
-		default:
-			return SetMode{}, fmt.Errorf("ql: unknown strategy %q", f[3])
-		}
+	if err != nil {
+		return SetMode{}, fmt.Errorf("ql: SET MODE: %w", err)
 	}
 	if len(f) > 4 {
 		return SetMode{}, fmt.Errorf("ql: trailing tokens after SET MODE")
 	}
-	return sm, nil
+	return SetMode{Mode: mode, Strategy: arg(f, 3)}, nil
 }
 
 // QueryResult is the outcome of one script query.
