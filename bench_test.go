@@ -138,7 +138,7 @@ func BenchmarkAblationQueueBound(b *testing.B) {
 // BenchmarkAblationStrategy compares level-2 strategies at equal
 // threading.
 func BenchmarkAblationStrategy(b *testing.B) {
-	for _, s := range []string{"fifo", "chain", "roundrobin", "maxqueue"} {
+	for _, s := range []string{"fifo", "chain"} {
 		b.Run(s, func(b *testing.B) {
 			benchChain(b, 200_000, hmts.RunConfig{Mode: hmts.ModeGTS, Strategy: s})
 		})

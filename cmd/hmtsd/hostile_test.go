@@ -221,7 +221,9 @@ func TestHostileMetricsNeverRead(t *testing.T) {
 // TestHostileUnknownStrategy: START and MODE with a strategy name the
 // engine does not know answer ERR — they used to panic the session
 // goroutine and with it the daemon — and the session then starts,
-// switches and finishes normally.
+// switches and finishes normally. "roundrobin" and "maxqueue" are level-2
+// strategies the engine no longer has; they are refused like any other
+// unknown name.
 func TestHostileUnknownStrategy(t *testing.T) {
 	addr := startServer(t)
 	c := dial(t, addr)
@@ -229,11 +231,14 @@ func TestHostileUnknownStrategy(t *testing.T) {
 	c.expect("OK source ext")
 	c.sendLine("QUERY SELECT * FROM ext WHERE key < 3")
 	c.expect("OK 0")
-	for _, cmd := range []string{"START ots warp", "START hmts warp", "START hmts", "MODE ots warp", "MODE ots chain"} {
+	for _, cmd := range []string{
+		"START ots warp", "START ots roundrobin", "START hmts maxqueue", "START hmts warp", "START hmts",
+		"MODE ots warp", "MODE ots roundrobin", "MODE gts maxqueue", "MODE ots chain",
+	} {
 		c.sendLine(cmd)
-		want := "OK"
-		if strings.HasSuffix(cmd, "warp") {
-			want = "ERR"
+		want := "ERR"
+		if cmd == "START hmts" || cmd == "MODE ots chain" {
+			want = "OK"
 		}
 		if line := c.readLine(); !strings.HasPrefix(line, want) {
 			t.Fatalf("%s: got %q, want %s", cmd, line, want)
@@ -246,6 +251,22 @@ func TestHostileUnknownStrategy(t *testing.T) {
 	c.waitDone("0")
 	if got := c.results["0"]; got != 66 {
 		t.Fatalf("got %d results, want 66", got)
+	}
+	c.sendLine("QUIT")
+	c.expect("OK bye")
+	wellBehaved(t, addr)
+}
+
+// TestHostileReversedKeys: SOURCE with KEYS hi < lo answers ERR. The
+// definition used to reach hmts.UniformKeys unchecked, whose panic in the
+// bare session goroutine took the whole daemon down; a second session
+// must still run normally.
+func TestHostileReversedKeys(t *testing.T) {
+	addr := startServer(t)
+	c := dial(t, addr)
+	c.sendLine("SOURCE s COUNT 10 RATE 1 KEYS 5 1")
+	if line := c.readLine(); !strings.HasPrefix(line, "ERR") {
+		t.Fatalf("KEYS 5 1: got %q, want ERR", line)
 	}
 	c.sendLine("QUIT")
 	c.expect("OK bye")

@@ -17,8 +17,8 @@
 //	                                    exclusive operators are pruned and
 //	                                    DONE <id> is sent after in-flight
 //	                                    results flush)
-//	START [gts|ots|di|pure-di|hmts] [fifo|chain|roundrobin|maxqueue] [BOUND <n>]
-//	MODE <mode> [strategy]              (switch while running)
+//	START [gts|ots|di|pure-di|hmts] [fifo|chain] [BOUND <n>]
+//	MODE <mode> [fifo|chain]            (switch while running)
 //	REBALANCE                           (re-place queues from live stats)
 //	PUSH <name> <ts> <key> <val>        (feed an EXTERNAL source; no response
 //	                                    on success so pushers can pipeline,
@@ -30,7 +30,8 @@
 //	                                    val float64 -> OK <accepted> <dropped>)
 //	CLOSE <name>                        (end an EXTERNAL source's stream)
 //	METRICS                             (INFO lines incl. ingress counters)
-//	WAIT                                (blocks until all queries finish)
+//	WAIT                                (blocks until all queries finish;
+//	                                    ERR <err> if the engine failed)
 //	QUIT
 //
 // Results: RESULT <id> <ts> <key> <val>, then DONE <id>.
@@ -243,6 +244,10 @@ func (s *session) serve() {
 				continue
 			}
 			s.eng.Wait()
+			if err := s.eng.Err(); err != nil {
+				s.out.printf("ERR %v", err)
+				continue
+			}
 			s.out.printf("OK finished")
 		default:
 			s.out.printf("ERR unknown command %q", cmd)
@@ -263,7 +268,9 @@ func (s *session) abort(err error) {
 	log.Printf("hmtsd: session %s aborted: %v", s.conn.RemoteAddr(), err)
 }
 
-// cmdSource parses: <name> COUNT <n> RATE <hz> [KEYS lo hi] [SEED s] [STAMPED]
+// cmdSource defines a source: an EXTERNAL one fed by PUSH/PUSHB, or a
+// generated one whose definition ql.ParseSource parses exactly like the
+// text after ql's CREATE SOURCE.
 func (s *session) cmdSource(rest string) {
 	if s.started {
 		s.out.printf("ERR engine already started")
@@ -283,53 +290,12 @@ func (s *session) cmdSource(rest string) {
 		s.cmdSourceExternal(name, f[2:])
 		return
 	}
-	var (
-		count        = 0
-		rate         = 0.0
-		keyLo, keyHi = int64(0), int64(1_000_000)
-		seed         = uint64(1)
-		stamped      = false
-		err          error
-	)
-	for i := 1; i < len(f); i++ {
-		switch strings.ToUpper(f[i]) {
-		case "COUNT":
-			i++
-			count, err = strconv.Atoi(arg(f, i))
-		case "RATE":
-			i++
-			rate, err = strconv.ParseFloat(arg(f, i), 64)
-		case "KEYS":
-			keyLo, err = strconv.ParseInt(arg(f, i+1), 10, 64)
-			if err == nil {
-				keyHi, err = strconv.ParseInt(arg(f, i+2), 10, 64)
-			}
-			i += 2
-		case "SEED":
-			i++
-			seed, err = strconv.ParseUint(arg(f, i), 10, 64)
-		case "STAMPED":
-			stamped = true
-		default:
-			err = fmt.Errorf("unknown option %q", f[i])
-		}
-		if err != nil {
-			s.out.printf("ERR %v", err)
-			return
-		}
-	}
-	if count <= 0 {
-		s.out.printf("ERR SOURCE needs COUNT > 0")
+	cs, err := ql.ParseSource(rest)
+	if err != nil {
+		s.out.printf("ERR %v", err)
 		return
 	}
-	gen := hmts.UniformKeys(keyLo, keyHi, seed)
-	var spec hmts.SourceSpec
-	if stamped {
-		spec = hmts.GenerateStamped(count, rate, gen)
-	} else {
-		spec = hmts.Generate(count, rate, gen)
-	}
-	s.sources[name] = s.eng.Source(name, spec)
+	s.sources[name] = s.eng.Source(name, cs.Spec())
 	s.out.printf("OK source %s", name)
 }
 

@@ -3,11 +3,13 @@ package main
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"testing"
 	"time"
 
+	hmts "github.com/dsms/hmts"
 	"github.com/dsms/hmts/internal/testutil"
 )
 
@@ -169,6 +171,65 @@ func TestServerSharedSourceTwoQueries(t *testing.T) {
 	if got := c.results["0"] + c.results["1"]; got != 2000 {
 		t.Fatalf("split queries lost elements: %v", c.results)
 	}
+}
+
+// TestServerFullRangeKeys: KEYS spanning all of int64 generates every
+// element. The key span hi-lo+1 used to overflow, so the first draw
+// panicked and fail-stopped the engine while the client still read DONE.
+func TestServerFullRangeKeys(t *testing.T) {
+	const n = 500
+	addr := startServer(t)
+	c := dial(t, addr)
+	c.sendLine(fmt.Sprintf("SOURCE s COUNT %d RATE 0 KEYS %d %d SEED 3 STAMPED", n, math.MinInt64, math.MaxInt64))
+	c.expect("OK source s")
+	c.sendLine("QUERY SELECT * FROM s")
+	c.expect("OK 0")
+	c.sendLine("START gts")
+	c.expect("OK running")
+	c.sendLine("WAIT")
+	c.expect("OK finished")
+	c.waitDone("0")
+	if got := c.results["0"]; got != n {
+		t.Fatalf("got %d results, want %d", got, n)
+	}
+	neg := 0
+	for _, row := range c.rows["0"] {
+		if strings.Fields(row)[1][0] == '-' {
+			neg++
+		}
+	}
+	if neg == 0 || neg == n {
+		t.Fatalf("%d of %d keys negative, want both signs", neg, n)
+	}
+}
+
+// TestServerWaitReportsEngineError: WAIT on an engine that fail-stopped
+// answers ERR with the engine's error, not OK finished.
+func TestServerWaitReportsEngineError(t *testing.T) {
+	addr := startServerWatch(t, func(s *session) {
+		boom := func(int) hmts.Element { panic("generator failure") }
+		s.sources["bad"] = s.eng.Source("bad", hmts.GenerateStamped(10, 0, boom))
+	})
+	c := dial(t, addr)
+	c.sendLine("QUERY SELECT * FROM bad")
+	c.expect("OK 0")
+	c.sendLine("START gts")
+	c.expect("OK running")
+	c.sendLine("WAIT")
+	for {
+		line := c.readLine()
+		if strings.HasPrefix(line, "OK") {
+			t.Fatalf("WAIT on a failed engine answered %q", line)
+		}
+		if strings.HasPrefix(line, "ERR") {
+			if !strings.Contains(line, "generator failure") {
+				t.Fatalf("WAIT answered %q, want the engine's error", line)
+			}
+			break
+		}
+	}
+	c.sendLine("QUIT")
+	c.expect("OK bye")
 }
 
 func TestServerLiveModeSwitchAndRebalance(t *testing.T) {

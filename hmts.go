@@ -73,8 +73,9 @@ func ParseMode(s string) (Mode, error) {
 type RunConfig struct {
 	// Mode selects the threading architecture.
 	Mode Mode
-	// Strategy names the level-2 scheduling strategy: "fifo" (default),
-	// "chain", "roundrobin" or "maxqueue".
+	// Strategy names the level-2 scheduling strategy: "fifo" (default)
+	// or "chain" (paper §6.6). Any other name makes Run and SwitchMode
+	// return an error.
 	Strategy string
 	// Batch bounds how many elements an executor drains from one queue
 	// per strategy decision (default 64).
@@ -214,6 +215,8 @@ func (e *Engine) Err() error {
 // switch between GTS and OTS keeps the cut and only re-groups the
 // executors over the existing queues (the paper's instant switch); any
 // other transition also re-places queues, draining those that are removed.
+// strategy is "fifo" or "chain", or empty to keep the running one; any
+// other name is an error and leaves the engine untouched.
 func (e *Engine) SwitchMode(mode Mode, strategy string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()

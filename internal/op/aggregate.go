@@ -286,13 +286,12 @@ func (a *WindowAgg) step(e stream.Element) stream.Element {
 }
 
 // ExportShardState implements ShardState: every element still held in a
-// group window, in ascending Seq order.
+// group window, grouped by key.
 func (a *WindowAgg) ExportShardState() []PortedElement {
 	var pes []PortedElement
 	for _, g := range a.groups {
 		g.win.each(func(e stream.Element) { pes = append(pes, PortedElement{E: e}) })
 	}
-	SortPortedBySeq(pes)
 	return pes
 }
 

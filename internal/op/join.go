@@ -125,14 +125,13 @@ func (j *SHJ) probe(port int, e stream.Element, out []stream.Element) []stream.E
 }
 
 // ExportShardState implements ShardState: both sides' window contents,
-// tagged with their input port, in ascending Seq order.
+// tagged with their input port, one side after the other.
 func (j *SHJ) ExportShardState() []PortedElement {
 	var pes []PortedElement
 	for s := 0; s < 2; s++ {
 		port := s
 		j.sides[s].order.each(func(e stream.Element) { pes = append(pes, PortedElement{Port: port, E: e}) })
 	}
-	SortPortedBySeq(pes)
 	return pes
 }
 

@@ -3,7 +3,6 @@ package op
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 
 	"github.com/dsms/hmts/internal/stats"
@@ -99,7 +98,8 @@ type PortedElement struct {
 
 // ShardState is implemented by operators that can hand their window state
 // across a live shard-count change. ExportShardState returns every input
-// element the operator still retains, in ascending Seq order;
+// element the operator still retains, in any order: Reshard orders the
+// union of all replicas' exports by Seq before replaying it.
 // ImportShardElement replays one such element into a fresh replica,
 // rebuilding state without emitting results or touching metrics.
 type ShardState interface {
@@ -450,10 +450,4 @@ func (m *Merge) Buffered() int {
 		n += m.bufs[i].len()
 	}
 	return n
-}
-
-// SortPortedBySeq orders exported shard state by stamp, which is the replay
-// order a live re-shard must preserve.
-func SortPortedBySeq(pes []PortedElement) {
-	sort.Slice(pes, func(i, j int) bool { return pes[i].E.Seq < pes[j].E.Seq })
 }

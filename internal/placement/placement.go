@@ -283,92 +283,31 @@ func Segment(g *graph.Graph) map[graph.EdgeKey]bool {
 // Chain implements the chain-strategy-based VO construction baseline:
 // queues are removed between operators that fall into the same
 // lower-envelope segment of their chain's progress chart. Segments are
-// computed per maximal linear chain (runs of single-input operators whose
-// predecessor has a single consumer); edges at fan-in/fan-out boundaries
-// and source out-edges are always cut.
+// computed per maximal linear chain (graph.Chains); every other edge not
+// entering a sink — segment boundaries, chain-head inputs, fan-in/fan-out
+// joints and source out-edges — is cut.
 func Chain(g *graph.Graph) map[graph.EdgeKey]bool {
-	order, err := g.TopoOrder()
-	if err != nil {
-		panic("placement: " + err.Error())
-	}
-	cut := make(map[graph.EdgeKey]bool)
-	visited := make(map[int]bool)
-	for _, n := range order {
-		if n.Kind != graph.KindOp || visited[n.ID] {
-			continue
-		}
-		if chainUpstream(g, n.ID) >= 0 {
-			continue // not a chain head; handled from its head
-		}
-		// Collect the maximal chain starting at n.
-		ids := []int{n.ID}
-		visited[n.ID] = true
-		for {
-			last := ids[len(ids)-1]
-			outs := g.OutEdges(last)
-			if len(outs) != 1 {
-				break
-			}
-			nxt := g.Node(outs[0].To)
-			if nxt.Kind != graph.KindOp || len(g.InEdges(nxt.ID)) != 1 {
-				break
-			}
-			ids = append(ids, nxt.ID)
-			visited[nxt.ID] = true
-		}
+	fused := make(map[graph.EdgeKey]bool)
+	for _, ids := range g.Chains() {
 		pts := make([]envelope.OpPoint, len(ids))
 		for i, id := range ids {
-			node := g.Node(id)
-			pts[i] = envelope.OpPoint{CostNS: node.CostNS, Sel: node.Selectivity}
+			n := g.Node(id)
+			pts[i] = envelope.OpPoint{CostNS: n.CostNS, Sel: n.Selectivity}
 		}
 		segOf, _ := envelope.Segments(pts)
-		// Cut edges between consecutive chain members of different
-		// segments; keep (fuse) edges within a segment.
 		for i := 1; i < len(ids); i++ {
-			if segOf[i] != segOf[i-1] {
-				for _, e := range g.InEdges(ids[i]) {
-					cut[e.Key()] = true
-				}
+			if segOf[i] == segOf[i-1] {
+				fused[g.InEdges(ids[i])[0].Key()] = true
 			}
 		}
-		// Everything entering the chain head from outside is cut.
-		for _, e := range g.InEdges(ids[0]) {
-			cut[e.Key()] = true
-		}
 	}
-	// Edges not on chains (fan-in/fan-out joints) are cut.
+	cut := make(map[graph.EdgeKey]bool)
 	for _, e := range g.Edges() {
-		to := g.Node(e.To)
-		if to.Kind == graph.KindSink {
-			continue
-		}
-		if !onChain(g, e) {
+		if !fused[e.Key()] && g.Node(e.To).Kind != graph.KindSink {
 			cut[e.Key()] = true
 		}
 	}
 	return cut
-}
-
-// chainUpstream returns the ID of the unique chain predecessor of op id,
-// or -1 if id is a chain head (no predecessor, multiple predecessors, a
-// non-op predecessor, or a predecessor with fan-out).
-func chainUpstream(g *graph.Graph, id int) int {
-	ins := g.InEdges(id)
-	if len(ins) != 1 {
-		return -1
-	}
-	from := g.Node(ins[0].From)
-	if from.Kind != graph.KindOp || len(g.OutEdges(from.ID)) != 1 {
-		return -1
-	}
-	return from.ID
-}
-
-// onChain reports whether edge e is a pure chain edge between two ops.
-func onChain(g *graph.Graph, e graph.Edge) bool {
-	from, to := g.Node(e.From), g.Node(e.To)
-	return from.Kind == graph.KindOp && to.Kind == graph.KindOp &&
-		len(g.OutEdges(from.ID)) == 1 && len(g.InEdges(to.ID)) == 1
 }
 
 // CutAll returns the cut set that decouples every edge not entering a sink

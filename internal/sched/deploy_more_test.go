@@ -96,7 +96,7 @@ func TestBuildRejectsInvalidGraph(t *testing.T) {
 func TestGroupStrategyUnderOnePermit(t *testing.T) {
 	g, sink := chainGraph(50_000)
 	d, err := Build(g, OTS(g), Options{
-		Strategy: "maxqueue",
+		Strategy: "chain",
 		TS:       &TSConfig{MaxConcurrent: 1},
 	})
 	if err != nil {

@@ -131,10 +131,13 @@ func TestAllModesSameResultsJoin(t *testing.T) {
 func TestStrategiesSameResults(t *testing.T) {
 	const n = 3000
 	want := sortedKeyVals(runPlan(t, GTS, Options{Strategy: "fifo"}, chainGraph, n))
-	for _, s := range []string{"roundrobin", "chain", "maxqueue"} {
-		got := sortedKeyVals(runPlan(t, GTS, Options{Strategy: s}, chainGraph, n))
-		if len(got) != len(want) {
-			t.Fatalf("strategy %s: %d results, want %d", s, len(got), len(want))
+	got := sortedKeyVals(runPlan(t, GTS, Options{Strategy: "chain"}, chainGraph, n))
+	if len(got) != len(want) {
+		t.Fatalf("chain: %d results, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("chain result %d = %s, fifo gave %s", i, got[i], want[i])
 		}
 	}
 }

@@ -300,7 +300,7 @@ func (x *Exec) waitWork() bool {
 		if x.open.Load() == 0 {
 			return false
 		}
-		if x.strat.Ready() {
+		if x.strat.Pick() >= 0 {
 			return true
 		}
 		select {

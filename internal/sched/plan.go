@@ -61,8 +61,8 @@ func HMTS(g *graph.Graph) Plan {
 
 // Options tunes a deployment.
 type Options struct {
-	// Strategy names the level-2 strategy ("fifo", "roundrobin",
-	// "chain", "maxqueue"); empty means FIFO.
+	// Strategy names the level-2 strategy, "fifo" or "chain"; empty
+	// means FIFO. Build and Reconfigure reject any other name.
 	Strategy string
 	// Batch is the maximum number of elements drained from one queue per
 	// strategy decision (default 64).

@@ -11,8 +11,8 @@ import "math/bits"
 // unitHeap is an indexed binary heap over unit indices: membership,
 // repositioning and removal by unit index are O(log n) via the pos map.
 // The ordering is supplied by the owning strategy as a less func over unit
-// indices, so one implementation serves min-heaps (FIFO front-TS), max-heaps
-// (MaxQueue length) and composite keys (Chain) alike.
+// indices, so one implementation serves FIFO's front-TS heap and Chain's
+// per-bucket heaps alike.
 type unitHeap struct {
 	less func(a, b int) bool
 	heap []int // unit indices, heap-ordered
@@ -34,9 +34,6 @@ func (h *unitHeap) initHeap(n int, less func(a, b int) bool) {
 
 // size returns the number of units in the heap.
 func (h *unitHeap) size() int { return len(h.heap) }
-
-// contains reports whether unit u is in the heap.
-func (h *unitHeap) contains(u int) bool { return h.pos[u] >= 0 }
 
 // top returns the best unit, or -1 when the heap is empty.
 func (h *unitHeap) top() int {
@@ -119,32 +116,18 @@ func (h *unitHeap) down(i int) {
 // bitset is a fixed-capacity set of small integers with O(words) scans.
 type bitset struct {
 	words []uint64
-	count int
 }
 
 func (b *bitset) initSet(n int) {
 	b.words = make([]uint64, (n+63)/64)
-	b.count = 0
 }
 
 func (b *bitset) set(i int) {
-	w, m := i>>6, uint64(1)<<(uint(i)&63)
-	if b.words[w]&m == 0 {
-		b.words[w] |= m
-		b.count++
-	}
+	b.words[i>>6] |= uint64(1) << (uint(i) & 63)
 }
 
 func (b *bitset) clear(i int) {
-	w, m := i>>6, uint64(1)<<(uint(i)&63)
-	if b.words[w]&m != 0 {
-		b.words[w] &^= m
-		b.count--
-	}
-}
-
-func (b *bitset) has(i int) bool {
-	return b.words[i>>6]&(uint64(1)<<(uint(i)&63)) != 0
+	b.words[i>>6] &^= uint64(1) << (uint(i) & 63)
 }
 
 // first returns the smallest member, or -1 when empty.
@@ -155,29 +138,4 @@ func (b *bitset) first() int {
 		}
 	}
 	return -1
-}
-
-// nextAfter returns the smallest member strictly greater than i, wrapping
-// around to the smallest member overall; -1 when empty. It is the
-// round-robin rotor step: O(words) worst case, O(1) typical.
-func (b *bitset) nextAfter(i int) int {
-	if b.count == 0 {
-		return -1
-	}
-	w := (i + 1) >> 6
-	if w < len(b.words) {
-		word := b.words[w] >> (uint(i+1) & 63) << (uint(i+1) & 63)
-		if uint(i+1)&63 == 0 {
-			word = b.words[w]
-		}
-		if word != 0 {
-			return w<<6 + bits.TrailingZeros64(word)
-		}
-		for w++; w < len(b.words); w++ {
-			if b.words[w] != 0 {
-				return w<<6 + bits.TrailingZeros64(b.words[w])
-			}
-		}
-	}
-	return b.first()
 }

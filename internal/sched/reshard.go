@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"github.com/dsms/hmts/internal/graph"
@@ -73,12 +74,13 @@ func (d *Deployment) Reshard(gr *graph.ShardGroup, n int) error {
 		}
 		merge.FlushOpen()
 
-		// Export the old replicas' retained state in sequence order.
+		// Export the old replicas' retained state and replay it in
+		// sequence order, the arrival order every replica saw.
 		var state []op.PortedElement
 		for _, rn := range gr.Replicas {
 			state = append(state, rn.Op.(op.ShardState).ExportShardState()...)
 		}
-		op.SortPortedBySeq(state)
+		sort.Slice(state, func(i, j int) bool { return state[i].E.Seq < state[j].E.Seq })
 		rows = len(state)
 
 		if _, err := d.g.ResizeShard(gr, n); err != nil {

@@ -94,9 +94,9 @@ func sweepUnits(n int) []*Unit {
 func BenchmarkStrategyPick(b *testing.B) {
 	for _, n := range []int{8, 64, 512, 4096} {
 		units := sweepUnits(n)
-		for _, s := range []Strategy{&FIFO{}, &RoundRobin{}, &Chain{}, &MaxQueue{}} {
-			s.Init(units)
-			b.Run(fmt.Sprintf("%s/units=%d", s.Name(), n), func(b *testing.B) {
+		for _, name := range strategyNames {
+			s := initStrat(NewStrategy(name), units)
+			b.Run(fmt.Sprintf("%s/units=%d", name, n), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					j := s.Pick()
@@ -127,7 +127,7 @@ func benchExecThroughput(b *testing.B, nq, nprod, batch int) {
 		qs[i] = q
 		units[i] = &Unit{Q: q}
 	}
-	x := newExec("bench", units, &RoundRobin{}, batch, time.Millisecond, nil, nil)
+	x := newExec("bench", units, &FIFO{}, batch, time.Millisecond, nil, nil)
 	per := b.N / (nq * nprod)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -29,18 +29,16 @@ import (
 // the whole batch. Strategies are owned by a single executor and need no
 // internal locking.
 type Strategy interface {
-	Name() string
 	// Init gives the strategy its unit set and builds the initial index;
 	// the executor calls it once before any Pick.
 	Init(units []*Unit)
 	// Update re-indexes unit i after its queue gauges changed.
 	Update(i int)
-	// Pick returns the index of a ready unit, or -1 if none is.
+	// Pick returns the index of a ready unit, or -1 if none is. It
+	// changes no strategy state: calling it twice with no Update in
+	// between returns the same unit, so the executor's idle wait can
+	// probe readiness with Pick() >= 0.
 	Pick() int
-	// Ready reports whether Pick would return a unit. Unlike Pick it
-	// never advances strategy state (the round-robin rotor), so the
-	// executor's idle wait can probe it safely.
-	Ready() bool
 }
 
 // gaugesOf snapshots the scheduling-relevant state of a unit from its
@@ -81,9 +79,6 @@ type FIFO struct {
 	h     unitHeap
 }
 
-// Name implements Strategy.
-func (*FIFO) Name() string { return "fifo" }
-
 // Init implements Strategy.
 func (f *FIFO) Init(units []*Unit) {
 	f.units = units
@@ -113,55 +108,6 @@ func (f *FIFO) Update(i int) {
 // Pick implements Strategy.
 func (f *FIFO) Pick() int { return f.h.top() }
 
-// Ready implements Strategy.
-func (f *FIFO) Ready() bool { return f.h.size() > 0 }
-
-// RoundRobin cycles through ready units, giving each an equal share of
-// drain batches.
-//
-// Index: a readiness bitset scanned circularly from the last pick — the
-// ready ring. A full rotation touches every 64-unit word once, so a pick
-// is O(units/64) worst case and O(1) when the next ready unit is nearby.
-type RoundRobin struct {
-	units []*Unit
-	ready bitset
-	last  int
-}
-
-// Name implements Strategy.
-func (*RoundRobin) Name() string { return "roundrobin" }
-
-// Init implements Strategy.
-func (r *RoundRobin) Init(units []*Unit) {
-	r.units = units
-	r.ready.initSet(len(units))
-	r.last = 0
-	for i := range units {
-		r.Update(i)
-	}
-}
-
-// Update implements Strategy.
-func (r *RoundRobin) Update(i int) {
-	if ready, _, _ := gaugesOf(r.units[i]); ready {
-		r.ready.set(i)
-	} else {
-		r.ready.clear(i)
-	}
-}
-
-// Pick implements Strategy.
-func (r *RoundRobin) Pick() int {
-	i := r.ready.nextAfter(r.last)
-	if i >= 0 {
-		r.last = i
-	}
-	return i
-}
-
-// Ready implements Strategy.
-func (r *RoundRobin) Ready() bool { return r.ready.count > 0 }
-
 // Chain is the memory-minimizing strategy of Babcock et al. (SIGMOD 2003):
 // among ready units it favors the one whose operator lies on the
 // lower-envelope segment with the steepest descent (fastest memory
@@ -184,9 +130,6 @@ type Chain struct {
 	active   bitset // buckets with at least one ready unit
 	doneSet  bitset // ready units with a pending Done (empty queue)
 }
-
-// Name implements Strategy.
-func (*Chain) Name() string { return "chain" }
 
 // Init implements Strategy.
 func (c *Chain) Init(units []*Unit) {
@@ -270,68 +213,11 @@ func (c *Chain) Pick() int {
 	return c.buckets[bi].top()
 }
 
-// Ready implements Strategy.
-func (c *Chain) Ready() bool { return c.doneSet.count > 0 || c.active.count > 0 }
-
-// MaxQueue drains the longest ready queue first — a simple
-// backlog-oriented baseline used by the ablation benches.
-//
-// Index: a lazily refreshed max-heap on the cached queue length. Producer
-// enqueues grow queues behind the executor's back, so a cached length is
-// always a lower bound; rather than re-reading every gauge per decision,
-// the heap absorbs growth lazily — each enqueue batch marks its unit dirty
-// and the executor folds the pending updates in at the next pick boundary,
-// one O(log n) fix per changed unit. The residual staleness window is the
-// single in-flight pick, where a lower bound can only under-prioritize a
-// queue by the elements that arrived inside that window.
-type MaxQueue struct {
-	units []*Unit
-	key   []int // cached length
-	h     unitHeap
-}
-
-// Name implements Strategy.
-func (*MaxQueue) Name() string { return "maxqueue" }
-
-// Init implements Strategy.
-func (m *MaxQueue) Init(units []*Unit) {
-	m.units = units
-	m.key = make([]int, len(units))
-	m.h.initHeap(len(units), func(a, b int) bool {
-		if m.key[a] != m.key[b] {
-			return m.key[a] > m.key[b]
-		}
-		return a < b
-	})
-	for i := range units {
-		m.Update(i)
-	}
-}
-
-// Update implements Strategy.
-func (m *MaxQueue) Update(i int) {
-	ready, _, n := gaugesOf(m.units[i])
-	if !ready {
-		m.h.remove(i)
-		return
-	}
-	m.key[i] = n
-	m.h.fix(i)
-}
-
-// Pick implements Strategy.
-func (m *MaxQueue) Pick() int { return m.h.top() }
-
-// Ready implements Strategy.
-func (m *MaxQueue) Ready() bool { return m.h.size() > 0 }
-
 // strategies builds each level-2 strategy by name; the empty name is FIFO.
 var strategies = map[string]func() Strategy{
-	"":           func() Strategy { return &FIFO{} },
-	"fifo":       func() Strategy { return &FIFO{} },
-	"roundrobin": func() Strategy { return &RoundRobin{} },
-	"chain":      func() Strategy { return &Chain{} },
-	"maxqueue":   func() Strategy { return &MaxQueue{} },
+	"":      func() Strategy { return &FIFO{} },
+	"fifo":  func() Strategy { return &FIFO{} },
+	"chain": func() Strategy { return &Chain{} },
 }
 
 // CheckStrategy returns an error unless NewStrategy knows the name.
@@ -342,8 +228,8 @@ func CheckStrategy(name string) error {
 	return nil
 }
 
-// NewStrategy returns a fresh strategy instance by name ("fifo",
-// "roundrobin", "chain", "maxqueue"); it panics on unknown names, which
+// NewStrategy returns a fresh strategy instance by name ("fifo" or
+// "chain"); it panics on unknown names, which
 // Build and Reconfigure reject up front (CheckStrategy). Strategies carry
 // per-executor index state, so each executor needs its own.
 func NewStrategy(name string) Strategy {

@@ -27,6 +27,9 @@ func unitWith(name string, tss ...int64) *Unit {
 	return &Unit{Q: q}
 }
 
+// strategyNames lists every strategy by its NewStrategy key.
+var strategyNames = []string{"fifo", "chain"}
+
 // initStrat builds the index over units and returns the strategy.
 func initStrat(s Strategy, units []*Unit) Strategy {
 	s.Init(units)
@@ -53,9 +56,6 @@ func TestFIFOSkipsEmptyAndClosed(t *testing.T) {
 	s = initStrat(&FIFO{}, []*Unit{empty, closed})
 	if got := s.Pick(); got != -1 {
 		t.Fatalf("picked %d from unready units, want -1", got)
-	}
-	if s.Ready() {
-		t.Fatal("Ready() true with no ready units")
 	}
 }
 
@@ -89,59 +89,6 @@ func TestFIFOTracksUpdates(t *testing.T) {
 	s.Update(1)
 	if got := s.Pick(); got != 0 {
 		t.Fatalf("after emptying b picked %d, want 0", got)
-	}
-}
-
-func TestRoundRobinCycles(t *testing.T) {
-	units := []*Unit{unitWith("a", 1, 1), unitWith("b", 1, 1), unitWith("c", 1, 1)}
-	r := initStrat(&RoundRobin{}, units)
-	// The rotor starts after index 0, so the cycle begins at 1.
-	got := []int{r.Pick(), r.Pick(), r.Pick(), r.Pick()}
-	want := []int{1, 2, 0, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("round robin order %v, want %v", got, want)
-		}
-	}
-}
-
-// TestRoundRobinFairnessSkewed checks the ready ring over a skewed ready
-// set: units with deep backlogs must not crowd out shallow ones — every
-// ready unit gets exactly one pick per rotation regardless of its length.
-func TestRoundRobinFairnessSkewed(t *testing.T) {
-	units := []*Unit{
-		unitWith("deep", 1, 2, 3, 4, 5, 6, 7, 8),
-		unitWith("idle"),
-		unitWith("shallow", 1),
-		unitWith("mid", 1, 2, 3),
-		unitWith("idle2"),
-	}
-	r := initStrat(&RoundRobin{}, units)
-	picks := make(map[int]int)
-	for i := 0; i < 30; i++ {
-		p := r.Pick()
-		if p < 0 {
-			t.Fatal("no pick with ready units")
-		}
-		picks[p]++
-	}
-	// 3 ready units, 30 picks: exactly 10 each.
-	for _, i := range []int{0, 2, 3} {
-		if picks[i] != 10 {
-			t.Fatalf("unit %d picked %d times, want 10 (picks: %v)", i, picks[i], picks)
-		}
-	}
-	if picks[1] != 0 || picks[4] != 0 {
-		t.Fatalf("idle units picked: %v", picks)
-	}
-	// A unit leaving the ready set mid-rotation stops being picked.
-	var scratch [1]stream.Element
-	units[2].Q.DrainBatch(scratch[:], 1)
-	r.Update(2)
-	for i := 0; i < 10; i++ {
-		if p := r.Pick(); p == 2 {
-			t.Fatal("drained-empty unit still picked")
-		}
 	}
 }
 
@@ -215,38 +162,18 @@ func TestChainPrefersPendingDone(t *testing.T) {
 	}
 }
 
-func TestMaxQueuePicksLongest(t *testing.T) {
-	units := []*Unit{unitWith("a", 1, 2), unitWith("b", 1, 2, 3, 4), unitWith("c", 1)}
-	s := initStrat(&MaxQueue{}, units)
-	if got := s.Pick(); got != 1 {
-		t.Fatalf("picked %d, want longest", got)
-	}
-}
-
-// TestMaxQueueTracksGrowth grows a short queue past the current maximum
-// and checks the index reorders once the queue's notify callback delivers
-// the update — the lazy refresh path the dirty-unit protocol drives.
-func TestMaxQueueTracksGrowth(t *testing.T) {
-	a, b := unitWith("a", 1, 2, 3), unitWith("b", 1)
-	s := initStrat(&MaxQueue{}, []*Unit{a, b})
-	if got := s.Pick(); got != 0 {
-		t.Fatalf("picked %d, want 0", got)
-	}
-	// Wire b's notify the way the executor does: every enqueue marks the
-	// unit dirty and is folded in before the next pick.
-	b.Q.SetNotify(func() { s.Update(1) })
-	for i := 0; i < 5; i++ {
-		testutil.Push(b.Q, 0, stream.Element{TS: int64(i)})
-	}
-	if got := s.Pick(); got != 1 {
-		t.Fatalf("picked %d, want the grown queue", got)
-	}
-}
-
 func TestNewStrategy(t *testing.T) {
-	for _, name := range []string{"", "fifo", "roundrobin", "chain", "maxqueue"} {
+	for _, name := range []string{"", "fifo", "chain"} {
 		if s := NewStrategy(name); s == nil {
 			t.Fatalf("nil strategy for %q", name)
+		}
+		if err := CheckStrategy(name); err != nil {
+			t.Fatalf("CheckStrategy(%q): %v", name, err)
+		}
+	}
+	for _, name := range []string{"roundrobin", "maxqueue", "bogus"} {
+		if CheckStrategy(name) == nil {
+			t.Fatalf("CheckStrategy(%q) accepted an unknown strategy", name)
 		}
 	}
 	defer func() {
@@ -259,13 +186,10 @@ func TestNewStrategy(t *testing.T) {
 
 func TestStrategiesReturnMinusOneWhenIdle(t *testing.T) {
 	units := []*Unit{unitWith("a"), unitWith("b")}
-	for _, s := range []Strategy{&FIFO{}, &RoundRobin{}, &Chain{}, &MaxQueue{}} {
-		s.Init(units)
+	for _, name := range strategyNames {
+		s := initStrat(NewStrategy(name), units)
 		if got := s.Pick(); got != -1 {
-			t.Fatalf("%s picked %d from empty queues", s.Name(), got)
-		}
-		if s.Ready() {
-			t.Fatalf("%s Ready() with empty queues", s.Name())
+			t.Fatalf("%s picked %d from empty queues", name, got)
 		}
 	}
 }
@@ -290,17 +214,12 @@ func TestStrategiesAgainstLinearScan(t *testing.T) {
 				units[i].Q.Done(0) // pending Done
 			}
 		}
-		for _, mk := range []func() Strategy{
-			func() Strategy { return &FIFO{} },
-			func() Strategy { return &Chain{} },
-			func() Strategy { return &MaxQueue{} },
-		} {
-			s := mk()
-			s.Init(units)
+		for _, name := range strategyNames {
+			s := initStrat(NewStrategy(name), units)
 			got := s.Pick()
-			want := scanPick(s.Name(), units)
-			if !pickEquivalent(s.Name(), units, got, want) {
-				t.Fatalf("trial %d %s: indexed pick %d, scan pick %d", trial, s.Name(), got, want)
+			want := scanPick(name, units)
+			if !pickEquivalent(name, units, got, want) {
+				t.Fatalf("trial %d %s: indexed pick %d, scan pick %d", trial, name, got, want)
 			}
 			// Mutate: drain one ready unit a step and re-check.
 			if got >= 0 {
@@ -310,9 +229,9 @@ func TestStrategiesAgainstLinearScan(t *testing.T) {
 				}
 				s.Update(got)
 				g2 := s.Pick()
-				w2 := scanPick(s.Name(), units)
-				if !pickEquivalent(s.Name(), units, g2, w2) {
-					t.Fatalf("trial %d %s after drain: indexed %d, scan %d", trial, s.Name(), g2, w2)
+				w2 := scanPick(name, units)
+				if !pickEquivalent(name, units, g2, w2) {
+					t.Fatalf("trial %d %s after drain: indexed %d, scan %d", trial, name, g2, w2)
 				}
 			}
 		}
@@ -364,18 +283,6 @@ func scanPick(name string, units []*Unit) int {
 			}
 		}
 		return best
-	case "maxqueue":
-		best, bestLen := -1, -1
-		for i, u := range units {
-			ready, _, n := gaugesOf(u)
-			if !ready {
-				continue
-			}
-			if n > bestLen {
-				best, bestLen = i, n
-			}
-		}
-		return best
 	}
 	panic("scanPick: unknown strategy " + name)
 }
@@ -404,8 +311,6 @@ func pickEquivalent(name string, units []*Unit, a, b int) bool {
 		}
 		return units[a].Steepness == units[b].Steepness &&
 			units[a].SegPos == units[b].SegPos && tsa == tsb
-	case "maxqueue":
-		return na == nb
 	}
 	return false
 }
@@ -468,8 +373,8 @@ func TestPickDoesNotAllocate(t *testing.T) {
 		units[i].Steepness = float64(i % 5)
 		units[i].SegPos = i % 3
 	}
-	for _, s := range []Strategy{&FIFO{}, &RoundRobin{}, &Chain{}, &MaxQueue{}} {
-		s.Init(units)
+	for _, name := range strategyNames {
+		s := initStrat(NewStrategy(name), units)
 		got := testing.AllocsPerRun(200, func() {
 			i := s.Pick()
 			if i < 0 {
@@ -478,7 +383,7 @@ func TestPickDoesNotAllocate(t *testing.T) {
 			s.Update(i)
 		})
 		if got != 0 {
-			t.Fatalf("%s: %v allocs per Pick+Update, want 0", s.Name(), got)
+			t.Fatalf("%s: %v allocs per Pick+Update, want 0", name, got)
 		}
 	}
 }

@@ -256,9 +256,15 @@ func UniformKeys(lo, hi int64, seed uint64) Gen {
 		panic("workload: UniformKeys with hi < lo")
 	}
 	rng := xrand.New(seed)
-	span := hi - lo + 1
+	// In uint64 the span cannot overflow; it wraps to 0 only for the
+	// full int64 range, where every draw is already in range.
+	span := uint64(hi) - uint64(lo) + 1
 	return func(int) stream.Element {
-		return stream.Element{Key: lo + rng.Int64n(span), Val: 1}
+		r := rng.Uint64()
+		if span != 0 {
+			r %= span
+		}
+		return stream.Element{Key: lo + int64(r), Val: 1}
 	}
 }
 

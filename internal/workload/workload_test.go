@@ -8,6 +8,7 @@ import (
 
 	"github.com/dsms/hmts/internal/simtime"
 	"github.com/dsms/hmts/internal/stream"
+	"github.com/dsms/hmts/internal/xrand"
 )
 
 // capture is a minimal op.Sink.
@@ -146,6 +147,41 @@ func TestUniformKeysRangeAndDeterminism(t *testing.T) {
 		}
 		if a.Key < 10 || a.Key > 20 {
 			t.Fatalf("key %d out of range", a.Key)
+		}
+	}
+}
+
+// TestUniformKeysWideSpans draws from spans that do not fit in an int64:
+// the full int64 range, where hi-lo+1 wraps to 0, and one just above
+// MaxInt64, where it goes negative. Both used to panic on the first draw.
+func TestUniformKeysWideSpans(t *testing.T) {
+	for _, r := range []struct{ lo, hi int64 }{
+		{math.MinInt64, math.MaxInt64},
+		{-1 << 62, math.MaxInt64},
+		{math.MinInt64 + 1, 1 << 62},
+	} {
+		g := UniformKeys(r.lo, r.hi, 9)
+		neg, pos := false, false
+		for i := 0; i < 1000; i++ {
+			k := g(i).Key
+			if k < r.lo || k > r.hi {
+				t.Fatalf("[%d, %d]: key %d out of range", r.lo, r.hi, k)
+			}
+			neg, pos = neg || k < 0, pos || k > 0
+		}
+		if !neg || !pos {
+			t.Fatalf("[%d, %d]: 1000 draws never crossed zero", r.lo, r.hi)
+		}
+	}
+}
+
+// TestUniformKeysSequenceUnchanged pins the draws of an ordinary span to
+// lo + Int64n(span) on the same seed, so seeded workloads keep their keys.
+func TestUniformKeysSequenceUnchanged(t *testing.T) {
+	g, rng := UniformKeys(-5, 994, 7), xrand.New(7)
+	for i := 0; i < 1000; i++ {
+		if got, want := g(i).Key, -5+rng.Int64n(1000); got != want {
+			t.Fatalf("draw %d = %d, want %d", i, got, want)
 		}
 	}
 }

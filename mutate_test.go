@@ -150,12 +150,19 @@ func TestUnknownStrategyIsAnError(t *testing.T) {
 		Where("even", func(e hmts.Element) bool { return e.Key%2 == 0 }).
 		Map("scale", func(e hmts.Element) hmts.Element { e.Val = float64(e.Key) * 10; return e }).
 		Collect("out")
-	if err := eng.Run(hmts.RunConfig{Mode: hmts.ModeGTS, Strategy: "bogus"}); err == nil || !strings.Contains(err.Error(), "unknown strategy") {
-		t.Fatalf("Run with an unknown strategy: %v", err)
+	// "roundrobin" and "maxqueue" were level-2 strategies once; they are
+	// unknown names now.
+	unknown := []string{"bogus", "roundrobin", "maxqueue"}
+	for _, s := range unknown {
+		if err := eng.Run(hmts.RunConfig{Mode: hmts.ModeGTS, Strategy: s}); err == nil || !strings.Contains(err.Error(), "unknown strategy") {
+			t.Fatalf("Run with strategy %q: %v", s, err)
+		}
 	}
 	eng.MustRun(hmts.RunConfig{Mode: hmts.ModeHMTS})
-	if err := eng.SwitchMode(hmts.ModeOTS, "bogus"); err == nil || !strings.Contains(err.Error(), "unknown strategy") {
-		t.Fatalf("SwitchMode with an unknown strategy: %v", err)
+	for _, s := range unknown {
+		if err := eng.SwitchMode(hmts.ModeOTS, s); err == nil || !strings.Contains(err.Error(), "unknown strategy") {
+			t.Fatalf("SwitchMode with strategy %q: %v", s, err)
+		}
 	}
 	done := make(chan struct{})
 	go func() {

@@ -15,7 +15,7 @@ import (
 //	CREATE SOURCE name COUNT n RATE hz [KEYS lo hi] [SEED s] [STAMPED]
 //
 // RATE 0 emits as fast as downstream accepts; STAMPED selects the
-// deterministic virtual-time source.
+// deterministic virtual-time source. KEYS defaults to 0 1000000.
 type CreateSource struct {
 	Name         string
 	Count        int
@@ -27,7 +27,9 @@ type CreateSource struct {
 
 // SetMode is a parsed SET MODE statement:
 //
-//	SET MODE gts|ots|di|pure-di|hmts [fifo|chain|roundrobin|maxqueue]
+//	SET MODE gts|ots|di|pure-di|hmts [fifo|chain]
+//
+// The strategy defaults to fifo; any other name is a parse error.
 type SetMode struct {
 	Mode     hmts.Mode
 	Strategy string
@@ -80,7 +82,11 @@ func (s *Script) parseStatement(stmt string) error {
 		s.Queries = append(s.Queries, q)
 		return nil
 	case "create":
-		cs, err := parseCreateSource(stmt)
+		f := strings.Fields(stmt)
+		if len(f) < 2 || strings.ToLower(f[1]) != "source" {
+			return fmt.Errorf("ql: malformed CREATE SOURCE")
+		}
+		cs, err := ParseSource(strings.Join(f[2:], " "))
 		if err != nil {
 			return err
 		}
@@ -106,23 +112,22 @@ func (s *Script) parseStatement(stmt string) error {
 	return fmt.Errorf("ql: unknown statement %q", first)
 }
 
-// parseCreateSource parses: CREATE SOURCE name [options...].
-func parseCreateSource(stmt string) (CreateSource, error) {
-	f := strings.Fields(stmt)
-	lower := func(i int) string {
-		if i < len(f) {
-			return strings.ToLower(f[i])
-		}
-		return ""
+// ParseSource parses a generated-source definition — the text after
+// CREATE SOURCE, which hmtsd's SOURCE command takes as well:
+//
+//	name COUNT n [RATE hz] [KEYS lo hi] [SEED s] [STAMPED]
+//
+// Keywords are case-insensitive and the name is lowercased.
+func ParseSource(def string) (CreateSource, error) {
+	f := strings.Fields(def)
+	if len(f) == 0 {
+		return CreateSource{}, fmt.Errorf("ql: source needs a name")
 	}
-	if len(f) < 3 || lower(0) != "create" || lower(1) != "source" {
-		return CreateSource{}, fmt.Errorf("ql: malformed CREATE SOURCE")
-	}
-	cs := CreateSource{Name: strings.ToLower(f[2]), KeyHi: 1_000_000, Seed: 1}
-	i := 3
+	cs := CreateSource{Name: strings.ToLower(f[0]), KeyHi: 1_000_000, Seed: 1}
 	var err error
-	for i < len(f) {
-		switch lower(i) {
+	for i := 1; i < len(f); {
+		opt := strings.ToLower(f[i])
+		switch opt {
 		case "count":
 			cs.Count, err = strconv.Atoi(arg(f, i+1))
 			i += 2
@@ -142,19 +147,29 @@ func parseCreateSource(stmt string) (CreateSource, error) {
 			cs.Stamped = true
 			i++
 		default:
-			return CreateSource{}, fmt.Errorf("ql: unknown CREATE SOURCE option %q", f[i])
+			return CreateSource{}, fmt.Errorf("ql: unknown source option %q", f[i])
 		}
 		if err != nil {
-			return CreateSource{}, fmt.Errorf("ql: bad CREATE SOURCE option %q: %w", lower(i-2), err)
+			return CreateSource{}, fmt.Errorf("ql: bad source option %s: %w", strings.ToUpper(opt), err)
 		}
 	}
 	if cs.Count <= 0 {
-		return CreateSource{}, fmt.Errorf("ql: CREATE SOURCE needs COUNT > 0")
+		return CreateSource{}, fmt.Errorf("ql: source needs COUNT > 0")
 	}
 	if cs.KeyHi < cs.KeyLo {
-		return CreateSource{}, fmt.Errorf("ql: CREATE SOURCE KEYS hi < lo")
+		return CreateSource{}, fmt.Errorf("ql: source KEYS hi < lo")
 	}
 	return cs, nil
+}
+
+// Spec returns the generated source cs describes: keys uniform over
+// [KeyLo, KeyHi], in real time, or in virtual time when Stamped.
+func (cs CreateSource) Spec() hmts.SourceSpec {
+	gen := hmts.UniformKeys(cs.KeyLo, cs.KeyHi, cs.Seed)
+	if cs.Stamped {
+		return hmts.GenerateStamped(cs.Count, cs.RateHz, gen)
+	}
+	return hmts.Generate(cs.Count, cs.RateHz, gen)
 }
 
 func arg(f []string, i int) string {
@@ -201,14 +216,7 @@ func (s *Script) Execute() ([]QueryResult, error) {
 	eng := hmts.New()
 	sources := make(map[string]*hmts.Stream, len(s.Sources))
 	for _, cs := range s.Sources {
-		gen := hmts.UniformKeys(cs.KeyLo, cs.KeyHi, cs.Seed)
-		var spec hmts.SourceSpec
-		if cs.Stamped {
-			spec = hmts.GenerateStamped(cs.Count, cs.RateHz, gen)
-		} else {
-			spec = hmts.Generate(cs.Count, cs.RateHz, gen)
-		}
-		sources[cs.Name] = eng.Source(cs.Name, spec)
+		sources[cs.Name] = eng.Source(cs.Name, cs.Spec())
 	}
 	sinks := make([]*sampleSink, len(s.Queries))
 	for i, q := range s.Queries {

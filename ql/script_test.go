@@ -45,6 +45,8 @@ func TestParseScriptErrors(t *testing.T) {
 		"SET MODE warp; SELECT * FROM s",                                      // unknown mode
 		"SET MODE gts fifo extra; SELECT * FROM s",
 		"SET MODE gts warp; SELECT * FROM s",          // unknown strategy
+		"SET MODE gts roundrobin; SELECT * FROM s",    // retired strategy
+		"SET MODE hmts maxqueue; SELECT * FROM s",     // retired strategy
 		"SET MODE gts; SET MODE ots; SELECT * FROM s", // double SET MODE
 		"CREATE SOURCE s COUNT ten; SELECT * FROM s",  // bad number
 		"CREATE SOURCE s COUNT 10 WIBBLE 3; SELECT * FROM s",
