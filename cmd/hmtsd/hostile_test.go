@@ -272,3 +272,20 @@ func TestHostileReversedKeys(t *testing.T) {
 	c.expect("OK bye")
 	wellBehaved(t, addr)
 }
+
+// TestHostileUnpaceableRate: SOURCE with a RATE no generator can pace
+// answers ERR. RATE NaN used to be accepted, and its source never
+// finished; a second session must still run normally.
+func TestHostileUnpaceableRate(t *testing.T) {
+	addr := startServer(t)
+	c := dial(t, addr)
+	for _, rate := range []string{"NaN", "1e-300"} {
+		c.sendLine("SOURCE s COUNT 10 RATE " + rate)
+		if line := c.readLine(); !strings.HasPrefix(line, "ERR") {
+			t.Fatalf("RATE %s: got %q, want ERR", rate, line)
+		}
+	}
+	c.sendLine("QUIT")
+	c.expect("OK bye")
+	wellBehaved(t, addr)
+}

@@ -39,7 +39,9 @@ func (k AggKind) String() string {
 
 // aggState is the incremental state of one group's aggregate.
 type aggState struct {
-	key   int64
+	// win holds a ROWS window's elements, which evict per group. Time
+	// windows keep their elements in WindowAgg.ring instead and leave it
+	// empty.
 	win   fifo[stream.Element]
 	count int64
 	// For SUM and AVG, sum+comp totals the finite values only, as a
@@ -56,6 +58,17 @@ type aggState struct {
 	deque fifo[float64]
 }
 
+// held is one time-window element in the arrival-order ring, with the
+// group it counts in.
+type held struct {
+	e stream.Element
+	g *aggState
+}
+
+// sweepMin is the number of groups a time window keeps, emptied or not,
+// however few elements it holds.
+const sweepMin = 64
+
 // WindowAgg computes a sliding-window aggregate, optionally grouped, and
 // emits the updated aggregate value on every input element (continuous
 // semantics, as in PIPES). The paper's motivating example (§5.1.1) is an
@@ -69,18 +82,23 @@ type WindowAgg struct {
 	window int64 // time window in ns; 0 for count windows
 	rows   int   // count window size; 0 for time windows
 	group  func(stream.Element) int64
+	// groups holds every group's aggregate. A time window keeps the groups
+	// it empties, with count 0, so a returning key allocates nothing; a
+	// new key sweeps them out once the map holds more than twice as many
+	// groups as the window holds elements, plus sweepMin (emptied groups
+	// then outnumber live ones). After a sweep the map holds at most one
+	// group per element, so each sweep is paid for by the new keys
+	// inserted since the last one.
 	groups map[int64]*aggState
-	// ring holds each time-window element's group in arrival order, one
-	// entry per held element. Event time is nondecreasing, so the head is
-	// always the oldest element across all groups and the front of its own
-	// group's window: expiry pops the head while it is due — O(1) per
-	// arrival plus O(1) per expired element, whatever the group count.
-	// ROWS windows evict per group and leave it empty.
-	ring fifo[*aggState]
-	// held counts elements across group windows incrementally (add/remove
+	// ring holds a time window: every element once, in arrival order, with
+	// its group. Event time is nondecreasing, so the head is always the
+	// oldest element across all groups: expiry pops the head while it is
+	// due — O(1) per arrival plus O(1) per expired element, whatever the
+	// group count. ROWS windows evict per group and leave the ring empty.
+	ring fifo[held]
+	// held counts elements across the window incrementally (add/remove
 	// are the only mutation points); heldPub publishes it at processing
-	// boundaries so RetainedRows can be read while an executor runs —
-	// WindowLen walks the groups map and would race.
+	// boundaries so RetainedRows can be read while an executor runs.
 	held    int
 	heldPub atomic.Int64
 }
@@ -118,17 +136,20 @@ func newAgg(name string, kind AggKind, group func(stream.Element) int64) *Window
 	return a
 }
 
-// GroupCount returns the number of live groups.
-func (a *WindowAgg) GroupCount() int { return len(a.groups) }
-
-// WindowLen returns the total number of elements held across group windows.
-func (a *WindowAgg) WindowLen() int {
+// GroupCount returns the number of live groups: those holding elements.
+// It walks the groups, so it is not for the hot path.
+func (a *WindowAgg) GroupCount() int {
 	n := 0
 	for _, g := range a.groups {
-		n += g.win.len()
+		if g.count > 0 {
+			n++
+		}
 	}
 	return n
 }
+
+// WindowLen returns the total number of elements held across the window.
+func (a *WindowAgg) WindowLen() int { return a.held }
 
 // tally counts v into (d = 1) or out of (d = -1) the group's finite sum
 // or its non-finite counts.
@@ -161,63 +182,77 @@ func (g *aggState) addFinite(x float64) {
 	g.sum = t
 }
 
-// resum recomputes the compensated sum from the window's values. remove
+// resum recomputes g's compensated sum from its window values. remove
 // calls it when finite values overflowed the sum to ±Inf: the overflow
 // cannot be subtracted back out, and the window may no longer overflow.
-func (g *aggState) resum() {
+// A time window's values are g's entries in the shared ring.
+func (a *WindowAgg) resum(g *aggState) {
 	g.sum, g.comp = 0, 0
-	g.win.each(func(e stream.Element) { g.addFinite(e.Val) })
+	for _, e := range g.win.items() {
+		g.addFinite(e.Val)
+	}
+	for _, h := range a.ring.items() {
+		if h.g == g {
+			g.addFinite(h.e.Val)
+		}
+	}
 }
 
-func (a *WindowAgg) add(g *aggState, e stream.Element) {
-	g.win.push(e)
+func (a *WindowAgg) add(g *aggState, v float64) {
 	a.held++
 	g.count++
 	switch {
 	case a.kind == AggSum || a.kind == AggAvg: // only they read the sum
-		g.tally(e.Val, 1)
-	case e.Val != e.Val: // NaN is not comparable: MIN/MAX ignore it
+		g.tally(v, 1)
+	case v != v: // NaN is not comparable: MIN/MAX ignore it
 	case a.kind == AggMin:
-		for !g.deque.empty() && g.deque.back() > e.Val {
+		for !g.deque.empty() && g.deque.back() > v {
 			g.deque.popBack()
 		}
-		g.deque.push(e.Val)
+		g.deque.push(v)
 	case a.kind == AggMax:
-		for !g.deque.empty() && g.deque.back() < e.Val {
+		for !g.deque.empty() && g.deque.back() < v {
 			g.deque.popBack()
 		}
-		g.deque.push(e.Val)
+		g.deque.push(v)
 	}
 }
 
-// remove evicts g's oldest element. It leaves the expiry ring alone: expire
-// has already popped the element's ring entry, and ROWS windows have none.
-func (a *WindowAgg) remove(g *aggState) {
-	e := g.win.pop()
+// remove takes v, the value of g's oldest element, out of g's aggregate.
+// The caller has already taken the element out of the ring or g.win.
+func (a *WindowAgg) remove(g *aggState, v float64) {
 	a.held--
 	g.count--
 	switch {
 	case a.kind == AggSum || a.kind == AggAvg:
-		g.tally(e.Val, -1)
+		g.tally(v, -1)
 		if g.sum-g.sum != 0 && g.nan == 0 && g.posInf == 0 && g.negInf == 0 {
-			g.resum() // every value left is finite, so all of them are summed
+			a.resum(g) // every value left is finite, so all of them are summed
 		}
-	case (a.kind == AggMin || a.kind == AggMax) && !g.deque.empty() && g.deque.front() == e.Val:
+	case (a.kind == AggMin || a.kind == AggMax) && !g.deque.empty() && g.deque.front() == v:
 		g.deque.pop()
+	}
+	if g.count == 0 {
+		// An empty group stays in the map for reuse; it restarts its sum
+		// from zero, not from the rounding its values left behind.
+		g.sum, g.comp = 0, 0
 	}
 }
 
 // expire removes every window element with TS <= deadline across all
-// groups by popping the arrival-order ring. Groups left empty are dropped,
-// except keep — the group about to receive the arriving element — so
-// whole-stream windows stay consistent even for groups that receive no new
-// elements for a while.
-func (a *WindowAgg) expire(deadline int64, keep *aggState) {
-	for !a.ring.empty() && a.ring.front().win.front().TS <= deadline {
-		g := a.ring.pop()
-		a.remove(g)
-		if g.win.empty() && g != keep {
-			delete(a.groups, g.key)
+// groups by popping the arrival-order ring.
+func (a *WindowAgg) expire(deadline int64) {
+	for !a.ring.empty() && a.ring.front().e.TS <= deadline {
+		h := a.ring.pop()
+		a.remove(h.g, h.e.Val)
+	}
+}
+
+// sweep drops the groups a time window has emptied.
+func (a *WindowAgg) sweep() {
+	for key, g := range a.groups {
+		if g.count == 0 {
+			delete(a.groups, key)
 		}
 	}
 }
@@ -266,31 +301,42 @@ func (g *aggState) total() float64 {
 // aggregate to emit.
 func (a *WindowAgg) step(e stream.Element) stream.Element {
 	key := a.group(e)
+	if a.rows == 0 {
+		a.expire(e.TS - a.window)
+	}
 	g := a.groups[key]
 	if g == nil {
-		g = &aggState{key: key}
+		if len(a.groups) > 2*a.held+sweepMin {
+			a.sweep()
+		}
+		g = new(aggState)
 		a.groups[key] = g
 	}
-	if a.rows > 0 {
-		// Count window: keep the newest rows elements of this group.
-		a.add(g, e)
-		for g.win.len() > a.rows {
-			a.remove(g)
-		}
+	a.add(g, e.Val)
+	if a.rows == 0 {
+		a.ring.push(held{e: e, g: g})
 	} else {
-		a.expire(e.TS-a.window, g)
-		a.add(g, e)
-		a.ring.push(g)
+		// Count window: keep the newest rows elements of this group.
+		g.win.push(e)
+		for g.win.len() > a.rows {
+			a.remove(g, g.win.pop().Val)
+		}
 	}
 	return stream.Element{TS: e.TS, Key: key, Val: a.result(g), Seq: e.Seq}
 }
 
-// ExportShardState implements ShardState: every element still held in a
-// group window, grouped by key.
+// ExportShardState implements ShardState: every element still held. A
+// time window's ring is already in arrival (= Seq) order; a ROWS window's
+// elements are grouped by key.
 func (a *WindowAgg) ExportShardState() []PortedElement {
-	var pes []PortedElement
+	pes := make([]PortedElement, 0, a.held)
+	for _, h := range a.ring.items() {
+		pes = append(pes, PortedElement{E: h.e})
+	}
 	for _, g := range a.groups {
-		g.win.each(func(e stream.Element) { pes = append(pes, PortedElement{E: e}) })
+		for _, e := range g.win.items() {
+			pes = append(pes, PortedElement{E: e})
+		}
 	}
 	return pes
 }

@@ -79,6 +79,45 @@ func TestWindowAggMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestWindowAggSweepsEmptiedGroups churns many keys through a short time
+// window, so emptied groups pile up and are swept out of the map again: a
+// new key leaves the map within its bound, the ring stays consistent, and
+// every emission still matches the brute-force reference, also for keys
+// whose group was swept and created anew.
+func TestWindowAggSweepsEmptiedGroups(t *testing.T) {
+	const window = 20
+	for _, kind := range []AggKind{AggCount, AggSum, AggAvg, AggMin, AggMax} {
+		group := func(e stream.Element) int64 { return e.Key }
+		a := NewWindowAgg("a", kind, window, group)
+		c := &captureSink{}
+		a.Subscribe(c, 0)
+		rng := xrand.New(3)
+		var ts int64
+		var all []stream.Element
+		swept := false
+		for i := 0; i < 3000; i++ {
+			ts += rng.Int64n(4)
+			e := stream.Element{TS: ts, Key: rng.Int64n(500), Val: float64(rng.Int64n(100)) - 50}
+			all = append(all, e)
+			before := len(a.groups)
+			_, known := a.groups[e.Key]
+			testutil.Push(a, 0, e)
+			swept = swept || len(a.groups) < before
+			if !known && len(a.groups) > 2*a.held+sweepMin {
+				t.Fatalf("%s: a new key left %d groups for %d held elements", kind, len(a.groups), a.held)
+			}
+			want := bruteAgg(kind, timeWindow(all, group, e.Key, ts-window))
+			if got := c.got[i].Val; !sameAgg(got, want) {
+				t.Fatalf("%s: element %d = %v, want %v", kind, i, got, want)
+			}
+		}
+		checkRing(t, a)
+		if !swept {
+			t.Fatalf("%s: no sweep in 3000 elements over 500 keys", kind)
+		}
+	}
+}
+
 // timeWindow returns the values of group key's elements with TS > deadline,
 // the contents of a time window.
 func timeWindow(all []stream.Element, group func(stream.Element) int64, key, deadline int64) []float64 {
@@ -211,6 +250,44 @@ func TestWindowAggNonFiniteLeavesWindow(t *testing.T) {
 	}
 }
 
+// TestWindowAggGroupedOverflowResum covers the re-sum over the shared
+// ring: two groups interleave values near MaxFloat64 in one time window.
+// Group 1's finite values overflow its sum to +Inf; once the overflow has
+// expired it must read its remaining window again, re-summed from its own
+// ring entries only. Group 2's Sum and Avg stay exact throughout, although
+// its elements sit between group 1's in the ring.
+func TestWindowAggGroupedOverflowResum(t *testing.T) {
+	big1, big2, inf := 1e308, 1.5e308, math.Inf(1)
+	in := []stream.Element{
+		{TS: 0, Key: 1, Val: big1},
+		{TS: 10, Key: 2, Val: big2},
+		{TS: 20, Key: 1, Val: big1}, // group 1 overflows
+		{TS: 30, Key: 2, Val: 2},
+		{TS: 40, Key: 1, Val: 3},
+		{TS: 105, Key: 2, Val: 4}, // expires group 1's first big1: re-sum
+		{TS: 115, Key: 2, Val: 5}, // expires group 2's big2
+		{TS: 116, Key: 1, Val: 7}, // group 1 has recovered
+		{TS: 125, Key: 1, Val: 1}, // expires group 1's second big1
+		{TS: 126, Key: 2, Val: 1},
+	}
+	want := map[AggKind][]float64{
+		AggSum: {big1, big2, inf, big2 + 2, inf, big2 + 2 + 4, 11, big1 + 3 + 7, 11, 12},
+		AggAvg: {big1, big2, inf, (big2 + 2) / 2, inf, (big2 + 2 + 4) / 3, 11.0 / 3, (big1 + 3 + 7) / 3, 11.0 / 3, 3},
+	}
+	for kind, w := range want {
+		a := NewWindowAgg("a", kind, 100, func(e stream.Element) int64 { return e.Key })
+		c := &captureSink{}
+		a.Subscribe(c, 0)
+		for i, e := range in {
+			testutil.Push(a, 0, e)
+			checkRing(t, a)
+			if got := c.got[i]; got.Key != e.Key || got.Val != w[i] {
+				t.Errorf("%s: emission %d = (Key=%d,Val=%v), want (Key=%d,Val=%v)", kind, i, got.Key, got.Val, e.Key, w[i])
+			}
+		}
+	}
+}
+
 // TestWindowAggRingInvariant stresses churn across many groups and checks
 // the expiry ring stays consistent with the group windows.
 func TestWindowAggRingInvariant(t *testing.T) {
@@ -228,37 +305,38 @@ func TestWindowAggRingInvariant(t *testing.T) {
 	checkRing(t, a)
 }
 
-// checkRing verifies the expiry ring against the group windows: it has one
-// entry per held element, every entry is the live group for its key, and
-// the n-th entry for a group stands for that group's n-th window element,
-// so walking the ring visits exactly every held element in nondecreasing
-// TS order.
+// checkRing verifies the time window's arrival-order ring against the
+// groups: it has one entry per held element, in nondecreasing TS order;
+// every entry's group is the live group for its key; and every group has
+// exactly as many entries as its count.
 func checkRing(t *testing.T, a *WindowAgg) {
 	t.Helper()
 	if a.ring.len() != a.held {
 		t.Fatalf("ring has %d entries, %d held elements", a.ring.len(), a.held)
 	}
-	seen := make(map[*aggState]int)
+	seen := make(map[*aggState]int64)
 	last := int64(math.MinInt64)
-	a.ring.each(func(g *aggState) {
-		if a.groups[g.key] != g {
-			t.Fatalf("ring entry is not the live group for key %d", g.key)
+	for _, h := range a.ring.items() {
+		if key := a.group(h.e); a.groups[key] != h.g {
+			t.Fatalf("ring entry is not the live group for key %d", key)
 		}
-		n := seen[g]
-		if n >= g.win.len() {
-			t.Fatalf("group %d has more ring entries than its %d window elements", g.key, g.win.len())
+		if h.e.TS < last {
+			t.Fatalf("ring out of TS order: %d after %d", h.e.TS, last)
 		}
-		ts := g.win.buf[g.win.head+n].TS
-		if ts < last {
-			t.Fatalf("ring out of TS order: %d after %d", ts, last)
-		}
-		last = ts
-		seen[g] = n + 1
-	})
+		last = h.e.TS
+		seen[h.g]++
+	}
+	live := 0
 	for key, g := range a.groups {
-		if seen[g] != g.win.len() {
-			t.Fatalf("group %d: %d ring entries, %d window elements", key, seen[g], g.win.len())
+		if seen[g] != g.count {
+			t.Fatalf("group %d: %d ring entries, count %d", key, seen[g], g.count)
 		}
+		if g.count > 0 {
+			live++
+		}
+	}
+	if live != a.GroupCount() {
+		t.Fatalf("GroupCount = %d, %d groups hold elements", a.GroupCount(), live)
 	}
 }
 

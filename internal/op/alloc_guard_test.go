@@ -56,3 +56,15 @@ func TestWindowAggExpiryZeroAlloc(t *testing.T) {
 		t.Fatalf("WindowAgg.ProcessBatch allocates %.2f/op in steady state, want 0", avg)
 	}
 }
+
+// TestWindowAggRandomKeysZeroAlloc locks a steady grouped time window to
+// zero allocations when keys arrive in random order: a group its window
+// empties stays in the map for reuse, so a returning key allocates no new
+// group (the window holds about 630 of 1000 keys here).
+func TestWindowAggRandomKeysZeroAlloc(t *testing.T) {
+	feed := groupedCountFeed(time.Millisecond)
+	feed(3 * 1000 / 64) // three windows
+	if avg := testing.AllocsPerRun(100, func() { feed(1) }); avg != 0 {
+		t.Fatalf("grouped WindowAgg allocates %.2f per batch of 64 at random keys, want 0", avg)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/dsms/hmts/internal/stream"
+	"github.com/dsms/hmts/internal/xrand"
 )
 
 // mkAggChain builds the fused filter→map→windowagg DI chain of the paper's
@@ -126,6 +127,43 @@ func BenchmarkWindowAggExpiry(b *testing.B) {
 				one[0] = stream.Element{TS: ts, Key: int64(i % groups), Val: 1}
 				a.ProcessBatch(0, one)
 			}
+		})
+	}
+}
+
+// groupedCountFeed returns a feeder of a grouped Count over a time window:
+// keys uniform over 1000 (xrand), one element per microsecond (1 MHz), in
+// batches of 64. Each call delivers n batches.
+func groupedCountFeed(window time.Duration) func(n int) {
+	a := NewWindowAgg("a", AggCount, int64(window), func(e stream.Element) int64 { return e.Key })
+	a.Subscribe(NewNull(1), 0)
+	rng := xrand.New(1)
+	buf := make([]stream.Element, 64)
+	var ts int64
+	return func(n int) {
+		for ; n > 0; n-- {
+			for i := range buf {
+				ts += int64(time.Microsecond)
+				buf[i] = stream.Element{TS: ts, Key: rng.Int64n(1000), Val: 1}
+			}
+			a.ProcessBatch(0, buf)
+		}
+	}
+}
+
+// BenchmarkWindowAggGroupedCount times a grouped Count over 1000 random
+// keys at 1 MHz, in batches of 64, once three windows have filled. ns/op is
+// ns per element. The window is one arrival-order ring and emptied groups
+// are kept for reuse, so the figure must not grow with the window and a
+// steady window allocates nothing, whatever order the keys arrive in.
+func BenchmarkWindowAggGroupedCount(b *testing.B) {
+	for _, w := range []time.Duration{time.Millisecond, 10 * time.Millisecond, 100 * time.Millisecond} {
+		b.Run(w.String(), func(b *testing.B) {
+			feed := groupedCountFeed(w)
+			feed(int(3*w/time.Microsecond) / 64)
+			b.ReportAllocs()
+			b.ResetTimer()
+			feed(b.N/64 + 1)
 		})
 	}
 }

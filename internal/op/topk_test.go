@@ -107,6 +107,130 @@ func TestTopKAgainstBruteForce(t *testing.T) {
 	null.Wait()
 }
 
+// topKReference is the rescanning TopK the incremental one replaced: on
+// every arrival it expires the window, ranks every key in it by (count
+// desc, key asc), and emits the keys of the new top k that were not in the
+// previous one, in rank order.
+type topKReference struct {
+	k      int
+	window int64
+	order  []stream.Element
+	counts map[int64]int64
+	inTop  map[int64]bool
+}
+
+func (r *topKReference) step(e stream.Element) []stream.Element {
+	for len(r.order) > 0 && r.order[0].TS <= e.TS-r.window {
+		key := r.order[0].Key
+		r.order = r.order[1:]
+		if r.counts[key]--; r.counts[key] == 0 {
+			delete(r.counts, key)
+		}
+	}
+	r.counts[e.Key]++
+	r.order = append(r.order, e)
+	keys := make([]int64, 0, len(r.counts))
+	for key := range r.counts {
+		keys = append(keys, key)
+	}
+	sort.Slice(keys, func(a, b int) bool {
+		if ca, cb := r.counts[keys[a]], r.counts[keys[b]]; ca != cb {
+			return ca > cb
+		}
+		return keys[a] < keys[b]
+	})
+	if len(keys) > r.k {
+		keys = keys[:r.k]
+	}
+	var out []stream.Element
+	top := make(map[int64]bool, len(keys))
+	for _, key := range keys {
+		top[key] = true
+		if !r.inTop[key] {
+			out = append(out, stream.Element{TS: e.TS, Key: key, Val: float64(r.counts[key]), Seq: e.Seq})
+		}
+	}
+	r.inTop = top
+	return out
+}
+
+// TestTopKEmissionsMatchReference checks the incremental top-k set against
+// the rescanning reference, emission for emission, over random streams
+// with several k, key counts and windows, including time jumps that empty
+// the window and duplicate timestamps that expire many elements at once.
+func TestTopKEmissionsMatchReference(t *testing.T) {
+	for seed := uint64(1); seed <= 24; seed++ {
+		rng := xrand.New(seed)
+		k := []int{1, 2, 3, 8}[seed%4]
+		keys := []int64{1, 5, 20, 200}[seed/4%4]
+		window := []int64{10, 100, 1000}[seed%3]
+		tk := NewTopK("t", k, window)
+		c := &captureSink{}
+		tk.Subscribe(c, 0)
+		ref := &topKReference{k: k, window: window, counts: map[int64]int64{}, inTop: map[int64]bool{}}
+		var want []stream.Element
+		var ts int64
+		for i := 0; i < 3000; i++ {
+			switch r := rng.Int64n(100); {
+			case r == 0:
+				ts += 2 * window
+			case r < 20: // same timestamp
+			default:
+				ts += rng.Int64n(window/10 + 1)
+			}
+			e := stream.Element{TS: ts, Key: rng.Int64n(keys), Seq: uint64(i)}
+			want = append(want, ref.step(e)...)
+			testutil.Push(tk, 0, e)
+			if i%100 == 0 {
+				checkTopK(t, tk)
+			}
+		}
+		if len(c.got) != len(want) {
+			t.Fatalf("seed %d (k=%d keys=%d window=%d): %d emissions, want %d", seed, k, keys, window, len(c.got), len(want))
+		}
+		for i := range want {
+			if c.got[i] != want[i] {
+				t.Fatalf("seed %d (k=%d keys=%d window=%d): emission %d = %v, want %v", seed, k, keys, window, i, c.got[i], want[i])
+			}
+		}
+		checkTopK(t, tk)
+	}
+}
+
+// checkTopK verifies TopK's index: the set is in rank order and every key
+// outside it sits in the bucket of its count, at its recorded place, and
+// ranks below the set's last member; the counts add up to the window.
+func checkTopK(t *testing.T, tk *TopK) {
+	t.Helper()
+	var total int64
+	for _, s := range tk.keys {
+		total += s.count
+		if s.count <= 0 {
+			t.Fatalf("key %d kept with count %d", s.key, s.count)
+		}
+		if s.inTop {
+			if tk.top[s.pos] != s {
+				t.Fatalf("key %d not at its place %d in the set", s.key, s.pos)
+			}
+			continue
+		}
+		if h := tk.buckets[s.count].h; s.pos >= len(h) || h[s.pos] != s {
+			t.Fatalf("key %d not at its place in bucket %d", s.key, s.count)
+		}
+		if len(tk.top) < tk.k || above(s, tk.top[len(tk.top)-1]) {
+			t.Fatalf("key %d (count %d) outside a set it ranks into", s.key, s.count)
+		}
+	}
+	if total != int64(tk.order.len()) {
+		t.Fatalf("counts total %d, window holds %d", total, tk.order.len())
+	}
+	for i := 1; i < len(tk.top); i++ {
+		if !above(tk.top[i-1], tk.top[i]) {
+			t.Fatalf("set out of rank order at %d", i)
+		}
+	}
+}
+
 func TestThrottleShedsToRate(t *testing.T) {
 	// 1000 elements over 1 virtual second at rate 100/s, burst 1:
 	// roughly 100 pass.

@@ -3,8 +3,8 @@ package op
 // fifo is a slice-backed queue with amortized O(1) pop. Joins, windowed
 // aggregates, Distinct and TopK use it to hold window contents in arrival
 // order, which is also expiry order because event time is nondecreasing per
-// input; WindowAgg also keeps its arrival-order expiry ring of groups and
-// its monotonic min/max deque (which pops from the back too) in one.
+// input; WindowAgg also keeps its monotonic min/max deque (which pops from
+// the back too) in one.
 type fifo[T any] struct {
 	buf  []T
 	head int
@@ -46,6 +46,9 @@ func (f *fifo[T]) pop() T {
 	}
 	return v
 }
+
+// items returns the live values, oldest first, aliasing the fifo.
+func (f *fifo[T]) items() []T { return f.buf[f.head:] }
 
 // each calls fn on every live value, oldest first.
 func (f *fifo[T]) each(fn func(T)) {

@@ -2,6 +2,7 @@ package ql
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -153,6 +154,9 @@ func ParseSource(def string) (CreateSource, error) {
 			return CreateSource{}, fmt.Errorf("ql: bad source option %s: %w", strings.ToUpper(opt), err)
 		}
 	}
+	if !validRate(cs.RateHz) {
+		return CreateSource{}, fmt.Errorf("ql: bad source option RATE: %v is neither 0 nor a finite positive rate whose period fits int64 nanoseconds", cs.RateHz)
+	}
 	if cs.Count <= 0 {
 		return CreateSource{}, fmt.Errorf("ql: source needs COUNT > 0")
 	}
@@ -160,6 +164,13 @@ func ParseSource(def string) (CreateSource, error) {
 		return CreateSource{}, fmt.Errorf("ql: source KEYS hi < lo")
 	}
 	return cs, nil
+}
+
+// validRate reports whether a generator can pace at hz: 0 (as fast as
+// possible), or a finite positive rate whose period, 1e9/hz ns, fits an
+// int64. NaN, ±Inf, negative and vanishingly small rates cannot be paced.
+func validRate(hz float64) bool {
+	return hz == 0 || hz > 0 && !math.IsInf(hz, 1) && 1e9/hz < math.MaxInt64
 }
 
 // Spec returns the generated source cs describes: keys uniform over

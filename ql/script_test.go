@@ -58,6 +58,24 @@ func TestParseScriptErrors(t *testing.T) {
 	}
 }
 
+// TestParseSourceRate: RATE takes 0 (as fast as possible) or a finite
+// positive rate whose period fits int64 nanoseconds. A NaN, infinite,
+// negative or vanishingly small rate once parsed, and its source never
+// finished: the generator's period 1e9/hz was NaN or overflowed int64.
+func TestParseSourceRate(t *testing.T) {
+	for _, rate := range []string{"0", "1", "0.5", "1e6", "1e-9"} {
+		if _, err := ParseSource("s COUNT 10 RATE " + rate); err != nil {
+			t.Errorf("RATE %s: %v", rate, err)
+		}
+	}
+	for _, rate := range []string{"NaN", "1e-300", "Inf", "-Inf", "-5", "5e-324"} {
+		_, err := ParseSource("s COUNT 10 RATE " + rate)
+		if err == nil || !strings.HasPrefix(err.Error(), "ql: bad source option RATE") {
+			t.Errorf("RATE %s: got %v, want a bad source option RATE error", rate, err)
+		}
+	}
+}
+
 func TestParseScriptNeverPanics(t *testing.T) {
 	// Garbage inputs must produce errors, not panics.
 	inputs := []string{
