@@ -132,15 +132,18 @@ benchdiff:
 	echo "benchdiff: all legs pass"
 
 # Short fuzz pass over the hmtsd line protocol, its result encoder, the
-# order-restoring shard merge, the windowed aggregate, the batch-size
-# invariance of every operator and live mutation of a whole deployment;
-# the corpora keep growing under testdata/fuzz as failures are found.
+# ingress ring, the order-restoring shard merge, the windowed aggregate,
+# the batch-size invariance of every operator, the window fifo and live
+# mutation of a whole deployment; the corpora keep growing under
+# testdata/fuzz as failures are found.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadLine -fuzztime 10s ./cmd/hmtsd
 	$(GO) test -run '^$$' -fuzz FuzzPushParse -fuzztime 10s ./cmd/hmtsd
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime 10s ./cmd/hmtsd
 	$(GO) test -run '^$$' -fuzz FuzzResultLine -fuzztime 10s ./cmd/hmtsd
+	$(GO) test -run '^$$' -fuzz FuzzBuffer -fuzztime 10s ./internal/ingest
 	$(GO) test -run '^$$' -fuzz FuzzShardMerge -fuzztime 10s ./internal/op
 	$(GO) test -run '^$$' -fuzz FuzzWindowAgg -fuzztime 10s ./internal/op
 	$(GO) test -run '^$$' -fuzz FuzzBatchSplit -fuzztime 10s ./internal/op
+	$(GO) test -run '^$$' -fuzz FuzzFifo -fuzztime 10s ./internal/op
 	$(GO) test -run '^$$' -fuzz FuzzLiveMutation -fuzztime 10s .

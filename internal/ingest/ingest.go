@@ -100,21 +100,22 @@ func monotime() int64 { return int64(time.Since(epoch)) }
 // consistently.
 func Now() int64 { return monotime() }
 
-// slot pairs a buffered element with its admission time, so lag is
-// measurable without touching the element's event timestamp.
-type slot struct {
-	e  stream.Element
-	at int64
-}
-
 // Buffer is the bounded MPSC ingress ring. Producers call Push/PushBatch
 // concurrently; exactly one consumer calls PopWait.
+//
+// Elements move in runs: a push copies its burst into the ring, and a pop
+// copies out, in at most two contiguous chunks each (one either side of
+// the wrap point). Admission times live in at, parallel to buf, so lag is
+// measurable without touching an element's event timestamp. The ring
+// never lends its memory out: under DropOldest a producer may overwrite
+// any slot, so the consumer always works on its own copy.
 type Buffer struct {
 	capacity int
 	policy   atomic.Int32
 
 	mu      sync.Mutex
-	buf     []slot
+	buf     []stream.Element
+	at      []int64 // admission time of buf[i] on the ingress clock
 	head, n int
 	closed  bool
 	wake    chan struct{} // closed+replaced when elements arrive or the buffer closes
@@ -133,7 +134,8 @@ func NewBuffer(capacity int, p Policy) *Buffer {
 	}
 	b := &Buffer{
 		capacity: capacity,
-		buf:      make([]slot, capacity),
+		buf:      make([]stream.Element, capacity),
+		at:       make([]int64, capacity),
 		wake:     make(chan struct{}),
 		space:    make(chan struct{}),
 	}
@@ -173,7 +175,7 @@ func (b *Buffer) Stats() Stats {
 	closed := b.closed
 	var lag int64
 	if n > 0 {
-		lag = monotime() - b.buf[b.head].at
+		lag = monotime() - b.at[b.head]
 	}
 	b.mu.Unlock()
 	return Stats{
@@ -188,27 +190,51 @@ func (b *Buffer) Stats() Stats {
 	}
 }
 
-// pushLocked appends to the ring; caller holds mu and guarantees space. An
-// element with a zero event timestamp is stamped with its arrival time, so
-// protocol clients may delegate timestamping to the daemon.
-func (b *Buffer) pushLocked(e stream.Element, now int64) {
-	if e.TS == 0 {
-		e.TS = now
+// wrap folds a ring index in [0, 2*capacity) back into [0, capacity).
+func (b *Buffer) wrap(i int) int {
+	if i >= b.capacity {
+		i -= b.capacity
 	}
-	b.buf[(b.head+b.n)%b.capacity] = slot{e: e, at: now}
-	b.n++
+	return i
+}
+
+// pushLocked appends es to the ring; caller holds mu and guarantees room
+// for all of it. An element with a zero event timestamp is stamped with
+// its arrival time, so protocol clients may delegate timestamping to the
+// daemon.
+func (b *Buffer) pushLocked(es []stream.Element, now int64) {
+	tail := b.wrap(b.head + b.n)
+	first := min(len(es), b.capacity-tail)
+	b.fill(tail, es[:first], now)
+	b.fill(0, es[first:], now)
+	b.n += len(es)
 	if int64(b.n) > b.maxLen.Load() {
 		b.maxLen.Store(int64(b.n))
 	}
 }
 
-// popLocked removes the oldest slot; caller holds mu and guarantees n > 0.
-func (b *Buffer) popLocked() slot {
-	s := b.buf[b.head]
-	b.buf[b.head] = slot{}
-	b.head = (b.head + 1) % b.capacity
-	b.n--
-	return s
+// fill copies es into the ring from slot i on, without wrapping, and
+// stamps the admission times and any zero event timestamps in one pass.
+func (b *Buffer) fill(i int, es []stream.Element, now int64) {
+	dst := b.buf[i : i+len(es)]
+	at := b.at[i : i+len(es)]
+	copy(dst, es)
+	for j := range dst {
+		if dst[j].TS == 0 {
+			dst[j].TS = now
+		}
+		at[j] = now
+	}
+}
+
+// discardLocked removes the k oldest elements, zeroing their slots so the
+// ring does not pin their payloads; caller holds mu and guarantees k <= n.
+func (b *Buffer) discardLocked(k int) {
+	first := min(k, b.capacity-b.head)
+	clear(b.buf[b.head : b.head+first])
+	clear(b.buf[:k-first])
+	b.head = b.wrap(b.head + k)
+	b.n -= k
 }
 
 // wakeLocked rotates the consumer wake channel when occupancy went 0 -> >0;
@@ -229,50 +255,16 @@ func (b *Buffer) wakeLocked(wasEmpty bool) chan struct{} {
 // Pushing into a closed buffer returns false and counts the element
 // dropped. Safe for concurrent producers.
 func (b *Buffer) Push(e stream.Element) bool {
-	b.mu.Lock()
-	for {
-		if b.closed {
-			b.mu.Unlock()
-			b.dropped.Add(1)
-			return false
-		}
-		if b.n < b.capacity {
-			wasEmpty := b.n == 0
-			b.pushLocked(e, monotime())
-			wake := b.wakeLocked(wasEmpty)
-			b.mu.Unlock()
-			b.accepted.Add(1)
-			if wake != nil {
-				close(wake)
-			}
-			return true
-		}
-		switch b.Policy() {
-		case DropNewest:
-			b.mu.Unlock()
-			b.dropped.Add(1)
-			return false
-		case DropOldest:
-			b.popLocked()
-			b.pushLocked(e, monotime())
-			b.mu.Unlock()
-			b.dropped.Add(1)
-			b.accepted.Add(1)
-			return true
-		default: // Block
-			ch := b.space
-			b.mu.Unlock()
-			<-ch
-			b.mu.Lock()
-		}
-	}
+	one := [1]stream.Element{e}
+	return b.PushBatch(one[:]) == 1
 }
 
 // PushBatch offers a burst with one lock acquisition per contiguous run of
-// space, and returns how many elements were admitted. Policy semantics
-// match Push element-wise: Block admits everything (waiting as needed),
-// DropNewest admits what fits and rejects the rest, DropOldest admits
-// everything by evicting. The callee does not retain es.
+// space, copied into the ring in at most two chunks, and returns how many
+// elements were admitted. Policy semantics match Push element-wise: Block
+// admits everything (waiting as needed), DropNewest admits what fits and
+// rejects the rest, DropOldest admits everything by evicting. The callee
+// does not retain es.
 func (b *Buffer) PushBatch(es []stream.Element) int {
 	admitted := 0
 	for len(es) > 0 {
@@ -285,10 +277,7 @@ func (b *Buffer) PushBatch(es []stream.Element) int {
 		if free := b.capacity - b.n; free > 0 {
 			take := min(free, len(es))
 			wasEmpty := b.n == 0
-			now := monotime()
-			for _, e := range es[:take] {
-				b.pushLocked(e, now)
-			}
+			b.pushLocked(es[:take], monotime())
 			wake := b.wakeLocked(wasEmpty)
 			b.mu.Unlock()
 			b.accepted.Add(uint64(take))
@@ -313,13 +302,8 @@ func (b *Buffer) PushBatch(es []stream.Element) int {
 				es = es[len(es)-b.capacity:]
 			}
 			evict := len(es) - (b.capacity - b.n)
-			for i := 0; i < evict; i++ {
-				b.popLocked()
-			}
-			now := monotime()
-			for _, e := range es {
-				b.pushLocked(e, now)
-			}
+			b.discardLocked(evict)
+			b.pushLocked(es, monotime())
 			b.mu.Unlock()
 			b.dropped.Add(uint64(evict))
 			b.accepted.Add(uint64(len(es)))
@@ -344,9 +328,10 @@ func (b *Buffer) PopWait(scratch []stream.Element, stop <-chan struct{}) (int, b
 		if b.n > 0 {
 			take := min(len(scratch), b.n)
 			wasFull := b.n == b.capacity
-			for i := 0; i < take; i++ {
-				scratch[i] = b.popLocked().e
-			}
+			first := min(take, b.capacity-b.head)
+			copy(scratch, b.buf[b.head:b.head+first])
+			copy(scratch[first:take], b.buf[:take-first])
+			b.discardLocked(take)
 			var space chan struct{}
 			if wasFull {
 				space = b.space

@@ -188,14 +188,12 @@ func (g *aggState) addFinite(x float64) {
 // A time window's values are g's entries in the shared ring.
 func (a *WindowAgg) resum(g *aggState) {
 	g.sum, g.comp = 0, 0
-	for _, e := range g.win.items() {
-		g.addFinite(e.Val)
-	}
-	for _, h := range a.ring.items() {
+	g.win.each(func(e stream.Element) { g.addFinite(e.Val) })
+	a.ring.each(func(h held) {
 		if h.g == g {
 			g.addFinite(h.e.Val)
 		}
-	}
+	})
 }
 
 func (a *WindowAgg) add(g *aggState, v float64) {
@@ -330,13 +328,9 @@ func (a *WindowAgg) step(e stream.Element) stream.Element {
 // elements are grouped by key.
 func (a *WindowAgg) ExportShardState() []PortedElement {
 	pes := make([]PortedElement, 0, a.held)
-	for _, h := range a.ring.items() {
-		pes = append(pes, PortedElement{E: h.e})
-	}
+	a.ring.each(func(h held) { pes = append(pes, PortedElement{E: h.e}) })
 	for _, g := range a.groups {
-		for _, e := range g.win.items() {
-			pes = append(pes, PortedElement{E: e})
-		}
+		g.win.each(func(e stream.Element) { pes = append(pes, PortedElement{E: e}) })
 	}
 	return pes
 }

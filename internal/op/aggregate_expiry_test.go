@@ -316,7 +316,7 @@ func checkRing(t *testing.T, a *WindowAgg) {
 	}
 	seen := make(map[*aggState]int64)
 	last := int64(math.MinInt64)
-	for _, h := range a.ring.items() {
+	a.ring.each(func(h held) {
 		if key := a.group(h.e); a.groups[key] != h.g {
 			t.Fatalf("ring entry is not the live group for key %d", key)
 		}
@@ -325,7 +325,7 @@ func checkRing(t *testing.T, a *WindowAgg) {
 		}
 		last = h.e.TS
 		seen[h.g]++
-	}
+	})
 	live := 0
 	for key, g := range a.groups {
 		if seen[g] != g.count {

@@ -331,7 +331,7 @@ func TestFifoHelper(t *testing.T) {
 			t.Fatalf("pop %d = %d", i, got.Key)
 		}
 	}
-	// Interleave to exercise compaction.
+	// Interleave to exercise wraparound and growth while wrapped.
 	for i := 100; i < 200; i++ {
 		f.push(stream.Element{Key: int64(i)})
 	}

@@ -76,9 +76,9 @@ func TestWindowAggExpiryReleasesAux(t *testing.T) {
 	waitFreed(t, freed)
 }
 
-// TestF64DequeBoundedCapacity pins the compact-at-half discipline: a
-// sliding min/max window that pushes and pops forever must keep the deque's
-// backing array proportional to the live window, not to the stream length.
+// TestF64DequeBoundedCapacity pins the ring discipline: a sliding min/max
+// window that pushes and pops forever wraps around one backing array, which
+// stays proportional to the live window, not to the stream length.
 func TestF64DequeBoundedCapacity(t *testing.T) {
 	var d fifo[float64]
 	const live = 64
@@ -92,10 +92,10 @@ func TestF64DequeBoundedCapacity(t *testing.T) {
 		t.Fatalf("len = %d, want %d", d.len(), live)
 	}
 	if cap(d.buf) > 16*live {
-		t.Fatalf("cap = %d after 200k slides of a %d-element window — backing array is not being compacted", cap(d.buf), live)
+		t.Fatalf("cap = %d after 200k slides of a %d-element window — backing array grows with the stream, not the window", cap(d.buf), live)
 	}
 	if d.front() != float64(200_000-live) || d.back() != float64(199_999) {
-		t.Fatalf("contents corrupted by compaction: front=%v back=%v", d.front(), d.back())
+		t.Fatalf("contents corrupted by wraparound: front=%v back=%v", d.front(), d.back())
 	}
 }
 
@@ -114,6 +114,6 @@ func TestFifoBoundedCapacity(t *testing.T) {
 		t.Fatalf("cap = %d after 200k slides of a %d-element window", cap(f.buf), live)
 	}
 	if f.front().TS != int64(200_000-live) {
-		t.Fatalf("contents corrupted by compaction: front.TS=%d", f.front().TS)
+		t.Fatalf("contents corrupted by wraparound: front.TS=%d", f.front().TS)
 	}
 }
