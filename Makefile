@@ -145,5 +145,5 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzShardMerge -fuzztime 10s ./internal/op
 	$(GO) test -run '^$$' -fuzz FuzzWindowAgg -fuzztime 10s ./internal/op
 	$(GO) test -run '^$$' -fuzz FuzzBatchSplit -fuzztime 10s ./internal/op
-	$(GO) test -run '^$$' -fuzz FuzzFifo -fuzztime 10s ./internal/op
+	$(GO) test -run '^$$' -fuzz FuzzRing -fuzztime 10s ./internal/ring
 	$(GO) test -run '^$$' -fuzz FuzzLiveMutation -fuzztime 10s .

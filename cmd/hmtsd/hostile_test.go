@@ -273,6 +273,23 @@ func TestHostileReversedKeys(t *testing.T) {
 	wellBehaved(t, addr)
 }
 
+// TestHostileHugeBuffer: an EXTERNAL source with a BUFFER above maxBuffer
+// answers ERR. BUFFER 9223372036854775807 used to reach the ingress
+// buffer unchecked, whose allocation panicked in the bare session
+// goroutine and took the whole daemon down; a second session must still
+// run normally.
+func TestHostileHugeBuffer(t *testing.T) {
+	addr := startServer(t)
+	c := dial(t, addr)
+	c.sendLine("SOURCE s EXTERNAL BUFFER 9223372036854775807")
+	if line := c.readLine(); !strings.HasPrefix(line, "ERR") {
+		t.Fatalf("BUFFER 9223372036854775807: got %q, want ERR", line)
+	}
+	c.sendLine("QUIT")
+	c.expect("OK bye")
+	wellBehaved(t, addr)
+}
+
 // TestHostileUnpaceableRate: SOURCE with a RATE no generator can pace
 // answers ERR. RATE NaN used to be accepted, and its source never
 // finished; a second session must still run normally.

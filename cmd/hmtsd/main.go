@@ -45,10 +45,11 @@
 // Other sessions are unaffected.
 //
 // EXTERNAL sources are push-driven: the daemon only delivers what PUSH /
-// PUSHB feed in. A zero <ts> is stamped with the arrival time. BOUND caps
-// the decoupling queues so ingress backpressure reaches the client (via
-// POLICY block and TCP flow control) instead of growing queues without
-// limit.
+// PUSHB feed in. BUFFER sizes the ingress buffer: 1 to 1048576 elements
+// (maxBuffer), 4096 by default. A zero <ts> is stamped with the arrival
+// time. BOUND caps the decoupling queues so ingress backpressure reaches
+// the client (via POLICY block and TCP flow control) instead of growing
+// queues without limit.
 //
 // Example session:
 //
@@ -320,8 +321,8 @@ func (s *session) cmdSourceExternal(name string, f []string) {
 			i++
 			var n int
 			n, err = strconv.Atoi(arg(f, i))
-			if err == nil && n < 1 {
-				err = fmt.Errorf("BUFFER must be >= 1")
+			if err == nil && (n < 1 || n > maxBuffer) {
+				err = fmt.Errorf("BUFFER must be in 1..%d", maxBuffer)
 			}
 			cfg.Buffer = n
 		case "RATE":
@@ -382,6 +383,10 @@ const frameRecordSize = 24
 
 // maxFrameCount bounds one PUSHB frame (<= 24MB of payload).
 const maxFrameCount = 1 << 20
+
+// maxBuffer bounds an EXTERNAL source's BUFFER, so a hostile size cannot
+// make the ingress buffer an unbounded queue.
+const maxBuffer = 1 << 20
 
 // parseFrameHeader parses the PUSHB argument list <source> <count> and
 // bounds the count so a hostile header cannot size an arbitrary

@@ -16,8 +16,8 @@ import (
 // channel. After every step the order of what pops, Accepted, Dropped,
 // Len and MaxLen must match the model, and every element pushed with a
 // zero timestamp must pop stamped with a time taken during its push.
-// The ring is checked directly too: live slots against the model, with
-// admission times from their push, and vacated slots zeroed.
+// Both rings are walked too: the elements against the model, and their
+// admission times against the clock bounds of their push.
 func FuzzBuffer(f *testing.F) {
 	f.Add(uint8(3), uint64(1), uint64(2), uint16(200))
 	f.Add(uint8(0), uint64(7), uint64(0), uint16(50))
@@ -161,20 +161,24 @@ func FuzzBuffer(f *testing.F) {
 			if len(want) == 0 && st.LagNS != 0 {
 				t.Fatalf("step %d: lag %d on an empty buffer", step, st.LagNS)
 			}
-			// The ring itself: live slots hold the model's elements with
-			// the admission time of their push, dead slots are zero.
-			for i := range b.buf {
-				j := (i - b.head + capacity) % capacity
-				switch {
-				case j >= b.n:
-					if b.buf[i] != (stream.Element{}) {
-						t.Fatalf("step %d: dead slot %d holds key %d", step, i, b.buf[i].Key)
-					}
-				case b.buf[i].Key != want[j].e.Key:
-					t.Fatalf("step %d: slot %d holds key %d, want %d", step, i, b.buf[i].Key, want[j].e.Key)
-				case b.at[i] < want[j].lo || b.at[i] > want[j].hi:
-					t.Fatalf("step %d: slot %d admitted at %d outside its push [%d, %d]", step, i, b.at[i], want[j].lo, want[j].hi)
+			// The rings themselves: elems holds the model's elements in
+			// order, and at the admission time of each one's push.
+			i := 0
+			b.elems.Each(func(e stream.Element) {
+				if i >= len(want) || e.Key != want[i].e.Key {
+					t.Fatalf("step %d: ring element %d is key %d, not the model's", step, i, e.Key)
 				}
+				i++
+			})
+			i = 0
+			b.at.Each(func(at int64) {
+				if i >= len(want) || at < want[i].lo || at > want[i].hi {
+					t.Fatalf("step %d: element %d admitted at %d outside its push", step, i, at)
+				}
+				i++
+			})
+			if b.elems.Len() != len(want) || b.at.Len() != len(want) {
+				t.Fatalf("step %d: rings hold %d elements and %d times, want %d", step, b.elems.Len(), b.at.Len(), len(want))
 			}
 		}
 	})

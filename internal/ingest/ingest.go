@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/dsms/hmts/internal/ring"
 	"github.com/dsms/hmts/internal/stream"
 )
 
@@ -103,23 +104,23 @@ func Now() int64 { return monotime() }
 // Buffer is the bounded MPSC ingress ring. Producers call Push/PushBatch
 // concurrently; exactly one consumer calls PopWait.
 //
-// Elements move in runs: a push copies its burst into the ring, and a pop
-// copies out, in at most two contiguous chunks each (one either side of
-// the wrap point). Admission times live in at, parallel to buf, so lag is
-// measurable without touching an element's event timestamp. The ring
-// never lends its memory out: under DropOldest a producer may overwrite
-// any slot, so the consumer always works on its own copy.
+// Elements move in runs: a push appends its burst to the ring, and a pop
+// copies a run out. Admission times live in a second ring, at, that moves
+// in lockstep with elems, so lag is measurable without touching an
+// element's event timestamp. The ring never lends its memory out: under
+// DropOldest a producer may overwrite any slot, so the consumer always
+// works on its own copy. capacity is the bound the policies enforce; the
+// rings' storage is allocated up front, rounded up to a power of two.
 type Buffer struct {
 	capacity int
 	policy   atomic.Int32
 
-	mu      sync.Mutex
-	buf     []stream.Element
-	at      []int64 // admission time of buf[i] on the ingress clock
-	head, n int
-	closed  bool
-	wake    chan struct{} // closed+replaced when elements arrive or the buffer closes
-	space   chan struct{} // closed+replaced when room appears or the buffer closes
+	mu     sync.Mutex
+	elems  ring.Ring[stream.Element]
+	at     ring.Ring[int64] // admission time of each element on the ingress clock
+	closed bool
+	wake   chan struct{} // closed+replaced when elements arrive or the buffer closes
+	space  chan struct{} // closed+replaced when room appears or the buffer closes
 
 	accepted atomic.Uint64
 	dropped  atomic.Uint64
@@ -134,11 +135,11 @@ func NewBuffer(capacity int, p Policy) *Buffer {
 	}
 	b := &Buffer{
 		capacity: capacity,
-		buf:      make([]stream.Element, capacity),
-		at:       make([]int64, capacity),
 		wake:     make(chan struct{}),
 		space:    make(chan struct{}),
 	}
+	b.elems.Grow(capacity)
+	b.at.Grow(capacity)
 	b.policy.Store(int32(p))
 	return b
 }
@@ -160,7 +161,7 @@ func (b *Buffer) Dropped() uint64 { return b.dropped.Load() }
 // Len returns the current occupancy.
 func (b *Buffer) Len() int {
 	b.mu.Lock()
-	n := b.n
+	n := b.elems.Len()
 	b.mu.Unlock()
 	return n
 }
@@ -171,11 +172,11 @@ func (b *Buffer) Cap() int { return b.capacity }
 // Stats returns a coherent snapshot of the buffer's counters.
 func (b *Buffer) Stats() Stats {
 	b.mu.Lock()
-	n := b.n
+	n := b.elems.Len()
 	closed := b.closed
 	var lag int64
 	if n > 0 {
-		lag = monotime() - b.at[b.head]
+		lag = monotime() - b.at.Front()
 	}
 	b.mu.Unlock()
 	return Stats{
@@ -190,57 +191,37 @@ func (b *Buffer) Stats() Stats {
 	}
 }
 
-// wrap folds a ring index in [0, 2*capacity) back into [0, capacity).
-func (b *Buffer) wrap(i int) int {
-	if i >= b.capacity {
-		i -= b.capacity
-	}
-	return i
-}
-
-// pushLocked appends es to the ring; caller holds mu and guarantees room
-// for all of it. An element with a zero event timestamp is stamped with
-// its arrival time, so protocol clients may delegate timestamping to the
-// daemon.
-func (b *Buffer) pushLocked(es []stream.Element, now int64) {
-	tail := b.wrap(b.head + b.n)
-	first := min(len(es), b.capacity-tail)
-	b.fill(tail, es[:first], now)
-	b.fill(0, es[first:], now)
-	b.n += len(es)
-	if int64(b.n) > b.maxLen.Load() {
-		b.maxLen.Store(int64(b.n))
+// admitLocked appends es to the rings with admission time now; caller
+// holds mu and guarantees room for all of it. An element with a zero event
+// timestamp is stamped with now too, so protocol clients may delegate
+// timestamping to the daemon.
+func (b *Buffer) admitLocked(es []stream.Element, now int64) {
+	e1, e2 := b.elems.Extend(len(es))
+	t1, t2 := b.at.Extend(len(es))
+	copy(e2, es[copy(e1, es):])
+	stamp(e1, t1, now)
+	stamp(e2, t2, now)
+	if n := int64(b.elems.Len()); n > b.maxLen.Load() {
+		b.maxLen.Store(n)
 	}
 }
 
-// fill copies es into the ring from slot i on, without wrapping, and
-// stamps the admission times and any zero event timestamps in one pass.
-func (b *Buffer) fill(i int, es []stream.Element, now int64) {
-	dst := b.buf[i : i+len(es)]
-	at := b.at[i : i+len(es)]
-	copy(dst, es)
-	for j := range dst {
-		if dst[j].TS == 0 {
-			dst[j].TS = now
+// stamp sets the admission times at, and every zero event timestamp in
+// es, to now; es and at are the same chunk of the two lockstep rings.
+func stamp(es []stream.Element, at []int64, now int64) {
+	at = at[:len(es)]
+	for i := range es {
+		if es[i].TS == 0 {
+			es[i].TS = now
 		}
-		at[j] = now
+		at[i] = now
 	}
-}
-
-// discardLocked removes the k oldest elements, zeroing their slots so the
-// ring does not pin their payloads; caller holds mu and guarantees k <= n.
-func (b *Buffer) discardLocked(k int) {
-	first := min(k, b.capacity-b.head)
-	clear(b.buf[b.head : b.head+first])
-	clear(b.buf[:k-first])
-	b.head = b.wrap(b.head + k)
-	b.n -= k
 }
 
 // wakeLocked rotates the consumer wake channel when occupancy went 0 -> >0;
 // caller holds mu and closes the returned channel (if any) after unlocking.
 func (b *Buffer) wakeLocked(wasEmpty bool) chan struct{} {
-	if !wasEmpty || b.n == 0 {
+	if !wasEmpty || b.elems.Len() == 0 {
 		return nil
 	}
 	ch := b.wake
@@ -260,7 +241,7 @@ func (b *Buffer) Push(e stream.Element) bool {
 }
 
 // PushBatch offers a burst with one lock acquisition per contiguous run of
-// space, copied into the ring in at most two chunks, and returns how many
+// space, appended to the ring as one run, and returns how many
 // elements were admitted. Policy semantics match Push element-wise: Block
 // admits everything (waiting as needed), DropNewest admits what fits and
 // rejects the rest, DropOldest admits everything by evicting. The callee
@@ -274,10 +255,10 @@ func (b *Buffer) PushBatch(es []stream.Element) int {
 			b.dropped.Add(uint64(len(es)))
 			return admitted
 		}
-		if free := b.capacity - b.n; free > 0 {
+		if free := b.capacity - b.elems.Len(); free > 0 {
 			take := min(free, len(es))
-			wasEmpty := b.n == 0
-			b.pushLocked(es[:take], monotime())
+			wasEmpty := b.elems.Len() == 0
+			b.admitLocked(es[:take], monotime())
 			wake := b.wakeLocked(wasEmpty)
 			b.mu.Unlock()
 			b.accepted.Add(uint64(take))
@@ -301,9 +282,10 @@ func (b *Buffer) PushBatch(es []stream.Element) int {
 				b.dropped.Add(over)
 				es = es[len(es)-b.capacity:]
 			}
-			evict := len(es) - (b.capacity - b.n)
-			b.discardLocked(evict)
-			b.pushLocked(es, monotime())
+			evict := len(es) - (b.capacity - b.elems.Len())
+			b.elems.Discard(evict)
+			b.at.Discard(evict)
+			b.admitLocked(es, monotime())
 			b.mu.Unlock()
 			b.dropped.Add(uint64(evict))
 			b.accepted.Add(uint64(len(es)))
@@ -325,13 +307,11 @@ func (b *Buffer) PushBatch(es []stream.Element) int {
 func (b *Buffer) PopWait(scratch []stream.Element, stop <-chan struct{}) (int, bool) {
 	for {
 		b.mu.Lock()
-		if b.n > 0 {
-			take := min(len(scratch), b.n)
-			wasFull := b.n == b.capacity
-			first := min(take, b.capacity-b.head)
-			copy(scratch, b.buf[b.head:b.head+first])
-			copy(scratch[first:take], b.buf[:take-first])
-			b.discardLocked(take)
+		if n := b.elems.Len(); n > 0 {
+			wasFull := n == b.capacity
+			take := b.elems.CopyOut(scratch)
+			b.elems.Discard(take)
+			b.at.Discard(take)
 			var space chan struct{}
 			if wasFull {
 				space = b.space
@@ -372,12 +352,4 @@ func (b *Buffer) Close() {
 	b.mu.Unlock()
 	close(wake)
 	close(space)
-}
-
-// Closed reports whether Close has been called.
-func (b *Buffer) Closed() bool {
-	b.mu.Lock()
-	c := b.closed
-	b.mu.Unlock()
-	return c
 }

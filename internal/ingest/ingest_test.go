@@ -120,8 +120,8 @@ func TestCloseReleasesBlockedProducer(t *testing.T) {
 	if n, open := b.PopWait(scratch, nil); n != 0 || open {
 		t.Fatalf("drained closed buffer must finish: n=%d open=%v", n, open)
 	}
-	if !b.Closed() {
-		t.Fatal("Closed() should report true")
+	if !b.Stats().Closed {
+		t.Fatal("Stats().Closed should report true")
 	}
 	b.Close() // idempotent
 	if b.Push(el(2)) {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync/atomic"
 
+	"github.com/dsms/hmts/internal/ring"
 	"github.com/dsms/hmts/internal/stream"
 )
 
@@ -42,7 +43,7 @@ type aggState struct {
 	// win holds a ROWS window's elements, which evict per group. Time
 	// windows keep their elements in WindowAgg.ring instead and leave it
 	// empty.
-	win   fifo[stream.Element]
+	win   ring.Ring[stream.Element]
 	count int64
 	// For SUM and AVG, sum+comp totals the finite values only, as a
 	// compensated (Neumaier) pair: comp carries the low-order bits the
@@ -55,7 +56,7 @@ type aggState struct {
 	// deque holds a monotonic sequence of candidate values for min/max;
 	// front is the current extremum. Standard sliding-window-extremum
 	// structure: amortized O(1) per element. NaN never enters it.
-	deque fifo[float64]
+	deque ring.Ring[float64]
 }
 
 // held is one time-window element in the arrival-order ring, with the
@@ -95,7 +96,7 @@ type WindowAgg struct {
 	// oldest element across all groups: expiry pops the head while it is
 	// due — O(1) per arrival plus O(1) per expired element, whatever the
 	// group count. ROWS windows evict per group and leave the ring empty.
-	ring fifo[held]
+	ring ring.Ring[held]
 	// held counts elements across the window incrementally (add/remove
 	// are the only mutation points); heldPub publishes it at processing
 	// boundaries so RetainedRows can be read while an executor runs.
@@ -188,8 +189,8 @@ func (g *aggState) addFinite(x float64) {
 // A time window's values are g's entries in the shared ring.
 func (a *WindowAgg) resum(g *aggState) {
 	g.sum, g.comp = 0, 0
-	g.win.each(func(e stream.Element) { g.addFinite(e.Val) })
-	a.ring.each(func(h held) {
+	g.win.Each(func(e stream.Element) { g.addFinite(e.Val) })
+	a.ring.Each(func(h held) {
 		if h.g == g {
 			g.addFinite(h.e.Val)
 		}
@@ -204,15 +205,15 @@ func (a *WindowAgg) add(g *aggState, v float64) {
 		g.tally(v, 1)
 	case v != v: // NaN is not comparable: MIN/MAX ignore it
 	case a.kind == AggMin:
-		for !g.deque.empty() && g.deque.back() > v {
-			g.deque.popBack()
+		for g.deque.Len() > 0 && g.deque.Back() > v {
+			g.deque.PopBack()
 		}
-		g.deque.push(v)
+		g.deque.Push(v)
 	case a.kind == AggMax:
-		for !g.deque.empty() && g.deque.back() < v {
-			g.deque.popBack()
+		for g.deque.Len() > 0 && g.deque.Back() < v {
+			g.deque.PopBack()
 		}
-		g.deque.push(v)
+		g.deque.Push(v)
 	}
 }
 
@@ -227,8 +228,8 @@ func (a *WindowAgg) remove(g *aggState, v float64) {
 		if g.sum-g.sum != 0 && g.nan == 0 && g.posInf == 0 && g.negInf == 0 {
 			a.resum(g) // every value left is finite, so all of them are summed
 		}
-	case (a.kind == AggMin || a.kind == AggMax) && !g.deque.empty() && g.deque.front() == v:
-		g.deque.pop()
+	case (a.kind == AggMin || a.kind == AggMax) && g.deque.Len() > 0 && g.deque.Front() == v:
+		g.deque.Pop()
 	}
 	if g.count == 0 {
 		// An empty group stays in the map for reuse; it restarts its sum
@@ -240,8 +241,8 @@ func (a *WindowAgg) remove(g *aggState, v float64) {
 // expire removes every window element with TS <= deadline across all
 // groups by popping the arrival-order ring.
 func (a *WindowAgg) expire(deadline int64) {
-	for !a.ring.empty() && a.ring.front().e.TS <= deadline {
-		h := a.ring.pop()
+	for a.ring.Len() > 0 && a.ring.Front().e.TS <= deadline {
+		h := a.ring.Pop()
 		a.remove(h.g, h.e.Val)
 	}
 }
@@ -267,13 +268,13 @@ func (a *WindowAgg) result(g *aggState) float64 {
 		}
 		return g.total() / float64(g.count)
 	case AggMin, AggMax:
-		if g.deque.empty() {
+		if g.deque.Len() == 0 {
 			if g.count > 0 { // every value in the window is NaN
 				return math.NaN()
 			}
 			return 0
 		}
-		return g.deque.front()
+		return g.deque.Front()
 	}
 	panic("op: unknown aggregate kind")
 }
@@ -312,12 +313,12 @@ func (a *WindowAgg) step(e stream.Element) stream.Element {
 	}
 	a.add(g, e.Val)
 	if a.rows == 0 {
-		a.ring.push(held{e: e, g: g})
+		a.ring.Push(held{e: e, g: g})
 	} else {
 		// Count window: keep the newest rows elements of this group.
-		g.win.push(e)
-		for g.win.len() > a.rows {
-			a.remove(g, g.win.pop().Val)
+		g.win.Push(e)
+		for g.win.Len() > a.rows {
+			a.remove(g, g.win.Pop().Val)
 		}
 	}
 	return stream.Element{TS: e.TS, Key: key, Val: a.result(g), Seq: e.Seq}
@@ -328,9 +329,9 @@ func (a *WindowAgg) step(e stream.Element) stream.Element {
 // elements are grouped by key.
 func (a *WindowAgg) ExportShardState() []PortedElement {
 	pes := make([]PortedElement, 0, a.held)
-	a.ring.each(func(h held) { pes = append(pes, PortedElement{E: h.e}) })
+	a.ring.Each(func(h held) { pes = append(pes, PortedElement{E: h.e}) })
 	for _, g := range a.groups {
-		g.win.each(func(e stream.Element) { pes = append(pes, PortedElement{E: e}) })
+		g.win.Each(func(e stream.Element) { pes = append(pes, PortedElement{E: e}) })
 	}
 	return pes
 }

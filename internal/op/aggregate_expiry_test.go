@@ -34,7 +34,7 @@ func TestWindowAggIdleGroupExpiry(t *testing.T) {
 
 // TestWindowAggMatchesBruteForce checks the ring-driven expiry against a
 // naive reference that recomputes every aggregate from the set of in-window
-// elements on each arrival — independent of fifo, deque, and ring state.
+// elements on each arrival — independent of the window and deque rings.
 func TestWindowAggMatchesBruteForce(t *testing.T) {
 	const window = 300
 	kinds := []AggKind{AggCount, AggSum, AggAvg, AggMin, AggMax}
@@ -311,12 +311,12 @@ func TestWindowAggRingInvariant(t *testing.T) {
 // exactly as many entries as its count.
 func checkRing(t *testing.T, a *WindowAgg) {
 	t.Helper()
-	if a.ring.len() != a.held {
-		t.Fatalf("ring has %d entries, %d held elements", a.ring.len(), a.held)
+	if a.ring.Len() != a.held {
+		t.Fatalf("ring has %d entries, %d held elements", a.ring.Len(), a.held)
 	}
 	seen := make(map[*aggState]int64)
 	last := int64(math.MinInt64)
-	a.ring.each(func(h held) {
+	a.ring.Each(func(h held) {
 		if key := a.group(h.e); a.groups[key] != h.g {
 			t.Fatalf("ring entry is not the live group for key %d", key)
 		}
@@ -436,8 +436,8 @@ func FuzzWindowAgg(f *testing.F) {
 			}
 		}
 		if rows > 0 {
-			if a.ring.len() != 0 {
-				t.Fatalf("ROWS window left %d entries in the expiry ring", a.ring.len())
+			if a.ring.Len() != 0 {
+				t.Fatalf("ROWS window left %d entries in the expiry ring", a.ring.Len())
 			}
 			return
 		}

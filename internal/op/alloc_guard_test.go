@@ -32,9 +32,8 @@ func TestTopKZeroAlloc(t *testing.T) {
 }
 
 // TestWindowAggExpiryZeroAlloc locks the grouped window-aggregate expiry
-// path to zero steady-state allocations across many groups — the per-group
-// fifos compact in place instead of growing (the former stray B/op came
-// from append growth at tiny capacities).
+// path to zero steady-state allocations across many groups — each group's
+// window ring reuses its backing array once warmed.
 func TestWindowAggExpiryZeroAlloc(t *testing.T) {
 	const groups = 10_000
 	const dt = 100
@@ -51,7 +50,7 @@ func TestWindowAggExpiryZeroAlloc(t *testing.T) {
 			i++
 		}
 	}
-	feed(4 * groups) // reach steady state: every group's fifo warmed
+	feed(4 * groups) // reach steady state: every group's ring warmed
 	if avg := testing.AllocsPerRun(1000, func() { feed(1) }); avg != 0 {
 		t.Fatalf("WindowAgg.ProcessBatch allocates %.2f/op in steady state, want 0", avg)
 	}

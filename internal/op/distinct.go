@@ -3,6 +3,7 @@ package op
 import (
 	"sync/atomic"
 
+	"github.com/dsms/hmts/internal/ring"
 	"github.com/dsms/hmts/internal/stream"
 )
 
@@ -13,7 +14,7 @@ type Distinct struct {
 	Base
 	window  int64
 	seen    map[int64]int64 // key -> last forwarded TS
-	order   fifo[stream.Element]
+	order   ring.Ring[stream.Element]
 	heldPub atomic.Int64 // published order.len() for race-free RetainedRows
 }
 
@@ -34,8 +35,8 @@ func (d *Distinct) StateLen() int { return len(d.seen) }
 // reports whether e passes.
 func (d *Distinct) step(e stream.Element) bool {
 	deadline := e.TS - d.window
-	for !d.order.empty() && d.order.front().TS <= deadline {
-		old := d.order.pop()
+	for d.order.Len() > 0 && d.order.Front().TS <= deadline {
+		old := d.order.Pop()
 		// Only forget the key if this entry is the latest sighting;
 		// a newer sighting re-armed the suppression window.
 		if ts, ok := d.seen[old.Key]; ok && ts == old.TS {
@@ -45,15 +46,15 @@ func (d *Distinct) step(e stream.Element) bool {
 	_, dup := d.seen[e.Key]
 	// Arm or refresh the suppression deadline for this key either way.
 	d.seen[e.Key] = e.TS
-	d.order.push(stream.Element{TS: e.TS, Key: e.Key, Seq: e.Seq})
+	d.order.Push(stream.Element{TS: e.TS, Key: e.Key, Seq: e.Seq})
 	return !dup
 }
 
 // ExportShardState implements ShardState: the suppression markers still in
 // the window, already in arrival (= Seq) order.
 func (d *Distinct) ExportShardState() []PortedElement {
-	pes := make([]PortedElement, 0, d.order.len())
-	d.order.each(func(e stream.Element) { pes = append(pes, PortedElement{E: e}) })
+	pes := make([]PortedElement, 0, d.order.Len())
+	d.order.Each(func(e stream.Element) { pes = append(pes, PortedElement{E: e}) })
 	return pes
 }
 
@@ -65,7 +66,7 @@ func (d *Distinct) RetainedRows() int { return int(d.heldPub.Load()) }
 // seen map and window without forwarding anything.
 func (d *Distinct) ImportShardElement(_ int, e stream.Element) {
 	d.step(e)
-	d.heldPub.Store(int64(d.order.len()))
+	d.heldPub.Store(int64(d.order.Len()))
 }
 
 // ProcessBatch implements Sink. Expiry remains per element (whether a
@@ -82,7 +83,7 @@ func (d *Distinct) ProcessBatch(_ int, es []stream.Element) {
 			out = append(out, e)
 		}
 	}
-	d.heldPub.Store(int64(d.order.len()))
+	d.heldPub.Store(int64(d.order.Len()))
 	d.flush(out)
 	d.EndWorkBatch()
 }

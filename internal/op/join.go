@@ -3,6 +3,7 @@ package op
 import (
 	"sync/atomic"
 
+	"github.com/dsms/hmts/internal/ring"
 	"github.com/dsms/hmts/internal/stream"
 )
 
@@ -49,7 +50,7 @@ type SHJ struct {
 
 type hashSide struct {
 	table map[int64][]stream.Element
-	order fifo[stream.Element]
+	order ring.Ring[stream.Element]
 }
 
 // NewSHJ returns a symmetric hash join with the given window length in
@@ -70,15 +71,15 @@ func NewSHJ(name string, window int64, merge MergeFunc) *SHJ {
 
 func (s *hashSide) insert(e stream.Element) {
 	s.table[e.Key] = append(s.table[e.Key], e)
-	s.order.push(e)
+	s.order.Push(e)
 }
 
 // expire drops all elements with TS <= deadline. Window contents are FIFO
 // in event time, so expiry pops from the front. Per-key buckets are also in
 // arrival order, so the expired element is always its bucket's head.
 func (s *hashSide) expire(deadline int64) {
-	for !s.order.empty() && s.order.front().TS <= deadline {
-		e := s.order.pop()
+	for s.order.Len() > 0 && s.order.Front().TS <= deadline {
+		e := s.order.Pop()
 		bucket := s.table[e.Key]
 		// The expired element is the oldest in its bucket.
 		if len(bucket) == 1 {
@@ -95,7 +96,7 @@ func (s *hashSide) expire(deadline int64) {
 
 // WindowLen returns the number of elements currently held across both
 // sides' windows — the join's state size.
-func (j *SHJ) WindowLen() int { return j.sides[0].order.len() + j.sides[1].order.len() }
+func (j *SHJ) WindowLen() int { return j.sides[0].order.Len() + j.sides[1].order.Len() }
 
 // probe inserts e into its own side, probes the opposite side, and appends
 // every match to out.
@@ -130,7 +131,7 @@ func (j *SHJ) ExportShardState() []PortedElement {
 	var pes []PortedElement
 	for s := 0; s < 2; s++ {
 		port := s
-		j.sides[s].order.each(func(e stream.Element) { pes = append(pes, PortedElement{Port: port, E: e}) })
+		j.sides[s].order.Each(func(e stream.Element) { pes = append(pes, PortedElement{Port: port, E: e}) })
 	}
 	return pes
 }
@@ -189,7 +190,7 @@ type SNJ struct {
 	window int64
 	pred   func(l, r stream.Element) bool
 	merge  MergeFunc
-	wins   [2]fifo[stream.Element]
+	wins   [2]ring.Ring[stream.Element]
 }
 
 // NewSNJ returns a symmetric nested-loops join. A nil pred matches on key
@@ -211,30 +212,30 @@ func NewSNJ(name string, window int64, pred func(l, r stream.Element) bool, merg
 
 // WindowLen returns the number of elements currently held across both
 // sides' windows.
-func (j *SNJ) WindowLen() int { return j.wins[0].len() + j.wins[1].len() }
+func (j *SNJ) WindowLen() int { return j.wins[0].Len() + j.wins[1].Len() }
 
 // expire drops window elements at or before deadline from both sides.
 func (j *SNJ) expire(deadline int64) {
 	for s := 0; s < 2; s++ {
 		w := &j.wins[s]
-		for !w.empty() && w.front().TS <= deadline {
-			w.pop()
+		for w.Len() > 0 && w.Front().TS <= deadline {
+			w.Pop()
 		}
 	}
 }
 
 // scan inserts e and scans the opposite window, appending matches to out.
 func (j *SNJ) scan(port int, e stream.Element, out []stream.Element) []stream.Element {
-	j.wins[port].push(e)
+	j.wins[port].Push(e)
 	other := &j.wins[1-port]
 	if port == 0 {
-		other.each(func(m stream.Element) {
+		other.Each(func(m stream.Element) {
 			if withinWindow(e.TS, m.TS, j.window) && j.pred(e, m) {
 				out = append(out, j.merge(e, m))
 			}
 		})
 	} else {
-		other.each(func(m stream.Element) {
+		other.Each(func(m stream.Element) {
 			if withinWindow(e.TS, m.TS, j.window) && j.pred(m, e) {
 				out = append(out, j.merge(m, e))
 			}

@@ -43,7 +43,7 @@ func NewMJoin(name string, n int, window int64, merge MergeFunc) *MJoin {
 func (j *MJoin) WindowLen() int {
 	n := 0
 	for i := range j.sides {
-		n += j.sides[i].order.len()
+		n += j.sides[i].order.Len()
 	}
 	return n
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/dsms/hmts/internal/ring"
 	"github.com/dsms/hmts/internal/stream"
 	"github.com/dsms/hmts/internal/testutil"
 )
@@ -319,25 +320,25 @@ func TestNullSink(t *testing.T) {
 }
 
 func TestFifoHelper(t *testing.T) {
-	var f fifo[stream.Element]
-	if !f.empty() || f.len() != 0 {
-		t.Fatal("fresh fifo not empty")
+	var f ring.Ring[stream.Element]
+	if f.Len() != 0 {
+		t.Fatal("fresh ring not empty")
 	}
 	for i := 0; i < 100; i++ {
-		f.push(stream.Element{Key: int64(i)})
+		f.Push(stream.Element{Key: int64(i)})
 	}
 	for i := 0; i < 60; i++ {
-		if got := f.pop(); got.Key != int64(i) {
+		if got := f.Pop(); got.Key != int64(i) {
 			t.Fatalf("pop %d = %d", i, got.Key)
 		}
 	}
 	// Interleave to exercise wraparound and growth while wrapped.
 	for i := 100; i < 200; i++ {
-		f.push(stream.Element{Key: int64(i)})
+		f.Push(stream.Element{Key: int64(i)})
 	}
 	want := int64(60)
-	for !f.empty() {
-		if got := f.pop(); got.Key != want {
+	for f.Len() != 0 {
+		if got := f.Pop(); got.Key != want {
 			t.Fatalf("pop = %d, want %d", got.Key, want)
 		}
 		want++

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dsms/hmts/internal/ring"
 	"github.com/dsms/hmts/internal/stream"
 	"github.com/dsms/hmts/internal/testutil"
 )
@@ -80,40 +81,40 @@ func TestWindowAggExpiryReleasesAux(t *testing.T) {
 // window that pushes and pops forever wraps around one backing array, which
 // stays proportional to the live window, not to the stream length.
 func TestF64DequeBoundedCapacity(t *testing.T) {
-	var d fifo[float64]
+	var d ring.Ring[float64]
 	const live = 64
 	for i := 0; i < 200_000; i++ {
-		d.push(float64(i))
-		if d.len() > live {
-			d.pop()
+		d.Push(float64(i))
+		if d.Len() > live {
+			d.Pop()
 		}
 	}
-	if d.len() != live {
-		t.Fatalf("len = %d, want %d", d.len(), live)
+	if d.Len() != live {
+		t.Fatalf("len = %d, want %d", d.Len(), live)
 	}
-	if cap(d.buf) > 16*live {
-		t.Fatalf("cap = %d after 200k slides of a %d-element window — backing array grows with the stream, not the window", cap(d.buf), live)
+	if d.Cap() > 16*live {
+		t.Fatalf("cap = %d after 200k slides of a %d-element window — backing array grows with the stream, not the window", d.Cap(), live)
 	}
-	if d.front() != float64(200_000-live) || d.back() != float64(199_999) {
-		t.Fatalf("contents corrupted by wraparound: front=%v back=%v", d.front(), d.back())
+	if d.Front() != float64(200_000-live) || d.Back() != float64(199_999) {
+		t.Fatalf("contents corrupted by wraparound: front=%v back=%v", d.Front(), d.Back())
 	}
 }
 
-// TestFifoBoundedCapacity pins the same discipline for the element fifo
+// TestFifoBoundedCapacity pins the same discipline for the element ring
 // that joins and aggregates use for window order.
 func TestFifoBoundedCapacity(t *testing.T) {
-	var f fifo[stream.Element]
+	var f ring.Ring[stream.Element]
 	const live = 64
 	for i := 0; i < 200_000; i++ {
-		f.push(stream.Element{TS: int64(i)})
-		if f.len() > live {
-			f.pop()
+		f.Push(stream.Element{TS: int64(i)})
+		if f.Len() > live {
+			f.Pop()
 		}
 	}
-	if cap(f.buf) > 16*live {
-		t.Fatalf("cap = %d after 200k slides of a %d-element window", cap(f.buf), live)
+	if f.Cap() > 16*live {
+		t.Fatalf("cap = %d after 200k slides of a %d-element window", f.Cap(), live)
 	}
-	if f.front().TS != int64(200_000-live) {
-		t.Fatalf("contents corrupted by wraparound: front.TS=%d", f.front().TS)
+	if f.Front().TS != int64(200_000-live) {
+		t.Fatalf("contents corrupted by wraparound: front.TS=%d", f.Front().TS)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync/atomic"
 
+	"github.com/dsms/hmts/internal/ring"
 	"github.com/dsms/hmts/internal/stats"
 	"github.com/dsms/hmts/internal/stream"
 )
@@ -187,23 +188,15 @@ func (sp *Split) SubscribeShard(shard, inPort int, sink Sink, port int) {
 	sp.branches[slot] = edge{sink: sink, port: port}
 }
 
-// UnsubscribeShard detaches the consumer of a (shard, inPort) slot.
-func (sp *Split) UnsubscribeShard(shard, inPort int) {
-	slot := shard*sp.Ins() + inPort
-	if sp.branches[slot].sink == nil {
-		panic(fmt.Sprintf("op: split %q slot (shard=%d, in=%d) not subscribed", sp.Name(), shard, inPort))
-	}
-	sp.branches[slot] = edge{}
-}
-
 // Subscribe panics: split consumers are per shard slot.
 func (sp *Split) Subscribe(Sink, int) {
 	panic(fmt.Sprintf("op: split %q requires SubscribeShard, not Subscribe", sp.Name()))
 }
 
-// Unsubscribe panics: split consumers are per shard slot.
+// Unsubscribe panics: split consumers are per shard slot, and Reset is
+// the only way to detach them.
 func (sp *Split) Unsubscribe(Sink, int) {
-	panic(fmt.Sprintf("op: split %q requires UnsubscribeShard, not Unsubscribe", sp.Name()))
+	panic(fmt.Sprintf("op: split %q detaches its shard consumers only through Reset", sp.Name()))
 }
 
 // Reset re-sizes the splitter to n shards, dropping all shard
@@ -285,12 +278,12 @@ type mergeInput struct {
 // port i carries replica i's outputs (nondecreasing Seq per port), and
 // elements are released downstream in global Seq order per the frontier
 // protocol documented at the top of this file. Steady state is alloc-free:
-// buffered elements live in per-port fifos and releases go through the
+// buffered elements live in per-port rings and releases go through the
 // reusable Base batch buffer.
 type Merge struct {
 	Base
 	n        int
-	bufs     []fifo[stream.Element]
+	bufs     []ring.Ring[stream.Element]
 	recv     []uint64
 	lastRecv []uint64
 	ups      []mergeInput
@@ -314,7 +307,7 @@ func NewMerge(name string, n int) *Merge {
 // sizeTo (re)allocates the per-port structures for n inputs.
 func (m *Merge) sizeTo(n int) {
 	m.n = n
-	m.bufs = make([]fifo[stream.Element], n)
+	m.bufs = make([]ring.Ring[stream.Element], n)
 	m.recv = make([]uint64, n)
 	m.lastRecv = make([]uint64, n)
 	m.ups = make([]mergeInput, n)
@@ -357,9 +350,7 @@ func (m *Merge) ProcessBatch(port int, es []stream.Element) {
 	m.BeginWorkBatch(es)
 	m.recv[port] += uint64(len(es))
 	m.lastRecv[port] = es[len(es)-1].Seq
-	for _, e := range es {
-		m.bufs[port].push(e)
-	}
+	m.bufs[port].Append(es)
 	m.release(false)
 	m.EndWorkBatch()
 }
@@ -416,10 +407,10 @@ func (m *Merge) release(final bool) {
 		p := -1
 		var best uint64
 		for i := range m.bufs {
-			if m.bufs[i].empty() {
+			if m.bufs[i].Len() == 0 {
 				continue
 			}
-			if s := m.bufs[i].front().Seq; p < 0 || s < best {
+			if s := m.bufs[i].Front().Seq; p < 0 || s < best {
 				p, best = i, s
 			}
 		}
@@ -435,7 +426,7 @@ func (m *Merge) release(final bool) {
 		if int64(best)-1 > minOther {
 			break
 		}
-		e := m.bufs[p].pop()
+		e := m.bufs[p].Pop()
 		e.Seq = 0
 		out = append(out, e)
 	}
@@ -447,7 +438,7 @@ func (m *Merge) release(final bool) {
 func (m *Merge) Buffered() int {
 	n := 0
 	for i := range m.bufs {
-		n += m.bufs[i].len()
+		n += m.bufs[i].Len()
 	}
 	return n
 }

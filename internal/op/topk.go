@@ -3,6 +3,7 @@ package op
 import (
 	"sync/atomic"
 
+	"github.com/dsms/hmts/internal/ring"
 	"github.com/dsms/hmts/internal/stream"
 )
 
@@ -27,7 +28,7 @@ type TopK struct {
 	k      int
 	window int64
 	keys   map[int64]*topKey
-	order  fifo[stream.Element]
+	order  ring.Ring[stream.Element]
 	// top is the top-k set in rank order.
 	top []*topKey
 	// buckets[c] holds the keys outside the set with count c.
@@ -205,8 +206,8 @@ func (t *TopK) step(e stream.Element, out []stream.Element) []stream.Element {
 	t.tick++
 	t.changed = false
 	deadline := e.TS - t.window
-	for !t.order.empty() && t.order.front().TS <= deadline {
-		t.dec(t.keys[t.order.pop().Key])
+	for t.order.Len() > 0 && t.order.Front().TS <= deadline {
+		t.dec(t.keys[t.order.Pop().Key])
 	}
 	s := t.keys[e.Key]
 	if s == nil {
@@ -220,7 +221,7 @@ func (t *TopK) step(e stream.Element, out []stream.Element) []stream.Element {
 		t.keys[e.Key] = s
 	}
 	t.inc(s)
-	t.order.push(stream.Element{TS: e.TS, Key: e.Key, Seq: e.Seq})
+	t.order.Push(stream.Element{TS: e.TS, Key: e.Key, Seq: e.Seq})
 
 	// Keys the expiries emptied are dropped only now: the arriving key
 	// may be one of them, and its mark must survive to the emission test.
@@ -247,8 +248,8 @@ func (t *TopK) step(e stream.Element, out []stream.Element) []stream.Element {
 // has per-shard semantics: each replica surfaces the heavy hitters of its
 // key partition, not a global top-k.
 func (t *TopK) ExportShardState() []PortedElement {
-	pes := make([]PortedElement, 0, t.order.len())
-	t.order.each(func(e stream.Element) { pes = append(pes, PortedElement{E: e}) })
+	pes := make([]PortedElement, 0, t.order.Len())
+	t.order.Each(func(e stream.Element) { pes = append(pes, PortedElement{E: e}) })
 	return pes
 }
 
@@ -261,7 +262,7 @@ func (t *TopK) RetainedRows() int { return int(t.heldPub.Load()) }
 func (t *TopK) ImportShardElement(_ int, e stream.Element) {
 	out := t.step(e, t.scratch(t.k))
 	t.obuf = out[:0]
-	t.heldPub.Store(int64(t.order.len()))
+	t.heldPub.Store(int64(t.order.Len()))
 }
 
 // ProcessBatch implements Sink: entering-key notifications accumulate
@@ -275,7 +276,7 @@ func (t *TopK) ProcessBatch(_ int, es []stream.Element) {
 	for _, e := range es {
 		out = t.step(e, out)
 	}
-	t.heldPub.Store(int64(t.order.len()))
+	t.heldPub.Store(int64(t.order.Len()))
 	t.flush(out)
 	t.EndWorkBatch()
 }

@@ -221,8 +221,8 @@ func checkTopK(t *testing.T, tk *TopK) {
 			t.Fatalf("key %d (count %d) outside a set it ranks into", s.key, s.count)
 		}
 	}
-	if total != int64(tk.order.len()) {
-		t.Fatalf("counts total %d, window holds %d", total, tk.order.len())
+	if total != int64(tk.order.Len()) {
+		t.Fatalf("counts total %d, window holds %d", total, tk.order.Len())
 	}
 	for i := 1; i < len(tk.top); i++ {
 		if !above(tk.top[i-1], tk.top[i]) {

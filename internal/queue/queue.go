@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/dsms/hmts/internal/op"
+	"github.com/dsms/hmts/internal/ring"
 	"github.com/dsms/hmts/internal/stream"
 )
 
@@ -30,8 +31,7 @@ type Queue struct {
 	name string
 
 	mu        sync.Mutex
-	buf       []stream.Element
-	head, n   int
+	elems     ring.Ring[stream.Element]
 	bound     int
 	producers int
 	doneProds int
@@ -90,7 +90,6 @@ func New(name string, bound int) *Queue {
 		producers: 1,
 		space:     make(chan struct{}),
 		poison:    make(chan struct{}),
-		buf:       make([]stream.Element, 16),
 	}
 }
 
@@ -135,7 +134,7 @@ func (q *Queue) WaitSpace(abort <-chan struct{}) {
 		return // the common case, read from the lock-free gauge
 	}
 	q.mu.Lock()
-	if q.n < q.bound {
+	if q.elems.Len() < q.bound {
 		q.mu.Unlock()
 		return
 	}
@@ -178,17 +177,6 @@ func (q *Queue) Subscribe(s op.Sink, port int) {
 	q.subs = append(q.subs, sub{sink: s, port: port})
 }
 
-// Unsubscribe detaches a previously subscribed edge.
-func (q *Queue) Unsubscribe(s op.Sink, port int) {
-	for i, e := range q.subs {
-		if e.sink == s && e.port == port {
-			q.subs = append(q.subs[:i], q.subs[i+1:]...)
-			return
-		}
-	}
-	panic(fmt.Sprintf("queue: Unsubscribe of unknown edge from %q", q.name))
-}
-
 // SetNotify registers a callback invoked (outside the queue lock) after
 // every mutation a scheduler could care about: an enqueue — including into
 // a non-empty queue, so length-ordered strategies stay fresh — and the
@@ -216,8 +204,8 @@ func (q *Queue) ping(fn func()) {
 // lock-free readers.
 func (q *Queue) publishLocked() {
 	var ts int64
-	if q.n > 0 {
-		ts = q.buf[q.head].TS
+	if q.elems.Len() > 0 {
+		ts = q.elems.Front().TS
 	}
 	var flags uint32
 	if q.doneProds >= q.producers {
@@ -228,7 +216,7 @@ func (q *Queue) publishLocked() {
 	}
 	q.gSeq.Add(1) // odd: readers hold off
 	q.gFrontTS.Store(ts)
-	q.gLen.Store(int64(q.n))
+	q.gLen.Store(int64(q.elems.Len()))
 	q.gFlags.Store(flags)
 	q.gSeq.Add(1) // even: stable again
 }
@@ -311,15 +299,14 @@ func (q *Queue) ProcessBatch(_ int, es []stream.Element) {
 		q.mu.Unlock()
 		panic(fmt.Sprintf("queue: enqueue into closed queue %q", q.name))
 	}
-	if over := q.n + len(es) - q.bound; q.bound > 0 && over > 0 {
+	wasEmpty := q.elems.Len() == 0
+	q.elems.Append(es)
+	n := q.elems.Len()
+	if over := n - q.bound; q.bound > 0 && over > 0 {
 		q.overshoot.Add(uint64(min(over, len(es))))
 	}
-	wasEmpty := q.n == 0
-	for _, e := range es {
-		q.push(e)
-	}
-	if int64(q.n) > q.maxLen.Load() {
-		q.maxLen.Store(int64(q.n))
+	if int64(n) > q.maxLen.Load() {
+		q.maxLen.Store(int64(n))
 	}
 	if wasEmpty {
 		q.publishLocked()
@@ -329,7 +316,7 @@ func (q *Queue) ProcessBatch(_ int, es []stream.Element) {
 		// reader can pick up is a real state: the length alone is
 		// published, without the seqlock round that would bounce the
 		// gauge lines against the drainer for each push.
-		q.gLen.Store(int64(q.n))
+		q.gLen.Store(int64(n))
 	}
 	notify := q.notify
 	q.mu.Unlock()
@@ -351,19 +338,6 @@ func (q *Queue) Done(int) {
 	}
 	q.mu.Unlock()
 	q.ping(notify)
-}
-
-// push appends to the ring buffer, growing it as needed. Caller holds mu.
-func (q *Queue) push(e stream.Element) {
-	if q.n == len(q.buf) {
-		bigger := make([]stream.Element, 2*len(q.buf))
-		m := copy(bigger, q.buf[q.head:])
-		copy(bigger[m:], q.buf[:q.head])
-		q.buf = bigger
-		q.head = 0
-	}
-	q.buf[(q.head+q.n)%len(q.buf)] = e
-	q.n++
 }
 
 // DrainBatch dequeues up to max elements (bounded also by len(scratch))
@@ -390,8 +364,8 @@ func (q *Queue) DrainBatch(scratch []stream.Element, max int) (n int, open bool)
 		max = len(scratch)
 	}
 	q.mu.Lock()
-	if q.n == 0 || max == 0 {
-		if q.n == 0 && q.doneProds >= q.producers && !q.outClosed {
+	if q.elems.Len() == 0 || max == 0 {
+		if q.elems.Len() == 0 && q.doneProds >= q.producers && !q.outClosed {
 			q.outClosed = true
 			q.publishLocked()
 			q.mu.Unlock()
@@ -404,29 +378,16 @@ func (q *Queue) DrainBatch(scratch []stream.Element, max int) (n int, open bool)
 		q.mu.Unlock()
 		return 0, !closed
 	}
-	take := max
-	if take > q.n {
-		take = q.n
-	}
-	// Copy out of the ring in at most two contiguous chunks, clearing the
-	// vacated slots so the buffer does not pin payloads.
-	first := len(q.buf) - q.head
-	if first > take {
-		first = take
-	}
-	copy(scratch, q.buf[q.head:q.head+first])
-	copy(scratch[first:take], q.buf[:take-first])
-	clear(q.buf[q.head : q.head+first])
-	clear(q.buf[:take-first])
-	wasFull := q.bound > 0 && q.n >= q.bound
-	q.head = (q.head + take) % len(q.buf)
-	q.n -= take
+	wasFull := q.bound > 0 && q.elems.Len() >= q.bound
+	take := q.elems.CopyOut(scratch[:max])
+	q.elems.Discard(take)
+	left := q.elems.Len()
 	var space chan struct{}
-	if wasFull && q.n < q.bound {
+	if wasFull && left < q.bound {
 		space = q.space
 		q.space = make(chan struct{})
 	}
-	closing := q.n == 0 && q.doneProds >= q.producers && !q.outClosed
+	closing := left == 0 && q.doneProds >= q.producers && !q.outClosed
 	if closing {
 		q.outClosed = true
 	}

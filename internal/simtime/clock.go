@@ -3,14 +3,10 @@
 // Real-time experiments (the paper's §6 setup) use the wall clock, usually
 // scaled down so that a 260-second experiment finishes in a couple of
 // seconds without changing any ratio between operator costs, arrival rates
-// and window lengths. Logic tests use a manual clock so they are fully
-// deterministic and never sleep.
+// and window lengths.
 package simtime
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Clock supplies current time and sleeping. Implementations must be safe for
 // concurrent use.
@@ -41,67 +37,4 @@ func (r *Real) Sleep(d int64) {
 		return
 	}
 	time.Sleep(time.Duration(d))
-}
-
-// Manual is a Clock that only moves when Advance is called. Sleep blocks
-// until the clock has been advanced past the deadline, which lets tests
-// coordinate goroutines deterministically; single-goroutine tests typically
-// never call Sleep and just stamp timestamps.
-type Manual struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	now  int64
-}
-
-// NewManual returns a manual clock starting at time 0.
-func NewManual() *Manual {
-	m := &Manual{}
-	m.cond = sync.NewCond(&m.mu)
-	return m
-}
-
-// Now implements Clock.
-func (m *Manual) Now() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.now
-}
-
-// Sleep implements Clock; it blocks until Advance moves the clock at least
-// d nanoseconds past the time at which Sleep was called.
-func (m *Manual) Sleep(d int64) {
-	if d <= 0 {
-		return
-	}
-	m.mu.Lock()
-	deadline := m.now + d
-	for m.now < deadline {
-		m.cond.Wait()
-	}
-	m.mu.Unlock()
-}
-
-// Advance moves the clock forward by d nanoseconds (d must be >= 0) and
-// wakes all sleepers whose deadlines have passed.
-func (m *Manual) Advance(d int64) {
-	if d < 0 {
-		panic("simtime: negative Advance")
-	}
-	m.mu.Lock()
-	m.now += d
-	m.cond.Broadcast()
-	m.mu.Unlock()
-}
-
-// Set moves the clock to an absolute time, which must not be earlier than
-// the current time.
-func (m *Manual) Set(t int64) {
-	m.mu.Lock()
-	if t < m.now {
-		m.mu.Unlock()
-		panic("simtime: Set moves clock backwards")
-	}
-	m.now = t
-	m.cond.Broadcast()
-	m.mu.Unlock()
 }

@@ -1,7 +1,6 @@
 package simtime
 
 import (
-	"sync"
 	"testing"
 	"time"
 )
@@ -27,69 +26,6 @@ func TestRealSleep(t *testing.T) {
 	}
 	c.Sleep(-1) // must not block
 	c.Sleep(0)
-}
-
-func TestManualAdvance(t *testing.T) {
-	m := NewManual()
-	if m.Now() != 0 {
-		t.Fatalf("fresh manual clock at %d", m.Now())
-	}
-	m.Advance(100)
-	m.Advance(0)
-	if m.Now() != 100 {
-		t.Fatalf("after Advance(100): %d", m.Now())
-	}
-	m.Set(250)
-	if m.Now() != 250 {
-		t.Fatalf("after Set(250): %d", m.Now())
-	}
-}
-
-func TestManualSleepWakesAtDeadline(t *testing.T) {
-	m := NewManual()
-	var wg sync.WaitGroup
-	woke := make(chan int64, 3)
-	for _, d := range []int64{10, 20, 30} {
-		wg.Add(1)
-		go func(d int64) {
-			defer wg.Done()
-			m.Sleep(d)
-			woke <- d
-		}(d)
-	}
-	time.Sleep(10 * time.Millisecond) // let sleepers park
-	m.Advance(15)                     // wakes only the d=10 sleeper
-	if got := <-woke; got != 10 {
-		t.Fatalf("first waker slept %d, want 10", got)
-	}
-	select {
-	case got := <-woke:
-		t.Fatalf("sleeper %d woke before its deadline", got)
-	case <-time.After(20 * time.Millisecond):
-	}
-	m.Advance(100)
-	wg.Wait()
-}
-
-func TestManualNegativePanics(t *testing.T) {
-	m := NewManual()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative Advance should panic")
-		}
-	}()
-	m.Advance(-1)
-}
-
-func TestManualSetBackwardsPanics(t *testing.T) {
-	m := NewManual()
-	m.Advance(10)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Set backwards should panic")
-		}
-	}()
-	m.Set(5)
 }
 
 func TestBusyOccupiesAtLeast(t *testing.T) {

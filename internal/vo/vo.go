@@ -108,16 +108,6 @@ func MergedCap(a, b VO) float64 {
 	return d - (a.CNS + b.CNS)
 }
 
-// FromComponents computes the VO for each component (as produced by
-// graph.Components for a cut set).
-func FromComponents(g *graph.Graph, comps [][]int) []VO {
-	out := make([]VO, len(comps))
-	for i, c := range comps {
-		out[i] = Of(g, c)
-	}
-	return out
-}
-
 // CapacitySummary aggregates Figure 11's metrics over a set of VOs. The
 // negative and positive capacities are reported separately, each averaged
 // over the VOs falling in that bucket: AvgNegative is the mean capacity of

@@ -148,11 +148,7 @@ func TestSummarize(t *testing.T) {
 
 func TestFromComponentsAndString(t *testing.T) {
 	g, n := mkGraph()
-	vos := FromComponents(g, [][]int{{n[1].ID}, {n[2].ID}})
-	if len(vos) != 2 {
-		t.Fatalf("%d VOs", len(vos))
-	}
-	if s := vos[0].String(); !strings.Contains(s, "VO{") {
+	if s := Of(g, []int{n[1].ID}).String(); !strings.Contains(s, "VO{") {
 		t.Fatalf("String: %s", s)
 	}
 }
