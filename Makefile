@@ -59,7 +59,8 @@ bench:
 	$(GO) test -bench . -benchmem ./internal/sched | $(GO) run ./cmd/benchjson > BENCH_sched.json
 	@echo wrote BENCH_sched.json
 	{ $(GO) test -bench . -benchmem ./internal/ingest; \
-	  $(GO) test -bench . -benchmem ./cmd/hmtsd; } | $(GO) run ./cmd/benchjson > BENCH_ingest.json
+	  $(GO) test -bench . -benchmem ./cmd/hmtsd; \
+	  $(GO) test -bench . -benchmem ./ql; } | $(GO) run ./cmd/benchjson > BENCH_ingest.json
 	@echo wrote BENCH_ingest.json
 	$(GO) test -bench . -benchmem ./internal/op | $(GO) run ./cmd/benchjson > BENCH_ops.json
 	@echo wrote BENCH_ops.json
@@ -74,7 +75,7 @@ bench:
 # root package runs only the shard benches — the Fig* experiment benchmarks
 # are full evaluation runs and far too slow for a smoke pass.
 benchsmoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/queue ./internal/sched ./internal/ingest ./internal/op ./cmd/hmtsd ./adapt
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/queue ./internal/sched ./internal/ingest ./internal/op ./cmd/hmtsd ./ql ./adapt
 	$(GO) test -run '^$$' -bench 'ShardScaling|LiveReshard|MultiQuery|RegisterSimilar' -benchtime 1x .
 
 # The canonical soak gate: ~9 seconds of open-loop bursty load through the
@@ -118,7 +119,8 @@ benchdiff:
 	@mkdir -p .bench
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHDIFF_TIME) -count=2 ./internal/sched | $(GO) run ./cmd/benchjson > .bench/sched.json
 	{ $(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHDIFF_TIME) -count=2 ./internal/ingest; \
-	  $(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHDIFF_TIME) -count=2 ./cmd/hmtsd; } | $(GO) run ./cmd/benchjson > .bench/ingest.json
+	  $(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHDIFF_TIME) -count=2 ./cmd/hmtsd; \
+	  $(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHDIFF_TIME) -count=2 ./ql; } | $(GO) run ./cmd/benchjson > .bench/ingest.json
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHDIFF_TIME) -count=2 ./internal/op | $(GO) run ./cmd/benchjson > .bench/ops.json
 	$(GO) test -run '^$$' -bench 'ShardScaling|LiveReshard' -benchmem -benchtime $(BENCHDIFF_TIME) -count=2 . | $(GO) run ./cmd/benchjson > .bench/shard.json
 	$(GO) test -run '^$$' -bench 'MultiQuery|RegisterSimilar' -benchmem -benchtime $(BENCHDIFF_TIME) -count=2 . | $(GO) run ./cmd/benchjson > .bench/multi.json
@@ -131,8 +133,8 @@ benchdiff:
 	if [ -n "$$failed" ]; then echo "benchdiff: FAIL:$$failed"; exit 1; fi; \
 	echo "benchdiff: all legs pass"
 
-# Short fuzz pass over the hmtsd line protocol, its result encoder, the
-# ingress ring, the order-restoring shard merge, the windowed aggregate,
+# Short fuzz pass over the hmtsd line protocol, its result encoder, ql's
+# compiled expressions, the ingress ring, the order-restoring shard merge, the windowed aggregate,
 # the batch-size invariance of every operator, the window fifo and live
 # mutation of a whole deployment; the corpora keep growing under
 # testdata/fuzz as failures are found.
@@ -141,6 +143,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzPushParse -fuzztime 10s ./cmd/hmtsd
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime 10s ./cmd/hmtsd
 	$(GO) test -run '^$$' -fuzz FuzzResultLine -fuzztime 10s ./cmd/hmtsd
+	$(GO) test -run '^$$' -fuzz FuzzExpr -fuzztime 10s ./ql
 	$(GO) test -run '^$$' -fuzz FuzzBuffer -fuzztime 10s ./internal/ingest
 	$(GO) test -run '^$$' -fuzz FuzzShardMerge -fuzztime 10s ./internal/op
 	$(GO) test -run '^$$' -fuzz FuzzWindowAgg -fuzztime 10s ./internal/op

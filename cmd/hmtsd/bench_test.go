@@ -10,12 +10,15 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	hmts "github.com/dsms/hmts"
 )
 
 // Ingestion throughput of the two wire encodings, measured per element
 // through a live daemon: the line protocol pays parsing and per-line
 // dispatch, the framed batch protocol amortizes both over 512 elements.
-// BenchmarkResultEgress adds the way back: one RESULT line per element.
+// BenchmarkResultEgress adds the way back: one RESULT line per element;
+// BenchmarkResultEncode prices that line's encoding alone.
 // `make bench` records these next to the scheduler numbers.
 
 // benchSession starts an in-process daemon, dials it, and runs the setup
@@ -191,5 +194,34 @@ func BenchmarkResultEgress(b *testing.B) {
 	w.Flush()
 	if err := <-errc; err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkResultEncode prices encoding one RESULT line, without the
+// session lock or the socket: integral values (a window COUNT) take the
+// integer path, fractional ones strconv's shortest-float formatting.
+func BenchmarkResultEncode(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		val  func(i int) float64
+	}{
+		{"integral", func(i int) float64 { return float64(i % 5000) }},
+		{"fractional", func(i int) float64 { return float64(i%5000) + 0.5 }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			es := make([]hmts.Element, 1024)
+			for i := range es {
+				es[i] = hmts.Element{TS: 1_700_000_000_000_000_000 + int64(i)*1000, Key: int64(i % 1000), Val: c.val(i)}
+			}
+			prefix := resultPrefix(3)
+			buf := make([]byte, 0, 64<<10)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if len(buf) > 60<<10 {
+					buf = buf[:0]
+				}
+				buf = appendResult(buf, prefix, es[i&(len(es)-1)])
+			}
+		})
 	}
 }

@@ -2,7 +2,10 @@ package main
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"net"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -117,8 +120,13 @@ func (o *egress) close() {
 
 // resultSink streams one query's results into the session's egress.
 type resultSink struct {
-	out *egress
-	id  int
+	out    *egress
+	id     int
+	prefix []byte // "RESULT <id> ", encoded once
+}
+
+func newResultSink(out *egress, id int) *resultSink {
+	return &resultSink{out: out, id: id, prefix: resultPrefix(id)}
 }
 
 // ProcessBatch implements the engine's batched sink: a burst of results is
@@ -130,7 +138,7 @@ func (r *resultSink) ProcessBatch(_ int, es []hmts.Element) {
 		if !o.room() {
 			break
 		}
-		o.buf = appendResult(o.buf, r.id, es[i])
+		o.buf = appendResult(o.buf, r.prefix, es[i])
 	}
 	o.mu.Unlock()
 	o.filled.Signal()
@@ -141,16 +149,83 @@ func (r *resultSink) Done(int) {
 	r.out.printf("DONE %d", r.id)
 }
 
-// appendResult appends the line "RESULT <id> <ts> <key> <val>\n",
-// byte-identical to formatting it with "RESULT %d %d %d %g\n".
-func appendResult(b []byte, id int, e hmts.Element) []byte {
-	b = append(b, "RESULT "...)
-	b = strconv.AppendInt(b, int64(id), 10)
+// resultPrefix is the start of every RESULT line of query id.
+func resultPrefix(id int) []byte {
+	return append(strconv.AppendInt([]byte("RESULT "), int64(id), 10), ' ')
+}
+
+// appendResult appends the rest of the line "RESULT <id> <ts> <key> <val>\n"
+// after prefix, which resultPrefix made. The line is byte-identical to
+// formatting it with "RESULT %d %d %d %g\n".
+func appendResult(b, prefix []byte, e hmts.Element) []byte {
+	b = append(b, prefix...)
+	b = appendInt(b, e.TS)
 	b = append(b, ' ')
-	b = strconv.AppendInt(b, e.TS, 10)
+	b = appendInt(b, e.Key)
 	b = append(b, ' ')
-	b = strconv.AppendInt(b, e.Key, 10)
-	b = append(b, ' ')
-	b = strconv.AppendFloat(b, e.Val, 'g', -1, 64)
+	// %g prints an integral value below 1e6 in magnitude as an integer
+	// (it switches to exponent form at 1e6). A window COUNT is always
+	// integral, and the integer path skips the shortest-float search.
+	// -0, NaN and ±Inf fail the test and take AppendFloat.
+	if i := int64(e.Val); float64(i) == e.Val && i > -1e6 && i < 1e6 && math.Float64bits(e.Val) != 1<<63 {
+		b = appendInt(b, i)
+	} else {
+		b = strconv.AppendFloat(b, e.Val, 'g', -1, 64)
+	}
 	return append(b, '\n')
 }
+
+// appendInt appends the decimal form of v exactly as strconv.AppendInt(b,
+// v, 10) does, but writes the digits straight into b's spare capacity
+// rather than into a temporary buffer that is then copied.
+func appendInt(b []byte, v int64) []byte {
+	u := uint64(v)
+	if v < 0 {
+		b = append(b, '-')
+		u = -u
+	}
+	n := decimalLen(u)
+	b = slices.Grow(b, n)
+	i := len(b) + n
+	b = b[:i]
+	for u >= 100 {
+		q := u / 100
+		d := 2 * (u - q*100)
+		i -= 2
+		b[i], b[i+1] = digitPairs[d], digitPairs[d+1]
+		u = q
+	}
+	if u >= 10 {
+		b[i-2], b[i-1] = digitPairs[2*u], digitPairs[2*u+1]
+	} else {
+		b[i-1] = byte('0' + u)
+	}
+	return b
+}
+
+// decimalLen is the number of decimal digits of u (1 for 0).
+func decimalLen(u uint64) int {
+	// bits.Len64·log10(2) estimates the count to within one; a table
+	// lookup settles which.
+	n := bits.Len64(u) * 1233 >> 12
+	if n < len(pow10) && u >= pow10[n] {
+		n++
+	}
+	return max(n, 1)
+}
+
+var pow10 = [...]uint64{
+	1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
+}
+
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"

@@ -132,9 +132,17 @@ func FuzzResultLine(f *testing.F) {
 	f.Add(8, int64(5), int64(6), math.SmallestNonzeroFloat64)
 	f.Add(math.MaxInt, int64(5), int64(6), math.MaxFloat64)
 	f.Add(math.MinInt, int64(5), int64(6), 123456789.0)
+	// The edges of the integral fast path: it covers integral values
+	// strictly inside ±1e6, where %g stops printing integers.
+	for _, v := range []float64{
+		999999, 1e6, -999999, -1e6, 999999.5, 0.5,
+		1 << 53, 1 << 63, -(1 << 63),
+	} {
+		f.Add(9, int64(-10), int64(1e18), v)
+	}
 	f.Fuzz(func(t *testing.T, id int, ts, key int64, val float64) {
 		want := fmt.Sprintf("RESULT %d %d %d %g\n", id, ts, key, val)
-		got := appendResult([]byte("x"), id, hmts.Element{TS: ts, Key: key, Val: val})
+		got := appendResult([]byte("x"), resultPrefix(id), hmts.Element{TS: ts, Key: key, Val: val})
 		if string(got) != "x"+want {
 			t.Fatalf("appendResult = %q, want %q", got[1:], want)
 		}

@@ -290,6 +290,38 @@ func TestHostileHugeBuffer(t *testing.T) {
 	wellBehaved(t, addr)
 }
 
+// TestHostileUnicodeCommand: a command word whose upper-case form has a
+// different length in bytes is cut from the line as sent. "ɐ" (2 bytes)
+// upper-cases to "Ɐ" (3 bytes), and slicing the line by the upper-cased
+// length panicked the session goroutine and took the whole daemon down;
+// "ſ" (2 bytes) upper-cases to "S" (1 byte), which shifted the arguments
+// of "ſource s external" by one byte.
+func TestHostileUnicodeCommand(t *testing.T) {
+	addr := startServer(t)
+	c := dial(t, addr)
+	c.sendLine("ɐ")
+	c.sendLine("QUIT")
+	if line := c.readLine(); !strings.HasPrefix(line, "ERR") {
+		t.Fatalf("ɐ: got %q, want ERR", line)
+	}
+	if line := c.readLine(); line != "OK bye" {
+		t.Fatalf("ɐ: got a second reply %q, want only one ERR", line)
+	}
+	reply := func(cmd string) string {
+		c := dial(t, addr)
+		c.sendLine(cmd)
+		line := c.readLine()
+		c.sendLine("QUIT")
+		c.expect("OK bye")
+		return line
+	}
+	want := reply("SOURCE s EXTERNAL")
+	if got := reply("ſource s external"); got != want {
+		t.Fatalf("ſource s external: got %q, want %q as for SOURCE s EXTERNAL", got, want)
+	}
+	wellBehaved(t, addr)
+}
+
 // TestHostileUnpaceableRate: SOURCE with a RATE no generator can pace
 // answers ERR. RATE NaN used to be accepted, and its source never
 // finished; a second session must still run normally.

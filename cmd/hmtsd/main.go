@@ -34,7 +34,9 @@
 //	                                    ERR <err> if the engine failed)
 //	QUIT
 //
-// Results: RESULT <id> <ts> <key> <val>, then DONE <id>.
+// Results: RESULT <id> <ts> <key> <val>, then DONE <id>. A RESULT line is
+// byte-for-byte what fmt prints for "RESULT %d %d %d %g\n"; the encoder
+// only takes a shorter path to the same bytes.
 //
 // Every line a session sends — replies, INFO, RESULT, DONE — goes through
 // one ordered, bounded buffer drained by a single writer goroutine. There
@@ -209,8 +211,11 @@ func (s *session) serve() {
 		if line == "" {
 			continue
 		}
-		cmd := strings.ToUpper(strings.Fields(line)[0])
-		rest := strings.TrimSpace(line[len(cmd):])
+		// Upper-casing can change a word's length in bytes (ɐ grows to
+		// Ɐ, ſ shrinks to S), so rest is cut after the word as sent.
+		word := strings.Fields(line)[0]
+		cmd := strings.ToUpper(word)
+		rest := strings.TrimSpace(line[len(word):])
 		switch cmd {
 		case "QUIT":
 			s.out.printf("OK bye")
@@ -496,7 +501,7 @@ func (s *session) cmdQueryAdd(sel string) {
 	}
 	id := s.queries
 	name := fmt.Sprintf("q%d", id)
-	err = s.eng.AddQuery(name, &resultSink{out: s.out, id: id}, func() (*hmts.Stream, error) {
+	err = s.eng.AddQuery(name, newResultSink(s.out, id), func() (*hmts.Stream, error) {
 		return ql.Plan(s.eng, s.sources, q)
 	})
 	if err != nil {

@@ -108,41 +108,25 @@ func (q *Query) String() string {
 	return s
 }
 
-// Expr is a typed expression over an element. Num evaluates numeric
-// expressions; Bool evaluates predicates. IsBool reports which evaluation
-// is legal.
+// Expr is a typed expression over an element. IsBool reports whether it is
+// a predicate or a number. An Expr is not evaluated directly: Compile turns
+// a predicate into one closure, once, when a query is planned.
 type Expr interface {
 	fmt.Stringer
 	IsBool() bool
-	Num(e stream.Element) float64
-	Bool(e stream.Element) bool
 }
 
 // numLit is a numeric literal.
 type numLit float64
 
-func (n numLit) IsBool() bool               { return false }
-func (n numLit) Num(stream.Element) float64 { return float64(n) }
-func (n numLit) Bool(stream.Element) bool   { panic("ql: literal used as predicate") }
-func (n numLit) String() string             { return fmt.Sprintf("%g", float64(n)) }
+func (n numLit) IsBool() bool   { return false }
+func (n numLit) String() string { return fmt.Sprintf("%g", float64(n)) }
 
 // fieldRef reads an element attribute.
 type fieldRef Field
 
-func (f fieldRef) IsBool() bool { return false }
-func (f fieldRef) Num(e stream.Element) float64 {
-	switch Field(f) {
-	case FieldKey:
-		return float64(e.Key)
-	case FieldVal:
-		return e.Val
-	case FieldTS:
-		return float64(e.TS)
-	}
-	panic("ql: bad field reference")
-}
-func (f fieldRef) Bool(stream.Element) bool { panic("ql: field used as predicate") }
-func (f fieldRef) String() string           { return Field(f).String() }
+func (f fieldRef) IsBool() bool   { return false }
+func (f fieldRef) String() string { return Field(f).String() }
 
 // binary is an arithmetic or comparison operator.
 type binary struct {
@@ -158,45 +142,7 @@ func (b *binary) IsBool() bool {
 	return false
 }
 
-func (b *binary) Num(e stream.Element) float64 {
-	l, r := b.l.Num(e), b.r.Num(e)
-	switch b.op {
-	case "+":
-		return l + r
-	case "-":
-		return l - r
-	case "*":
-		return l * r
-	case "/":
-		return l / r
-	case "%":
-		return math.Mod(l, r)
-	}
-	panic("ql: " + b.op + " is not numeric")
-}
-
-func (b *binary) Bool(e stream.Element) bool {
-	l, r := b.l.Num(e), b.r.Num(e)
-	switch b.op {
-	case "=":
-		return l == r
-	case "!=":
-		return l != r
-	case "<":
-		return l < r
-	case "<=":
-		return l <= r
-	case ">":
-		return l > r
-	case ">=":
-		return l >= r
-	}
-	panic("ql: " + b.op + " is not a comparison")
-}
-
-func (b *binary) String() string {
-	return fmt.Sprintf("(%s %s %s)", b.l, b.op, b.r)
-}
+func (b *binary) String() string { return fmt.Sprintf("(%s %s %s)", b.l, b.op, b.r) }
 
 // logical is AND/OR over predicates.
 type logical struct {
@@ -204,28 +150,169 @@ type logical struct {
 	l, r Expr
 }
 
-func (l *logical) IsBool() bool               { return true }
-func (l *logical) Num(stream.Element) float64 { panic("ql: logical expression used as number") }
-func (l *logical) Bool(e stream.Element) bool {
-	if l.op == "and" {
-		return l.l.Bool(e) && l.r.Bool(e)
-	}
-	return l.l.Bool(e) || l.r.Bool(e)
-}
+func (l *logical) IsBool() bool   { return true }
 func (l *logical) String() string { return fmt.Sprintf("(%s %s %s)", l.l, l.op, l.r) }
 
 // not negates a predicate.
 type not struct{ x Expr }
 
-func (n *not) IsBool() bool               { return true }
-func (n *not) Num(stream.Element) float64 { panic("ql: NOT used as number") }
-func (n *not) Bool(e stream.Element) bool { return !n.x.Bool(e) }
-func (n *not) String() string             { return fmt.Sprintf("(not %s)", n.x) }
+func (n *not) IsBool() bool   { return true }
+func (n *not) String() string { return fmt.Sprintf("(not %s)", n.x) }
 
 // neg negates a number.
 type neg struct{ x Expr }
 
-func (n *neg) IsBool() bool                 { return false }
-func (n *neg) Num(e stream.Element) float64 { return -n.x.Num(e) }
-func (n *neg) Bool(stream.Element) bool     { panic("ql: negation used as predicate") }
-func (n *neg) String() string               { return fmt.Sprintf("(-%s)", n.x) }
+func (n *neg) IsBool() bool   { return false }
+func (n *neg) String() string { return fmt.Sprintf("(-%s)", n.x) }
+
+// Compile returns the closure that evaluates predicate x, which the parser
+// produced. Operators are resolved here, not per element, and a comparison
+// of a field with a literal is a single closure that calls nothing.
+// Arithmetic and comparisons follow IEEE 754: NaN compares false except
+// with !=, % is math.Mod and x/0 is ±Inf or NaN.
+func Compile(x Expr) func(stream.Element) bool {
+	switch x := x.(type) {
+	case *not:
+		p := Compile(x.x)
+		return func(e stream.Element) bool { return !p(e) }
+	case *logical:
+		l, r := Compile(x.l), Compile(x.r)
+		if x.op == "and" {
+			return func(e stream.Element) bool { return l(e) && r(e) }
+		}
+		return func(e stream.Element) bool { return l(e) || r(e) }
+	case *binary:
+		// A literal on the left is moved to the right by mirroring the
+		// operator, which IEEE comparison allows: c < x is exactly x > c.
+		if f, ok := x.l.(fieldRef); ok {
+			if c, ok := literal(x.r); ok {
+				return fieldCmp(Field(f), x.op, c)
+			}
+		}
+		if f, ok := x.r.(fieldRef); ok {
+			if c, ok := literal(x.l); ok {
+				return fieldCmp(Field(f), mirror[x.op], c)
+			}
+		}
+		l, r := compileNum(x.l), compileNum(x.r)
+		switch x.op {
+		case "=":
+			return func(e stream.Element) bool { return l(e) == r(e) }
+		case "!=":
+			return func(e stream.Element) bool { return l(e) != r(e) }
+		case "<":
+			return func(e stream.Element) bool { return l(e) < r(e) }
+		case "<=":
+			return func(e stream.Element) bool { return l(e) <= r(e) }
+		case ">":
+			return func(e stream.Element) bool { return l(e) > r(e) }
+		case ">=":
+			return func(e stream.Element) bool { return l(e) >= r(e) }
+		}
+	}
+	panic(fmt.Sprintf("ql: %s is not a predicate", x))
+}
+
+// compileNum returns the closure that evaluates numeric expression x.
+func compileNum(x Expr) func(stream.Element) float64 {
+	switch x := x.(type) {
+	case numLit:
+		c := float64(x)
+		return func(stream.Element) float64 { return c }
+	case fieldRef:
+		switch Field(x) {
+		case FieldKey:
+			return func(e stream.Element) float64 { return float64(e.Key) }
+		case FieldVal:
+			return func(e stream.Element) float64 { return e.Val }
+		case FieldTS:
+			return func(e stream.Element) float64 { return float64(e.TS) }
+		}
+	case *neg:
+		n := compileNum(x.x)
+		return func(e stream.Element) float64 { return -n(e) }
+	case *binary:
+		l, r := compileNum(x.l), compileNum(x.r)
+		switch x.op {
+		case "+":
+			return func(e stream.Element) float64 { return l(e) + r(e) }
+		case "-":
+			return func(e stream.Element) float64 { return l(e) - r(e) }
+		case "*":
+			return func(e stream.Element) float64 { return l(e) * r(e) }
+		case "/":
+			return func(e stream.Element) float64 { return l(e) / r(e) }
+		case "%":
+			return func(e stream.Element) float64 { return math.Mod(l(e), r(e)) }
+		}
+	}
+	panic(fmt.Sprintf("ql: %s is not a number", x))
+}
+
+// literal reports the value of a numeric literal, negated or not.
+func literal(x Expr) (float64, bool) {
+	switch x := x.(type) {
+	case numLit:
+		return float64(x), true
+	case *neg:
+		c, ok := literal(x.x)
+		return -c, ok
+	}
+	return 0, false
+}
+
+// mirror maps a comparison to the one that holds with its operands swapped.
+var mirror = map[string]string{"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+// fieldCmp compiles "field op c" into one closure that reads the field and
+// compares it with the constant.
+func fieldCmp(f Field, op string, c float64) func(stream.Element) bool {
+	switch f {
+	case FieldKey:
+		switch op {
+		case "=":
+			return func(e stream.Element) bool { return float64(e.Key) == c }
+		case "!=":
+			return func(e stream.Element) bool { return float64(e.Key) != c }
+		case "<":
+			return func(e stream.Element) bool { return float64(e.Key) < c }
+		case "<=":
+			return func(e stream.Element) bool { return float64(e.Key) <= c }
+		case ">":
+			return func(e stream.Element) bool { return float64(e.Key) > c }
+		case ">=":
+			return func(e stream.Element) bool { return float64(e.Key) >= c }
+		}
+	case FieldVal:
+		switch op {
+		case "=":
+			return func(e stream.Element) bool { return e.Val == c }
+		case "!=":
+			return func(e stream.Element) bool { return e.Val != c }
+		case "<":
+			return func(e stream.Element) bool { return e.Val < c }
+		case "<=":
+			return func(e stream.Element) bool { return e.Val <= c }
+		case ">":
+			return func(e stream.Element) bool { return e.Val > c }
+		case ">=":
+			return func(e stream.Element) bool { return e.Val >= c }
+		}
+	case FieldTS:
+		switch op {
+		case "=":
+			return func(e stream.Element) bool { return float64(e.TS) == c }
+		case "!=":
+			return func(e stream.Element) bool { return float64(e.TS) != c }
+		case "<":
+			return func(e stream.Element) bool { return float64(e.TS) < c }
+		case "<=":
+			return func(e stream.Element) bool { return float64(e.TS) <= c }
+		case ">":
+			return func(e stream.Element) bool { return float64(e.TS) > c }
+		case ">=":
+			return func(e stream.Element) bool { return float64(e.TS) >= c }
+		}
+	}
+	panic("ql: bad comparison " + f.String() + " " + op)
+}

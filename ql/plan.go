@@ -30,8 +30,7 @@ func Plan(eng *hmts.Engine, sources map[string]*hmts.Stream, q *Query) (*hmts.St
 		}
 	}
 	if q.Where != nil {
-		pred := q.Where
-		s = s.Where("where "+pred.String(), func(e stream.Element) bool { return pred.Bool(e) })
+		s = s.Where("where "+q.Where.String(), Compile(q.Where))
 	}
 	switch q.Agg {
 	case AggNone:
@@ -78,8 +77,7 @@ func Plan(eng *hmts.Engine, sources map[string]*hmts.Stream, q *Query) (*hmts.St
 			s = s.Shard(q.Shards)
 		}
 		if q.Having != nil {
-			having := q.Having
-			s = s.Where("having "+having.String(), func(e stream.Element) bool { return having.Bool(e) })
+			s = s.Where("having "+q.Having.String(), Compile(q.Having))
 		}
 	}
 	return s, nil

@@ -71,6 +71,7 @@ func TestExprEval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	where := Compile(q.Where)
 	cases := []struct {
 		e    stream.Element
 		want bool
@@ -81,7 +82,7 @@ func TestExprEval(t *testing.T) {
 		{stream.Element{Key: 2, Val: 0, TS: 4}, true},    // ts < 5 rescues
 	}
 	for _, c := range cases {
-		if got := q.Where.Bool(c.e); got != c.want {
+		if got := where(c.e); got != c.want {
 			t.Errorf("where(%v) = %v, want %v", c.e, got, c.want)
 		}
 	}
